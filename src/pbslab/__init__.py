@@ -8,10 +8,9 @@ verifies both equilibria by seeded Monte Carlo simulation.
 
 from .common_values import (CandlestickConfig, CandlestickSolution,
                             PriceProcess, RootNotFoundError,
-                            candlestick_residual, fast_bid_decision,
-                            fast_expected_profit, law_of_v_delta,
-                            slow_win_probability, solve_candlestick,
-                            unraveling_slow_profit)
+                            candlestick_residual, fast_expected_profit,
+                            law_of_v_delta, slow_win_probability,
+                            solve_candlestick, unraveling_slow_profit)
 from .distributions import (Beta, EmpiricalGrid, Lognormal, NegligibleMassError,
                             Uniform, ValueDistribution, lognormal_put_value,
                             lognormal_truncated_mean, parse_distribution)
@@ -21,23 +20,21 @@ from .private_equilibrium import (BidFunction, EquilibriumSolution,
                                   solve_fixed_point, solve_ode,
                                   surplus_single_neutral, verify_best_response,
                                   verify_envelope, winning_probability)
-from .simulator import (HybridOutcome, ReplicationRng, SimReport,
-                        run_hybrid_auction_once, simulate_candlestick,
+from .simulator import (ReplicationRng, SimReport, simulate_candlestick,
                         simulate_hybrid, sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Beta", "BidFunction", "CandlestickConfig", "CandlestickSolution",
-    "EmpiricalGrid", "EquilibriumSolution", "HybridAuctionConfig",
-    "HybridOutcome", "Lognormal", "NegligibleMassError", "OdeSingularityError",
-    "PriceProcess", "ReplicationRng", "RootNotFoundError", "SimReport",
-    "SolverError", "Uniform", "ValueDistribution", "candlestick_residual",
-    "closed_form_single_neutral", "fast_bid_decision", "fast_expected_profit",
-    "law_of_v_delta", "lognormal_put_value", "lognormal_truncated_mean",
-    "parse_distribution", "run_hybrid_auction_once", "simulate_candlestick",
-    "simulate_hybrid", "slow_win_probability", "solve_candlestick",
-    "solve_fixed_point", "solve_ode", "surplus_single_neutral", "sweep",
-    "unraveling_slow_profit", "verify_best_response", "verify_envelope",
-    "winning_probability",
+    "EmpiricalGrid", "EquilibriumSolution", "HybridAuctionConfig", "Lognormal",
+    "NegligibleMassError", "OdeSingularityError", "PriceProcess",
+    "ReplicationRng", "RootNotFoundError", "SimReport", "SolverError",
+    "Uniform", "ValueDistribution", "candlestick_residual",
+    "closed_form_single_neutral", "fast_expected_profit", "law_of_v_delta",
+    "lognormal_put_value", "lognormal_truncated_mean", "parse_distribution",
+    "simulate_candlestick", "simulate_hybrid", "slow_win_probability",
+    "solve_candlestick", "solve_fixed_point", "solve_ode",
+    "surplus_single_neutral", "sweep", "unraveling_slow_profit",
+    "verify_best_response", "verify_envelope", "winning_probability",
 ]

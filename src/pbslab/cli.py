@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 solver failure, 4 verification
 failure, 5 I/O failure. Every output file is written atomically (temp file
 plus rename) so failures leave no partial files behind. All flags can also be
 given through ``--config file.json`` (flags override the file; unknown keys
-are rejected).
+and values their flag would not parse to are rejected).
 """
 
 from __future__ import annotations
@@ -54,10 +54,17 @@ EXIT_IO = 5
 # ------------------------------ option registry -------------------------------
 
 
+def _parse_grid(value) -> list[float]:
+    if isinstance(value, (list, tuple)):
+        return [float(x) for x in value]
+    toks = [tok.strip() for tok in str(value).split(",")]
+    return [float(tok) for tok in toks if tok]
+
+
 @dataclass(frozen=True)
 class _Opt:
     name: str
-    type: type = str
+    type: object = str  # int, float, str or a parser of the flag's text
     default: object = None
     required: bool = False
     help: str = ""
@@ -101,7 +108,7 @@ _SIMULATE_OPTS = (
 
 _SWEEP_OPTS = (
     _Opt("axis", str, required=True, choices=("p", "vol", "delta", "na", "nb")),
-    _Opt("grid", str, required=True, help="comma-separated axis values"),
+    _Opt("grid", _parse_grid, required=True, help="comma-separated axis values"),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
     _Opt("p", float, 0.5),
     _Opt("na", int, 1), _Opt("nb", int, 1),
@@ -135,6 +142,19 @@ def _add_options(sub: argparse.ArgumentParser, opts: tuple[_Opt, ...]):
                           "(explicit flags take precedence)")
 
 
+def _from_file(parser: argparse.ArgumentParser, o: _Opt, value):
+    """Convert a config-file value with its option's type, as argparse does a
+    flag's text; a string does not stand for a number, nor a fraction for an
+    integer."""
+    exact = {int: int, float: (int, float), str: str}.get(o.type, object)
+    try:
+        if isinstance(value, bool) or not isinstance(value, exact):
+            raise TypeError
+        return o.type(value)
+    except (TypeError, ValueError):
+        parser.error(f"config value {value!r} is not a valid --{o.name}")
+
+
 def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace,
              opts: tuple[_Opt, ...]) -> SimpleNamespace:
     """Merge CLI flags over config-file values over defaults."""
@@ -155,8 +175,10 @@ def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace,
     for o in opts:
         dest = o.name.replace("-", "_")
         value = getattr(args, dest)
+        if value is None and file_cfg.get(dest) is not None:
+            value = _from_file(parser, o, file_cfg[dest])
         if value is None:
-            value = file_cfg.get(dest, o.default)
+            value = o.default
         if value is None and o.required:
             parser.error(f"--{o.name} is required")
         if value is not None and o.choices and value not in o.choices:
@@ -291,22 +313,14 @@ def cmd_simulate(ns) -> int:
     return EXIT_VERIFY
 
 
-def _parse_grid(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
-    toks = [tok.strip() for tok in str(value).split(",")]
-    return [float(tok) for tok in toks if tok]
-
-
 def cmd_sweep(ns) -> int:
-    grid_values = _parse_grid(ns.grid)
     base = {"v0": ns.v0, "vol": ns.vol, "delta": ns.delta, "p": ns.p,
             "na": ns.na, "nb": ns.nb,
             "fa": parse_distribution(ns.fa), "fb": parse_distribution(ns.fb),
             "grid_size": ns.grid_size, "n_slow": ns.n_slow}
     if ns.tol is not None:
         base["tol"] = ns.tol
-    rows = sweep(ns.axis, grid_values, base, verify_reps=ns.verify_reps,
+    rows = sweep(ns.axis, ns.grid, base, verify_reps=ns.verify_reps,
                  seed=ns.seed)
     _write_atomic(ns.out, _rows_csv(sweep_header(ns.axis), rows))
     bad = sum(1 for r in rows if r["status"] != "ok")

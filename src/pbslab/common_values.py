@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .distributions import Lognormal, lognormal_put_value, lognormal_truncated_mean
+from .distributions import Lognormal, lognormal_put_value
 
 __all__ = [
     "PriceProcess",
@@ -37,7 +36,6 @@ __all__ = [
     "candlestick_residual",
     "solve_candlestick",
     "slow_win_probability",
-    "fast_bid_decision",
     "unraveling_slow_profit",
     "fast_expected_profit",
 ]
@@ -136,59 +134,26 @@ class CandlestickSolution:
         }
 
 
-def _mass_below(process: PriceProcess, b) -> np.ndarray:
-    """P(V < b) for the revision-time value."""
-    b = np.asarray(b, dtype=float)
-    with np.errstate(divide="ignore"):
-        z = (np.log(np.maximum(b, 0.0)) - process.log_mean) / process.log_sd
-    return np.where(b > 0.0, ndtr(z), 0.0)
-
-
-def _put_vec(process: PriceProcess, b) -> np.ndarray:
-    """Vectorized expected shortfall E[(b - V)+]."""
-    v0, s = process.v0, process.log_sd
-    b = np.asarray(b, dtype=float)
-    pos = b > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(v0 / np.where(pos, b, 1.0)) + 0.5 * s * s) / s
-    d2 = d1 - s
-    return np.where(pos, b * ndtr(-d2) - v0 * ndtr(-d1), 0.0)
-
-
 def _residual_vec(config: CandlestickConfig, b) -> np.ndarray:
     process, p = config.process, config.p
-    b = np.asarray(b, dtype=float)
-    return (1.0 - p) * (process.v0 - b) - p * _put_vec(process, b)
+    return (1.0 - p) * (process.v0 - b) - p * lognormal_put_value(
+        process.v0, b, process.log_sd)
 
 
 def candlestick_residual(config: CandlestickConfig, b: float) -> float:
     """Expected slow-bidder profit from winning at bid b (the root condition).
 
-    The adverse-selection term P(V<b)*(E[V|V<b] - b) is evaluated through the
-    shortfall form -E[(b-V)+], which stays finite when the truncation mass
-    underflows; where the mass is tangible the truncated-mean form is also
-    computed and the two must agree to 1e-12.
+    The adverse-selection term P(V<b)*(E[V|V<b] - b) is evaluated in its
+    shortfall form -E[(b-V)+], which stays finite where the truncation mass
+    underflows and the truncated-mean form turns 0/0.
     """
     process, p = config.process, config.p
     v0 = process.v0
     if not 0.0 <= b <= v0 * (1.0 + 1e-12):
         raise ValueError(f"bid must lie in [0, v0], got {b}")
-    if b == 0.0:
-        return (1.0 - p) * v0
     if process.is_degenerate:
         return (1.0 - p) * (v0 - b)
-    value = float(_residual_vec(config, b))
-    mass = float(_mass_below(process, b))
-    if mass >= 1e-10 and p > 0.0:
-        law = law_of_v_delta(process)
-        shaded = mass * (lognormal_truncated_mean(law, b) - b)
-        alt = (1.0 - p) * (v0 - b) + p * shaded
-        if abs(alt - value) > 1e-12 * max(1.0, v0):
-            raise ArithmeticError(
-                f"internal inconsistency between residual forms at b={b}: "
-                f"{alt} vs {value}")
-        return alt
-    return value
+    return float(_residual_vec(config, b))
 
 
 def solve_candlestick(config: CandlestickConfig, tol: float = 1e-12) -> CandlestickSolution:
@@ -202,9 +167,7 @@ def solve_candlestick(config: CandlestickConfig, tol: float = 1e-12) -> Candlest
     """
     process, p = config.process, config.p
     v0 = process.v0
-    if process.is_degenerate:
-        return _build_solution(config, v0, residual=0.0, bracket=None, iterations=0)
-    if p == 0.0:
+    if process.is_degenerate or p == 0.0:
         return _build_solution(config, v0, residual=0.0, bracket=None, iterations=0)
     if p == 1.0:
         return _build_solution(config, 0.0, residual=0.0, bracket=None, iterations=0)
@@ -271,12 +234,7 @@ def slow_win_probability(config: CandlestickConfig, b0s: float) -> float:
     either gets no revision chance or sees a value below the slow bid."""
     if config.process.is_degenerate:
         return 1.0  # revision sees exactly v0 = b0s and strictly-greater fails
-    return config.p * float(_mass_below(config.process, b0s)) + (1.0 - config.p)
-
-
-def fast_bid_decision(b_slow: float, v_delta: float):
-    """Fast bidder outbids iff the revised value strictly exceeds the bid."""
-    return np.asarray(v_delta) > b_slow if np.ndim(v_delta) else v_delta > b_slow
+    return config.p * float(law_of_v_delta(config.process).cdf(b0s)) + (1.0 - config.p)
 
 
 def unraveling_slow_profit(process: PriceProcess, b: float) -> float:

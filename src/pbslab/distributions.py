@@ -33,23 +33,11 @@ __all__ = [
     "Lognormal",
     "EmpiricalGrid",
     "NegligibleMassError",
-    "norm_cdf",
-    "norm_ppf",
     "lognormal_truncated_mean",
     "lognormal_put_value",
     "lower_tail_exponent",
     "parse_distribution",
 ]
-
-
-def norm_cdf(x):
-    """Standard normal CDF, accurate into both tails (|abs error| ~ 1 ulp)."""
-    return ndtr(x)
-
-
-def norm_ppf(q):
-    """Standard normal quantile (inverse of :func:`norm_cdf`)."""
-    return ndtri(q)
 
 
 class NegligibleMassError(ValueError):
@@ -318,24 +306,27 @@ def lognormal_truncated_mean(law: Lognormal, b: float) -> float:
     return law.mean() * float(ndtr(z - s)) / mass
 
 
-def lognormal_put_value(v0: float, b: float, s: float) -> float:
+def lognormal_put_value(v0: float, b, s: float):
     """Expected shortfall E[(b - V)+] for lognormal V with mean v0 and log-sd s.
 
     Uses the shifted-normal-CDF form b*Phi(-d2) - v0*Phi(-d1) with
     d1 = (ln(v0/b) + s^2/2)/s and d2 = d1 - s; stable for b deep in either
-    tail, where the truncated-mean route degenerates to 0/0.
+    tail, where the truncated-mean route degenerates to 0/0. Elementwise in
+    ``b``: an array of strikes gives an array, a scalar strike a float.
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be positive, got {v0}")
-    if b < 0.0:
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0.0):
         raise ValueError(f"strike must be nonnegative, got {b}")
     if not s > 0.0:
         raise ValueError(f"log-sd must be positive, got {s}")
-    if b == 0.0:
-        return 0.0
-    d1 = (math.log(v0 / b) + 0.5 * s * s) / s
+    pos = b > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (np.log(v0 / np.where(pos, b, 1.0)) + 0.5 * s * s) / s
     d2 = d1 - s
-    return b * float(ndtr(-d2)) - v0 * float(ndtr(-d1))
+    put = np.where(pos, b * ndtr(-d2) - v0 * ndtr(-d1), 0.0)
+    return put if put.ndim else float(put)
 
 
 def lower_tail_exponent(d: ValueDistribution, at: float, probe: float) -> float:

@@ -296,16 +296,18 @@ def _strictly_increasing(b: np.ndarray) -> np.ndarray:
 
 def _equation_defect(config: HybridAuctionConfig, values: np.ndarray,
                      bids: np.ndarray, lo: float, tail_k: float,
-                     skip: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pointwise defect of the shading identity; ``skip`` marks anchor points."""
+                     skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The shading identity's right-hand side v - int(G)/G, the points where
+    it is usable (G above the floor, not in ``skip``: anchor points) and the
+    sup-norm defect |bid - mapped| over them."""
     g = config.rival_cdf(values) * config.reserve_cdf(bids)
     integral = _power_cumint(values, g, lo, tail_k)
     usable = (g > _G_FLOOR) & ~skip
-    defect = np.zeros_like(values)
-    np.divide(integral, g, out=defect, where=usable)
-    defect = np.abs(np.where(usable, bids - (values - defect), 0.0))
-    sup = float(defect.max()) if np.any(usable) else 0.0
-    return defect, sup
+    ratio = np.zeros_like(values)
+    np.divide(integral, g, out=ratio, where=usable)
+    mapped = values - ratio
+    sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
+    return mapped, usable, sup
 
 
 def _prepare(config: HybridAuctionConfig, grid_size: int):
@@ -357,20 +359,13 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
 
     bids = line.copy()
     for iteration in range(max_iter + 1):
-        g = config.rival_cdf(grid) * config.reserve_cdf(bids)
-        integral = _power_cumint(grid, g, lo, tail_k)
-        usable = (g > _G_FLOOR) & ~anchor
-        mapped = line.copy()
-        ratio = np.zeros_like(grid)
-        np.divide(integral, g, out=ratio, where=usable)
-        mapped[usable] = grid[usable] - ratio[usable]
-
-        residual = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
+        mapped, usable, residual = _equation_defect(config, grid, bids, lo,
+                                                    tail_k, anchor)
         if residual <= tol:
             return _finish(config, grid, bids, residual, "fixed-point",
                            iteration, tol, int(anchor.sum()), lo, tail_k)
 
-        bids = (1.0 - damping) * bids + damping * mapped
+        bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
         bids = _isotonic(bids)
         np.clip(bids, 0.0, grid, out=bids)
         bids[anchor] = line[anchor]
@@ -436,7 +431,7 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     bids = line.copy()
     bids[grid >= v_start - 1e-15] = sol.y[0]
     bids = np.minimum(bids, grid)
-    _, residual = _equation_defect(config, grid, bids, lo, tail_k, anchor)
+    residual = _equation_defect(config, grid, bids, lo, tail_k, anchor)[2]
     return _finish(config, grid, bids, residual, "ode", int(sol.nfev), tol,
                    int(anchor.sum()), lo, tail_k)
 

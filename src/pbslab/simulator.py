@@ -11,6 +11,10 @@ draws a fixed-width row of uniforms from the Philox stream of block
 replication is a pure function of ``(seed, r)`` - independent of the total
 replication count, scheduling or worker count. All values are produced by
 inverse-transform sampling of those uniforms.
+
+Both auctions run through one block runner, :func:`_replications`, which
+maps each block's uniforms through a model's block function; the simulate
+functions feed the per-replication series it yields into running means.
 """
 
 from __future__ import annotations
@@ -21,21 +25,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common_values import (CandlestickConfig, CandlestickSolution,
-                            PriceProcess, law_of_v_delta, solve_candlestick)
+                            PriceProcess, RootNotFoundError, law_of_v_delta,
+                            solve_candlestick)
 from .private_equilibrium import (EquilibriumSolution, HybridAuctionConfig,
-                                  solve_fixed_point)
+                                  SolverError, solve_fixed_point)
 
 __all__ = [
     "BLOCK_SIZE",
     "ReplicationRng",
-    "HybridOutcome",
     "Stat",
     "SimReport",
     "pick_winners",
-    "run_hybrid_auction_once",
-    "hybrid_outcomes",
     "simulate_hybrid",
-    "candlestick_outcomes",
     "simulate_candlestick",
     "sweep",
 ]
@@ -60,14 +61,6 @@ class ReplicationRng:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=block << 128))
 
 
-def _block_sizes(reps: int):
-    full, rem = divmod(reps, BLOCK_SIZE)
-    for b in range(full):
-        yield b, BLOCK_SIZE
-    if rem:
-        yield full, rem
-
-
 class _RunningStat:
     """Mergeable count/mean/M2 accumulator (parallel Welford update)."""
 
@@ -78,8 +71,6 @@ class _RunningStat:
 
     def add_block(self, arr: np.ndarray):
         m = arr.size
-        if m == 0:
-            return
         b_mean = float(arr.mean())
         b_m2 = float(arr.var()) * m
         delta = b_mean - self.mean
@@ -130,6 +121,30 @@ class SimReport:
         }
 
 
+def _replications(seed: int, reps: int, width: int, block_fn):
+    """Yield ``block_fn`` of each block's ``(m, width)`` uniforms, in order.
+
+    Row ``i`` of block ``b`` is replication ``b * BLOCK_SIZE + i``, so a
+    longer run extends a shorter one with the same seed.
+    """
+    rng = ReplicationRng(seed)
+    for start in range(0, reps, BLOCK_SIZE):
+        m = min(BLOCK_SIZE, reps - start)
+        yield block_fn(rng.block_stream(start // BLOCK_SIZE).random((m, width)))
+
+
+def _run_stats(seed: int, reps: int, width: int, series_fn) -> dict[str, Stat]:
+    """Mean and half-width of every per-replication series ``series_fn`` maps
+    a block's uniforms to."""
+    if reps < _MIN_REPS:
+        raise ValueError(f"need at least {_MIN_REPS} replications")
+    acc: dict[str, _RunningStat] = {}
+    for series in _replications(seed, reps, width, series_fn):
+        for name, values in series.items():
+            acc.setdefault(name, _RunningStat()).add_block(values)
+    return {name: a.stat() for name, a in acc.items()}
+
+
 def _check(name: str, stat: Stat, target: float) -> dict:
     return {
         "name": name,
@@ -152,10 +167,6 @@ def pick_winners(bids: np.ndarray, tie_u: np.ndarray) -> np.ndarray:
         tied = np.flatnonzero(bids[r] == top[r])
         winners[r] = tied[min(int(tie_u[r] * tied.size), tied.size - 1)]
     return winners
-
-
-def _hybrid_draw_width(config: HybridAuctionConfig) -> int:
-    return config.n_integrated + config.n_neutral + 1  # values + tie-break
 
 
 def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
@@ -190,48 +201,6 @@ def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
     }
 
 
-@dataclass(frozen=True)
-class HybridOutcome:
-    """One auction play: who won, what they paid, who earned what."""
-
-    winner_class: str
-    winner_index: int
-    payment: float
-    revenue: float
-    surplus: np.ndarray  # per bidder, integrated first; losers hold 0
-
-
-def run_hybrid_auction_once(config: HybridAuctionConfig,
-                            solution: EquilibriumSolution,
-                            rng: np.random.Generator) -> HybridOutcome:
-    """Draw one replication from ``rng`` and resolve the auction."""
-    u = rng.random((1, _hybrid_draw_width(config)))
-    out = _hybrid_block(config, solution, u)
-    n = config.n_integrated + config.n_neutral
-    surplus = np.zeros(n)
-    w = int(out["winner"][0])
-    surplus[w] = float(out["surplus"][0])
-    return HybridOutcome(
-        winner_class="integrated" if out["integrated_won"][0] else "neutral",
-        winner_index=w,
-        payment=float(out["payment"][0]),
-        revenue=float(out["payment"][0]),
-        surplus=surplus,
-    )
-
-
-def hybrid_outcomes(config: HybridAuctionConfig, solution: EquilibriumSolution,
-                    reps: int, seed: int) -> dict[str, np.ndarray]:
-    """Materialize per-replication outcome arrays (tests and diagnostics)."""
-    rng = ReplicationRng(seed)
-    width = _hybrid_draw_width(config)
-    parts = []
-    for block, m in _block_sizes(reps):
-        u = rng.block_stream(block).random((m, width))
-        parts.append(_hybrid_block(config, solution, u))
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-
-
 def _hybrid_analytic(config: HybridAuctionConfig,
                      solution: EquilibriumSolution) -> dict[str, float]:
     # the solution grid is quantile-spaced, so expectations over the neutral
@@ -250,27 +219,23 @@ def simulate_hybrid(config: HybridAuctionConfig, solution: EquilibriumSolution,
                     reps: int, seed: int) -> SimReport:
     """Aggregate ``reps`` independent hybrid auctions into a SimReport and
     compare against the analytic surplus and win rates at 3 half-widths."""
-    if reps < _MIN_REPS:
-        raise ValueError(f"need at least {_MIN_REPS} replications")
-    rng = ReplicationRng(seed)
-    width = _hybrid_draw_width(config)
-    acc = {name: _RunningStat() for name in
-           ("revenue", "win_rate_integrated", "win_rate_neutral",
-            "surplus_integrated_per_bidder", "surplus_neutral_per_bidder")}
     n_int = max(config.n_integrated, 1)
-    for block, m in _block_sizes(reps):
-        u = rng.block_stream(block).random((m, width))
+
+    def series(u):
         out = _hybrid_block(config, solution, u)
         won_int = out["integrated_won"]
-        acc["revenue"].add_block(out["payment"])
-        acc["win_rate_integrated"].add_block(won_int.astype(float))
-        acc["win_rate_neutral"].add_block((~won_int).astype(float))
-        acc["surplus_integrated_per_bidder"].add_block(
-            np.where(won_int, out["surplus"], 0.0) / n_int)
-        acc["surplus_neutral_per_bidder"].add_block(
-            np.where(~won_int, out["surplus"], 0.0) / config.n_neutral)
+        return {
+            "revenue": out["payment"],
+            "win_rate_integrated": won_int.astype(float),
+            "win_rate_neutral": (~won_int).astype(float),
+            "surplus_integrated_per_bidder":
+                np.where(won_int, out["surplus"], 0.0) / n_int,
+            "surplus_neutral_per_bidder":
+                np.where(~won_int, out["surplus"], 0.0) / config.n_neutral,
+        }
 
-    stats = {k: a.stat() for k, a in acc.items()}
+    width = config.n_integrated + config.n_neutral + 1  # values + tie-break
+    stats = _run_stats(seed, reps, width, series)
     analytic = _hybrid_analytic(config, solution)
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
     return SimReport(model="hybrid", reps=reps, seed=seed,
@@ -308,39 +273,25 @@ def _candlestick_block(config: CandlestickConfig, solution: CandlestickSolution,
     }
 
 
-def candlestick_outcomes(config: CandlestickConfig, solution: CandlestickSolution,
-                         n_slow: int, reps: int, seed: int) -> dict[str, np.ndarray]:
-    rng = ReplicationRng(seed)
-    parts = []
-    for block, m in _block_sizes(reps):
-        u = rng.block_stream(block).random((m, 3))
-        parts.append(_candlestick_block(config, solution, n_slow, u))
-    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-
-
 def simulate_candlestick(config: CandlestickConfig, solution: CandlestickSolution,
                          n_slow: int, reps: int, seed: int) -> SimReport:
     """Play the candlestick auction with all slow bidders at the solved bid;
     the slow class must break even and the win rates must match the solution."""
-    if reps < _MIN_REPS:
-        raise ValueError(f"need at least {_MIN_REPS} replications")
     if n_slow < 2:
         raise ValueError("the zero-profit condition presumes at least two slow bidders")
-    rng = ReplicationRng(seed)
-    acc = {name: _RunningStat() for name in
-           ("revenue", "win_rate_slow", "win_rate_fast",
-            "slow_profit", "fast_profit")}
-    for block, m in _block_sizes(reps):
-        u = rng.block_stream(block).random((m, 3))
+
+    def series(u):
         out = _candlestick_block(config, solution, n_slow, u)
         fast_won = out["fast_won"]
-        acc["revenue"].add_block(out["revenue"])
-        acc["win_rate_fast"].add_block(fast_won.astype(float))
-        acc["win_rate_slow"].add_block((~fast_won).astype(float))
-        acc["slow_profit"].add_block(out["slow_profit"])
-        acc["fast_profit"].add_block(out["fast_profit"])
+        return {
+            "revenue": out["revenue"],
+            "win_rate_slow": (~fast_won).astype(float),
+            "win_rate_fast": fast_won.astype(float),
+            "slow_profit": out["slow_profit"],
+            "fast_profit": out["fast_profit"],
+        }
 
-    stats = {k: a.stat() for k, a in acc.items()}
+    stats = _run_stats(seed, reps, 3, series)
     analytic = {
         "slow_profit": 0.0,
         "win_rate_slow": solution.slow_win_prob,
@@ -369,61 +320,55 @@ def sweep(axis: str, grid, base: dict, verify_reps: int = 0,
           seed: int = 0) -> list[dict]:
     """Solve (and optionally verify) one model per grid point of ``axis``.
 
-    Rows come back in grid order; a per-point failure is recorded in the
-    row's ``status`` instead of aborting the sweep.
+    Rows come back in grid order. A point whose solve or verification fails
+    with a solver or input error keeps that error in its row's ``status``
+    (``error: <class>: <message>``) instead of aborting the sweep; any other
+    exception propagates.
     """
-    if axis in CANDLESTICK_AXES:
-        return [_sweep_candlestick_point(axis, x, base, verify_reps, seed)
-                for x in grid]
-    if axis in PRIVATE_AXES:
-        return [_sweep_private_point(axis, x, base, verify_reps, seed)
-                for x in grid]
-    raise ValueError(f"unknown sweep axis {axis!r}; "
-                     f"choose from {CANDLESTICK_AXES + PRIVATE_AXES}")
-
-
-def _sweep_candlestick_point(axis, x, base, verify_reps, seed) -> dict:
-    row = dict.fromkeys(_CANDLESTICK_HEADER, "")
-    row["axis_value"] = x
-    try:
-        params = {"v0": base.get("v0", 1.0), "vol": base.get("vol", 0.2),
-                  "delta": base.get("delta", 1.0), "p": base.get("p", 0.5)}
-        params[axis] = x
-        config = CandlestickConfig(
-            PriceProcess(params["v0"], params["vol"], params["delta"]), params["p"])
-        solution = solve_candlestick(config, tol=base.get("tol", 1e-12))
-        row.update(b0s=solution.b0s, slow_win_prob=solution.slow_win_prob,
-                   fast_profit=solution.fast_expected_profit, status="ok")
-        if verify_reps:
-            report = simulate_candlestick(config, solution,
-                                          base.get("n_slow", 2), verify_reps, seed)
-            if not report.agreement_ok:
+    if axis not in CANDLESTICK_AXES + PRIVATE_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; "
+                         f"choose from {CANDLESTICK_AXES + PRIVATE_AXES}")
+    solve_point = _candlestick_point if axis in CANDLESTICK_AXES else _private_point
+    rows = []
+    for x in grid:
+        row = dict.fromkeys(sweep_header(axis), "")
+        row["axis_value"] = x
+        try:
+            verify = solve_point(axis, x, base, row)
+            row["status"] = "ok"
+            if verify_reps and not verify(verify_reps, seed).agreement_ok:
                 row["status"] = "verify-failed"
-    except Exception as exc:  # per-point failures stay in-row
-        row["status"] = f"error: {exc}"
-    return row
+        except (SolverError, RootNotFoundError, ValueError) as exc:
+            row["status"] = f"error: {type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
-def _sweep_private_point(axis, x, base, verify_reps, seed) -> dict:
-    row = dict.fromkeys(_PRIVATE_HEADER, "")
-    row["axis_value"] = x
-    try:
-        n = int(x)
-        if n != x:
-            raise ValueError(f"{axis} grid values must be integers, got {x}")
-        na = n if axis == "na" else base.get("na", 1)
-        nb = n if axis == "nb" else base.get("nb", 1)
-        config = HybridAuctionConfig(na, nb, base["fa"], base["fb"])
-        solution = solve_fixed_point(config,
-                                     grid_size=base.get("grid_size", 512),
-                                     tol=base.get("tol", 1e-6))
-        v, b = solution.values, solution.bids
-        row.update(slope_fit=float(np.dot(b, v) / np.dot(v, v)),
-                   residual=solution.residual, status="ok")
-        if verify_reps:
-            report = simulate_hybrid(config, solution, verify_reps, seed)
-            if not report.agreement_ok:
-                row["status"] = "verify-failed"
-    except Exception as exc:
-        row["status"] = f"error: {exc}"
-    return row
+def _candlestick_point(axis, x, base, row):
+    """Solve one candlestick point into ``row``; returns its verifier."""
+    params = {"v0": base.get("v0", 1.0), "vol": base.get("vol", 0.2),
+              "delta": base.get("delta", 1.0), "p": base.get("p", 0.5)}
+    params[axis] = x
+    config = CandlestickConfig(
+        PriceProcess(params["v0"], params["vol"], params["delta"]), params["p"])
+    solution = solve_candlestick(config, tol=base.get("tol", 1e-12))
+    row.update(b0s=solution.b0s, slow_win_prob=solution.slow_win_prob,
+               fast_profit=solution.fast_expected_profit)
+    return lambda reps, seed: simulate_candlestick(
+        config, solution, base.get("n_slow", 2), reps, seed)
+
+
+def _private_point(axis, x, base, row):
+    """Solve one hybrid-auction point into ``row``; returns its verifier."""
+    if not float(x).is_integer():
+        raise ValueError(f"{axis} grid values must be integers, got {x}")
+    n = int(x)
+    na = n if axis == "na" else base.get("na", 1)
+    nb = n if axis == "nb" else base.get("nb", 1)
+    config = HybridAuctionConfig(na, nb, base["fa"], base["fb"])
+    solution = solve_fixed_point(config, grid_size=base.get("grid_size", 512),
+                                 tol=base.get("tol", 1e-6))
+    v, b = solution.values, solution.bids
+    row.update(slope_fit=float(np.dot(b, v) / np.dot(v, v)),
+               residual=solution.residual)
+    return lambda reps, seed: simulate_hybrid(config, solution, reps, seed)

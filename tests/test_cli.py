@@ -256,6 +256,42 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert rc == 2
 
 
+def _private_config_file(tmp_path, **overrides):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"na": 3, "nb": 1, "fa": "uniform(0,1)",
+                               "fb": "uniform(0,1)",
+                               "out": str(tmp_path / "typed.csv"), **overrides}))
+    return cfg
+
+
+def test_config_file_string_for_integer_rejected(tmp_path, capsys):
+    cfg = _private_config_file(tmp_path, na="3")
+    rc = main(["solve-private", "--config", str(cfg)])
+    assert rc == 2
+    assert "--na" in capsys.readouterr().err
+    assert not (tmp_path / "typed.csv").exists()
+
+
+def test_config_file_fractional_integer_rejected(tmp_path, capsys):
+    cfg = _private_config_file(tmp_path, grid=100.5)
+    rc = main(["solve-private", "--config", str(cfg)])
+    assert rc == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "typed.csv").exists()
+
+
+def test_config_file_sweep_grid_list(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"axis": "p", "grid": [0.25, 0.5], "v0": 1,
+                               "out": str(out)}))
+    rc = main(["sweep", "--config", str(cfg)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.25", "0.5"]
+    assert all(row.endswith(",ok") for row in rows)
+
+
 # ------------------------------------ misc -------------------------------------
 
 

@@ -10,9 +10,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pbslab import (CandlestickConfig, PriceProcess, candlestick_residual,
-                    fast_bid_decision, fast_expected_profit, law_of_v_delta,
-                    lognormal_put_value, slow_win_probability,
-                    solve_candlestick, unraveling_slow_profit)
+                    fast_expected_profit, law_of_v_delta, lognormal_put_value,
+                    slow_win_probability, solve_candlestick,
+                    unraveling_slow_profit)
+from pbslab.simulator import _candlestick_block
 
 
 def _process(v0=1.0, vol=0.2, delta=1.0) -> PriceProcess:
@@ -179,10 +180,19 @@ def test_slow_win_probability_composition(candlestick_half):
     assert sol.slow_win_prob == pytest.approx(expected, abs=1e-12)
 
 
-def test_fast_bid_decision_strictness():
-    assert fast_bid_decision(1.0, 1.2) is True
-    assert fast_bid_decision(1.0, 0.8) is False
-    assert fast_bid_decision(1.0, 1.0) is False  # ties stay with the slow bid
+def test_fast_bid_decision_strictness(candlestick_half):
+    """The simulated fast bidder outbids iff the revised value strictly
+    exceeds the slow bid."""
+    config, sol = candlestick_half
+    law = law_of_v_delta(config.process)
+    # both rows revise (second uniform below p); values 1.2x and 0.8x the bid
+    u = np.array([[0.0, 0.0, float(law.cdf(1.2 * sol.b0s))],
+                  [0.0, 0.0, float(law.cdf(0.8 * sol.b0s))]])
+    assert _candlestick_block(config, sol, 2, u)["fast_won"].tolist() == [True, False]
+    # a motionless value always revises to v0 = b0s: ties stay with the slow bid
+    still = CandlestickConfig(_process(vol=0.0), 1.0)
+    tie = _candlestick_block(still, solve_candlestick(still), 2, np.zeros((1, 3)))
+    assert tie["fast_won"].tolist() == [False]
 
 
 def test_unraveling_profit_negative_everywhere():

@@ -3,14 +3,31 @@
 import numpy as np
 import pytest
 
+import pbslab.simulator
 from pbslab import (CandlestickConfig, HybridAuctionConfig, PriceProcess,
-                    ReplicationRng, Uniform, run_hybrid_auction_once,
-                    simulate_candlestick, simulate_hybrid, solve_candlestick,
-                    solve_fixed_point, sweep)
-from pbslab.simulator import (_hybrid_block, candlestick_outcomes,
-                              hybrid_outcomes, pick_winners, sweep_header)
+                    ReplicationRng, Uniform, simulate_candlestick,
+                    simulate_hybrid, solve_candlestick, solve_fixed_point,
+                    sweep)
+from pbslab.simulator import (_candlestick_block, _hybrid_block,
+                              _replications, pick_winners, sweep_header)
 
 UNIT = Uniform(0.0, 1.0)
+
+
+def _outcomes(seed, reps, width, block_fn):
+    """Per-replication outcome arrays, read from the simulator's block runner."""
+    parts = list(_replications(seed, reps, width, block_fn))
+    return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+
+
+def _hybrid_outcomes(config, sol, reps, seed):
+    width = config.n_integrated + config.n_neutral + 1  # values + tie-break
+    return _outcomes(seed, reps, width, lambda u: _hybrid_block(config, sol, u))
+
+
+def _candlestick_outcomes(config, sol, n_slow, reps, seed):
+    return _outcomes(seed, reps, 3,
+                     lambda u: _candlestick_block(config, sol, n_slow, u))
 
 
 # ------------------------------- random streams --------------------------------
@@ -30,10 +47,15 @@ def test_seed_validation():
         ReplicationRng(2 ** 64)
 
 
-def test_outcome_prefix_stability(uniform_3_1):
-    config, sol = uniform_3_1
-    short = hybrid_outcomes(config, sol, 10_000, seed=11)
-    long = hybrid_outcomes(config, sol, 30_000, seed=11)
+@pytest.mark.parametrize("model", ["hybrid", "candlestick"])
+def test_outcome_prefix_stability(model, uniform_3_1, candlestick_half):
+    if model == "hybrid":
+        def outcomes(reps):
+            return _hybrid_outcomes(*uniform_3_1, reps, seed=11)
+    else:
+        def outcomes(reps):
+            return _candlestick_outcomes(*candlestick_half, 2, reps, seed=11)
+    short, long = outcomes(10_000), outcomes(30_000)
     for key in short:
         assert np.array_equal(short[key], long[key][:10_000])
 
@@ -71,12 +93,18 @@ def test_neutral_winner_pays_own_bid():
 
 
 def test_run_once_returns_outcome(uniform_3_1):
+    """One replication through a one-row block: one winner among the four
+    bidders, the only one holding surplus, and revenue is its payment."""
     config, sol = uniform_3_1
-    outcome = run_hybrid_auction_once(config, sol, np.random.default_rng(0))
-    assert outcome.winner_class in ("integrated", "neutral")
-    assert outcome.revenue == outcome.payment
-    assert np.count_nonzero(outcome.surplus) <= 1
-    assert outcome.surplus.size == 4
+    out = _hybrid_block(config, sol, np.random.default_rng(0).random((1, 5)))
+    winner = int(out["winner"][0])
+    assert bool(out["integrated_won"][0]) == (winner < config.n_integrated)
+    assert out["surplus"][0] == out["winner_value"][0] - out["payment"][0]
+    assert out["surplus"].shape == (1,)
+    assert 0 <= winner < 4
+    report = simulate_hybrid(config, sol, 10_000, seed=0)
+    payment = _hybrid_outcomes(config, sol, 10_000, seed=0)["payment"]
+    assert report.stats["revenue"].mean == pytest.approx(payment.mean(), rel=1e-12)
 
 
 def test_tie_break_is_uniform():
@@ -90,7 +118,7 @@ def test_tie_break_is_uniform():
 
 def test_accounting_identity(uniform_3_3):
     config, sol = uniform_3_3
-    out = hybrid_outcomes(config, sol, 10_000, seed=21)
+    out = _hybrid_outcomes(config, sol, 10_000, seed=21)
     assert np.allclose(out["payment"] + out["surplus"], out["winner_value"],
                        atol=1e-12)
     # integrated winners never pay more than they bid
@@ -160,7 +188,7 @@ def test_candlestick_always_revises_unravels():
 
 def test_candlestick_outcome_values(candlestick_half):
     config, sol = candlestick_half
-    out = candlestick_outcomes(config, sol, 2, 10_000, seed=4)
+    out = _candlestick_outcomes(config, sol, 2, 10_000, seed=4)
     assert np.all(out["revenue"] == sol.b0s)
     assert np.all((out["slow_winner"] >= 0) & (out["slow_winner"] < 2))
     # fast profit only when fast wins, and then strictly positive
@@ -213,6 +241,23 @@ def test_sweep_records_per_point_failures():
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["b0s"] == ""
+
+
+def test_sweep_error_status_names_the_exception():
+    rows = sweep("p", [1.5], {"v0": 1.0})
+    assert rows[0]["status"].startswith("error: ValueError: ")
+    rows = sweep("na", [1.5], {"nb": 1, "fa": UNIT, "fb": UNIT})
+    assert rows[0]["status"].startswith("error: ValueError: ")
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    """Only solver and input errors become rows; a bug must not exit 0."""
+    def broken(config, tol):
+        raise TypeError("bug inside a sweep point")
+
+    monkeypatch.setattr(pbslab.simulator, "solve_candlestick", broken)
+    with pytest.raises(TypeError, match="bug inside a sweep point"):
+        sweep("p", [0.5], {"v0": 1.0})
 
 
 def test_sweep_rejects_unknown_axis():

@@ -36,9 +36,8 @@ from .charts import Series, line_chart_svg
 from .common_values import (CandlestickConfig, PriceProcess, RootNotFoundError,
                             solve_candlestick)
 from .distributions import parse_distribution
-from .private_equilibrium import (HybridAuctionConfig, OdeSingularityError,
-                                  SolverError, solve_fixed_point, solve_ode,
-                                  verify_envelope)
+from .private_equilibrium import (HybridAuctionConfig, SolverError,
+                                  solve_fixed_point, solve_ode, verify_envelope)
 from .simulator import (simulate_candlestick, simulate_hybrid, sweep,
                         sweep_header)
 
@@ -258,7 +257,7 @@ def cmd_solve_private(ns) -> int:
         try:
             ode_solution = solve_ode(config, ns.grid)
             disagreement = float(np.max(np.abs(solution.bids - ode_solution.bids)))
-        except (OdeSingularityError, SolverError) as exc:
+        except SolverError as exc:
             cross_note = f"ode cross-check unavailable: {exc}"
 
     out = Path(ns.out)

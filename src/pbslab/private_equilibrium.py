@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -56,6 +57,9 @@ _G_FLOOR = 1e-300
 
 # quantile cap for laws with unbounded upper support
 _TOP_Q = 1.0 - 1e-6
+
+# rhs calls before solve_ode gives up; the most a tested input used is 30,817
+_MAX_NFEV = 40_000
 
 
 class SolverError(RuntimeError):
@@ -381,9 +385,11 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
 
     Valid for two or more neutral bidders (with a single one the identity
     does not differentiate into an ODE; use :func:`solve_fixed_point` or the
-    closed form). Leaving the admissible region, where the reserve CDF term
-    minus its density correction turns nonpositive, raises
-    :class:`OdeSingularityError`; callers fall back to the fixed point.
+    closed form). The admissible region is where the reserve CDF term minus
+    its density correction is positive. Starting outside it or stepping
+    across its edge (a terminal event) raises :class:`OdeSingularityError`,
+    more than ``_MAX_NFEV`` right-hand-side evaluations :class:`SolverError`;
+    ``solve-private --method auto`` then skips the cross-check.
     """
     if config.n_neutral < 2:
         raise ValueError("ODE route needs at least two neutral bidders")
@@ -394,42 +400,46 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     n_neu = config.n_neutral
     f_neu, big_f_neu = config.neutral_values.pdf, config.neutral_values.cdf
     f_int, big_f_int = config.integrated_values.pdf, config.integrated_values.cdf
+    evaluations = count(1)
 
-    def _denominator(v, b):
-        return float(big_f_int(b)) - n_int * (v - b) * float(f_int(b))
+    def reserve_terms(v, b):
+        reserve = np.float64(big_f_int(b))  # 0/0 is a nan that RK45 rejects
+        return reserve, reserve - n_int * (v - b) * float(f_int(b))
 
     def rhs(v, y):
+        if next(evaluations) > _MAX_NFEV:
+            raise SolverError(f"ODE gave up after {_MAX_NFEV} right-hand-side "
+                              f"evaluations at v={v:.6g}")
         b = min(float(y[0]), v)  # the schedule never crosses the diagonal
         hazard = float(f_neu(v)) / max(float(big_f_neu(v)), _G_FLOOR)
         base = (n_neu - 1) * hazard * (v - b)
         if n_int == 0:
             return [base]
-        reserve = float(big_f_int(b))
-        den = reserve - n_int * (v - b) * float(f_int(b))
-        if den <= 0.0 or reserve <= _G_FLOOR:
-            # poisoned slope: trial stages that stray past the admissible edge
-            # get rejected by the error controller instead of aborting
-            return [1e8]
+        reserve, den = reserve_terms(v, b)
         return [base * reserve / den]
 
     def domain_edge(v, y):
-        return _denominator(v, min(float(y[0]), v))
+        return reserve_terms(v, min(float(y[0]), v))[1]
 
     domain_edge.terminal = True
-    domain_edge.direction = -1.0
+    start = [lo + slope * eps_v]
+    if n_int and domain_edge(v_start, start) <= 0.0:
+        raise OdeSingularityError(v_start)
 
-    sol = solve_ivp(rhs, (v_start, top), [lo + slope * eps_v],
-                    method="RK45", rtol=tol, atol=tol * max(top - lo, 1.0),
-                    t_eval=grid[grid >= v_start - 1e-15],
-                    events=None if n_int == 0 else domain_edge,
-                    first_step=eps_v / 2.0, max_step=(top - lo) / 16.0)
+    solved = grid >= v_start - 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (v_start, top), start,
+                        method="RK45", rtol=tol, atol=tol * max(top - lo, 1.0),
+                        t_eval=grid[solved],
+                        events=None if n_int == 0 else domain_edge,
+                        first_step=eps_v / 2.0, max_step=(top - lo) / 16.0)
     if sol.status == 1 and sol.t_events and sol.t_events[0].size:
         raise OdeSingularityError(float(sol.t_events[0][0]))
     if not sol.success:
         raise SolverError(f"ODE integration failed: {sol.message}")
 
     bids = line.copy()
-    bids[grid >= v_start - 1e-15] = sol.y[0]
+    bids[solved] = sol.y[0]
     bids = np.minimum(bids, grid)
     residual = _equation_defect(config, grid, bids, lo, tail_k, anchor)[2]
     return _finish(config, grid, bids, residual, "ode", int(sol.nfev), tol,

@@ -1,9 +1,31 @@
+import signal
+
 import pytest
 
 from pbslab import (Beta, CandlestickConfig, HybridAuctionConfig, PriceProcess,
                     Uniform, solve_candlestick, solve_fixed_point, solve_ode)
 
 UNIT = Uniform(0.0, 1.0)
+
+# wall-clock limit of the ``deadline`` fixture; the solves it guards take
+# under a second
+DEADLINE_S = 5.0
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test once it has run DEADLINE_S seconds, so that a solver
+    which stops making progress fails fast instead of stalling the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"test still running after its {DEADLINE_S:g} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,35 @@ def test_solve_private_auto_cross_checks(tmp_path):
     assert np.all(sigma <= v + 1e-12)
 
 
+def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):
+    flags = ["solve-private", "--na", "3", "--nb", "3",
+             "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)"]
+    auto, fixed = tmp_path / "auto.csv", tmp_path / "fixed.csv"
+    assert main(flags + ["--out", str(auto)]) == 0
+    residuals = json.loads(auto.with_suffix(".json").read_text())["residuals"]
+    assert residuals["cross_method_max_disagreement"] is None
+    assert "ODE singularity at v=0.999" in residuals["cross_method_note"]
+    assert main(flags + ["--method", "fixed-point", "--out", str(fixed)]) == 0
+    assert auto.read_text() == fixed.read_text()
+
+
+@pytest.mark.parametrize("law, na, nb, cap, reason", [
+    ("beta(0.7,3)", 3, 3, None, "ODE singularity at v=0.999"),
+    ("lognormal(0,0.5)", 2, 4, 1_000,
+     "gave up after 1000 right-hand-side evaluations"),
+])
+def test_solve_private_ode_failure_exits_3(tmp_path, capsys, monkeypatch,
+                                           deadline, law, na, nb, cap, reason):
+    if cap is not None:
+        monkeypatch.setattr("pbslab.private_equilibrium._MAX_NFEV", cap)
+    out = tmp_path / "ode.csv"
+    rc = main(["solve-private", "--na", str(na), "--nb", str(nb),
+               "--fa", law, "--fb", law, "--method", "ode", "--out", str(out)])
+    assert rc == 3
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_private_missing_flag_is_usage_error(tmp_path):
     rc = main(["solve-private", "--na", "3", "--nb", "1",
                "--fb", "uniform(0,1)", "--out", str(tmp_path / "x.csv")])

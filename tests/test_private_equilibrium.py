@@ -1,5 +1,7 @@
 """Hybrid-auction equilibrium solvers: closed forms, cross-validation, checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pbslab import (Beta, BidFunction, EmpiricalGrid, EquilibriumSolution,
-                    HybridAuctionConfig, SolverError, Uniform,
+                    HybridAuctionConfig, Lognormal, OdeSingularityError,
+                    SolverError, Uniform,
                     closed_form_single_neutral, solve_fixed_point, solve_ode,
                     surplus_single_neutral, verify_best_response,
                     verify_envelope, winning_probability)
@@ -139,6 +142,45 @@ def test_ode_two_bidder_benchmark():
 def test_ode_rejects_single_neutral():
     with pytest.raises(ValueError):
         solve_ode(HybridAuctionConfig(3, 1, UNIT, UNIT))
+
+
+def test_ode_reports_singularity_where_density_vanishes(deadline):
+    """Beta(0.7,3) values: the admissible region ends just below v = 1, where
+    the value density vanishes; the ODE must stop there, not crawl."""
+    skewed = Beta(0.7, 3)
+    with pytest.raises(OdeSingularityError) as info:
+        solve_ode(HybridAuctionConfig(3, 3, skewed, skewed))
+    assert 0.999 < info.value.location < 1.0
+
+
+def test_ode_reports_a_start_past_the_domain_edge(deadline):
+    """Lognormal integrated values: the tail-exponent start line lies past the
+    admissible edge, where the slope is negative and tiny; integrating from
+    there would return a flat schedule instead of an error."""
+    config = HybridAuctionConfig(2, 4, Lognormal(0.0, 0.5), Beta(2, 2))
+    with pytest.raises(OdeSingularityError) as info:
+        solve_ode(config)
+    assert info.value.location < 0.01
+
+
+LOGNORMAL_2_4 = HybridAuctionConfig(2, 4, Lognormal(0.0, 0.5),
+                                    Lognormal(0.0, 0.5))
+
+
+def test_ode_solves_lognormal_without_warnings(deadline):
+    """Trial stages below the support bottom divide 0 by 0; RK45 rejects
+    them and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ode(LOGNORMAL_2_4)
+    assert sol.converged and sol.iterations > 1_000
+
+
+def test_ode_gives_up_after_evaluation_cap(monkeypatch, deadline):
+    monkeypatch.setattr("pbslab.private_equilibrium._MAX_NFEV", 1_000)
+    with pytest.raises(SolverError,
+                       match="gave up after 1000 right-hand-side evaluations"):
+        solve_ode(LOGNORMAL_2_4)
 
 
 @pytest.mark.parametrize("counts", [(3, 3), (1, 2), (2, 4)])

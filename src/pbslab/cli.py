@@ -11,8 +11,9 @@ figure             SVG bid-schedule chart (plus companion CSV)
 Exit codes: 0 success, 2 usage error, 3 solver failure, 4 verification
 failure, 5 I/O failure. Every output file is written atomically (temp file
 plus rename) so failures leave no partial files behind. All flags can also be
-given through ``--config file.json`` (flags override the file; unknown keys
-and values their flag would not parse to are rejected).
+given through ``--config file.json`` (flags override the file; ``null``
+means absent; unknown keys and values their flag would not parse to are
+rejected). An unset ``--tol`` leaves each solver its own default.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,8 +39,8 @@ from .common_values import (CandlestickConfig, PriceProcess, RootNotFoundError,
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
                                   solve_fixed_point, solve_ode, verify_envelope)
-from .simulator import (simulate_candlestick, simulate_hybrid, sweep,
-                        sweep_header)
+from .simulator import (CANDLESTICK_AXES, PRIVATE_AXES, simulate_candlestick,
+                        simulate_hybrid, sweep, sweep_header)
 
 __all__ = ["main"]
 
@@ -89,7 +90,7 @@ _CANDLESTICK_OPTS = (
     _Opt("vol", float, 0.2, help="volatility per sqrt-second"),
     _Opt("delta", float, 1.0, help="fast bidder's lead time in seconds"),
     _Opt("p", float, required=True, help="fast-bidder revision probability in [0,1]"),
-    _Opt("tol", float, 1e-12, help="root bracket width"),
+    _Opt("tol", float, help="root bracket width (default 1e-12)"),
     _Opt("out", str, required=True, help="output JSON path"),
 )
 
@@ -106,14 +107,15 @@ _SIMULATE_OPTS = (
 )
 
 _SWEEP_OPTS = (
-    _Opt("axis", str, required=True, choices=("p", "vol", "delta", "na", "nb")),
-    _Opt("grid", _parse_grid, required=True, help="comma-separated axis values"),
+    _Opt("axis", str, required=True, choices=CANDLESTICK_AXES + PRIVATE_AXES),
+    _Opt("grid", _parse_grid, required=True,
+         help="comma-separated axis values (not grid points, as elsewhere)"),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
     _Opt("p", float, 0.5),
     _Opt("na", int, 1), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
-    _Opt("grid-size", int, 512), _Opt("tol", float, None),
-    _Opt("n-slow", int, 2),
+    _Opt("grid-size", int, 512, help="value-grid points (--grid elsewhere)"),
+    _Opt("tol", float, None), _Opt("n-slow", int, 2),
     _Opt("verify-reps", int, 0, help="Monte Carlo replications per point (0 = off)"),
     _Opt("seed", int, 42),
     _Opt("out", str, required=True, help="output CSV path"),
@@ -129,61 +131,51 @@ _FIGURE_OPTS = (
 
 def _add_options(sub: argparse.ArgumentParser, opts: tuple[_Opt, ...]):
     for o in opts:
-        kwargs = {"dest": o.name.replace("-", "_"), "default": None,
-                  "help": o.help or None}
-        if o.choices:
-            kwargs["choices"] = o.choices
-        if o.type is not str:
-            kwargs["type"] = o.type
-        sub.add_argument(f"--{o.name}", **kwargs)
+        sub.add_argument(f"--{o.name}", type=o.type, default=o.default,
+                         required=o.required, choices=o.choices, help=o.help)
     sub.add_argument("--config", default=None,
                      help="JSON file supplying any of the flags above "
                           "(explicit flags take precedence)")
 
 
-def _from_file(parser: argparse.ArgumentParser, o: _Opt, value):
-    """Convert a config-file value with its option's type, as argparse does a
-    flag's text; a string does not stand for a number, nor a fraction for an
-    integer."""
+def _from_file(parser: argparse.ArgumentParser, o: _Opt, value) -> str:
+    """The ``--name=text`` token of a config-file value that passes its
+    option's type as argparse passes a flag's text; a string does not stand
+    for a number, nor a fraction for an integer."""
     exact = {int: int, float: (int, float), str: str}.get(o.type, object)
     try:
         if isinstance(value, bool) or not isinstance(value, exact):
             raise TypeError
-        return o.type(value)
+        value = o.type(value)
     except (TypeError, ValueError):
         parser.error(f"config value {value!r} is not a valid --{o.name}")
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    return f"--{o.name}={text}"
 
 
-def _resolve(parser: argparse.ArgumentParser, args: argparse.Namespace,
-             opts: tuple[_Opt, ...]) -> SimpleNamespace:
-    """Merge CLI flags over config-file values over defaults."""
-    file_cfg = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(file_cfg, dict):
-            parser.error(f"config file {args.config} must hold a JSON object")
-        known = {o.name.replace("-", "_") for o in opts}
-        unknown = sorted(set(file_cfg) - known)
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
-    for o in opts:
-        dest = o.name.replace("-", "_")
-        value = getattr(args, dest)
-        if value is None and file_cfg.get(dest) is not None:
-            value = _from_file(parser, o, file_cfg[dest])
-        if value is None:
-            value = o.default
-        if value is None and o.required:
-            parser.error(f"--{o.name} is required")
-        if value is not None and o.choices and value not in o.choices:
-            parser.error(f"--{o.name} must be one of {o.choices}, got {value!r}")
-        merged[dest] = value
-    return SimpleNamespace(**merged)
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Put the ``--config`` file's values, as flags, right after the command,
+    so that argparse checks them like flags and the command line's own flags,
+    read later, win. A ``null`` value counts as absent."""
+    pre = argparse.ArgumentParser(prog="pbslab", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None or argv[0] not in _COMMANDS:
+        return argv
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(file_cfg, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    opts = {o.name.replace("-", "_"): o for o in _COMMANDS[argv[0]][0]}
+    unknown = sorted(set(file_cfg) - set(opts))
+    if unknown:
+        parser.error(f"unknown config keys: {', '.join(unknown)}")
+    tokens = [_from_file(parser, opts[key], value)
+              for key, value in file_cfg.items() if value is not None]
+    return argv[:1] + tokens + argv[1:]
 
 
 # --------------------------------- file I/O -----------------------------------
@@ -239,18 +231,36 @@ def _rows_csv(header: list[str], rows: list[dict]) -> str:
 # --------------------------------- commands -----------------------------------
 
 
-def _private_config(ns) -> HybridAuctionConfig:
-    return HybridAuctionConfig(ns.na, ns.nb, parse_distribution(ns.fa),
-                               parse_distribution(ns.fb))
+def _tol(ns) -> dict:
+    """A given ``--tol`` for the solver; unset leaves the solver's default."""
+    return {} if ns.tol is None else {"tol": ns.tol}
+
+
+def _laws(ns) -> tuple:
+    return parse_distribution(ns.fa), parse_distribution(ns.fb)
+
+
+def _candlestick(ns):
+    """Build and solve the candlestick model of ``ns``: ``(config, solution)``."""
+    config = CandlestickConfig(PriceProcess(ns.v0, ns.vol, ns.delta), ns.p)
+    return config, solve_candlestick(config, **_tol(ns))
+
+
+def _hybrid(ns, laws):
+    """Build and solve, by fixed point, the hybrid model of ``ns`` over ``laws``."""
+    config = HybridAuctionConfig(ns.na, ns.nb, *laws)
+    return config, solve_fixed_point(config, ns.grid, **_tol(ns))
 
 
 def cmd_solve_private(ns) -> int:
-    config = _private_config(ns)
+    """solve the private-value hybrid auction bid schedule"""
+    # the one command with --method, --max-iter and --damping
+    config = HybridAuctionConfig(ns.na, ns.nb, *_laws(ns))
     if ns.method == "ode":
-        solution = solve_ode(config, ns.grid, tol=ns.tol or 1e-9)
+        solution = solve_ode(config, ns.grid, **_tol(ns))
     else:
-        solution = solve_fixed_point(config, ns.grid, tol=ns.tol or 1e-6,
-                                     max_iter=ns.max_iter, damping=ns.damping)
+        solution = solve_fixed_point(config, ns.grid, max_iter=ns.max_iter,
+                                     damping=ns.damping, **_tol(ns))
     disagreement = None
     cross_note = None
     if ns.method == "auto" and ns.nb >= 2:
@@ -280,8 +290,8 @@ def cmd_solve_private(ns) -> int:
 
 
 def cmd_solve_candlestick(ns) -> int:
-    config = CandlestickConfig(PriceProcess(ns.v0, ns.vol, ns.delta), ns.p)
-    solution = solve_candlestick(config, tol=ns.tol)
+    """solve the candlestick break-even slow bid"""
+    _, solution = _candlestick(ns)
     payload = solution.to_dict()
     payload["bracket"] = list(solution.bracket) if solution.bracket else None
     payload["iterations"] = solution.iterations
@@ -292,13 +302,12 @@ def cmd_solve_candlestick(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    """solve, then verify by Monte Carlo (prints PASS/FAIL)"""
     if ns.model == "hybrid":
-        config = _private_config(ns)
-        solution = solve_fixed_point(config, ns.grid, tol=ns.tol or 1e-6)
+        config, solution = _hybrid(ns, _laws(ns))
         report = simulate_hybrid(config, solution, ns.reps, ns.seed)
     else:
-        config = CandlestickConfig(PriceProcess(ns.v0, ns.vol, ns.delta), ns.p)
-        solution = solve_candlestick(config, tol=ns.tol or 1e-12)
+        config, solution = _candlestick(ns)
         report = simulate_candlestick(config, solution, ns.n_slow, ns.reps, ns.seed)
 
     _write_atomic(ns.out, _json_text(report.to_dict()))
@@ -313,14 +322,27 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    base = {"v0": ns.v0, "vol": ns.vol, "delta": ns.delta, "p": ns.p,
-            "na": ns.na, "nb": ns.nb,
-            "fa": parse_distribution(ns.fa), "fb": parse_distribution(ns.fb),
-            "grid_size": ns.grid_size, "n_slow": ns.n_slow}
-    if ns.tol is not None:
-        base["tol"] = ns.tol
-    rows = sweep(ns.axis, ns.grid, base, verify_reps=ns.verify_reps,
-                 seed=ns.seed)
+    """solve one row per point along a parameter axis"""
+    laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
+
+    def solve_point(x):
+        # sweep's --grid holds the axis values, --grid-size the value-grid points
+        point = argparse.Namespace(**{**vars(ns), "grid": ns.grid_size, ns.axis: x})
+        if ns.axis in CANDLESTICK_AXES:
+            config, solution = _candlestick(point)
+            return ({"b0s": solution.b0s, "slow_win_prob": solution.slow_win_prob,
+                     "fast_profit": solution.fast_expected_profit},
+                    partial(simulate_candlestick, config, solution, ns.n_slow))
+        if not float(x).is_integer():
+            raise ValueError(f"{ns.axis} grid values must be integers, got {x}")
+        setattr(point, ns.axis, int(x))
+        config, solution = _hybrid(point, laws)
+        v, b = solution.values, solution.bids
+        return ({"slope_fit": float(np.dot(b, v) / np.dot(v, v)),
+                 "residual": solution.residual},
+                partial(simulate_hybrid, config, solution))
+
+    rows = sweep(ns.axis, ns.grid, solve_point, ns.verify_reps, ns.seed)
     _write_atomic(ns.out, _rows_csv(sweep_header(ns.axis), rows))
     bad = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep over {ns.axis}: {len(rows)} rows, {bad} non-ok")
@@ -328,8 +350,8 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_figure(ns) -> int:
-    config = _private_config(ns)
-    solution = solve_fixed_point(config, ns.grid, tol=ns.tol or 1e-6)
+    """emit an SVG bid-schedule chart plus companion CSV"""
+    _, solution = _hybrid(ns, _laws(ns))
     v = solution.values
     svg = line_chart_svg(
         [Series(v, solution.bids, "equilibrium bid"),
@@ -343,6 +365,13 @@ def cmd_figure(ns) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"solve-private": (_PRIVATE_OPTS, cmd_solve_private),
+             "solve-candlestick": (_CANDLESTICK_OPTS, cmd_solve_candlestick),
+             "simulate": (_SIMULATE_OPTS, cmd_simulate),
+             "sweep": (_SWEEP_OPTS, cmd_sweep),
+             "figure": (_FIGURE_OPTS, cmd_figure)}
+
+
 # ----------------------------------- main --------------------------------------
 
 
@@ -352,33 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibria of the hybrid and candlestick block-builder "
                     "auctions: analytic solvers cross-checked by Monte Carlo.")
     sub = parser.add_subparsers(dest="command")
-    for name, opts, handler, desc in (
-        ("solve-private", _PRIVATE_OPTS, cmd_solve_private,
-         "solve the private-value hybrid auction bid schedule"),
-        ("solve-candlestick", _CANDLESTICK_OPTS, cmd_solve_candlestick,
-         "solve the candlestick break-even slow bid"),
-        ("simulate", _SIMULATE_OPTS, cmd_simulate,
-         "solve, then verify by Monte Carlo (prints PASS/FAIL)"),
-        ("sweep", _SWEEP_OPTS, cmd_sweep,
-         "solve one row per point along a parameter axis"),
-        ("figure", _FIGURE_OPTS, cmd_figure,
-         "emit an SVG bid-schedule chart plus companion CSV"),
-    ):
-        p = sub.add_parser(name, help=desc, description=desc)
+    for name, (opts, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__, description=handler.__doc__)
         _add_options(p, opts)
-        p.set_defaults(handler=handler, option_spec=opts)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(
+            parser, sys.argv[1:] if argv is None else list(argv)))
         if getattr(args, "handler", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        ns = _resolve(parser, args, args.option_spec)
-        return args.handler(ns)
+        return args.handler(args)
     except SystemExit as exc:  # argparse --help (0) and usage errors (2)
         return int(exc.code or 0)
     except (SolverError, RootNotFoundError) as exc:

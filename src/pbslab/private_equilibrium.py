@@ -359,6 +359,8 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must be in (0, 1]")
+    if max_iter < 0 or not tol >= 0.0:
+        raise ValueError("need max_iter >= 0 and tol >= 0")
     grid, lo, eps_v, tail_k, slope, anchor, line = _prepare(config, grid_size)
 
     bids = line.copy()
@@ -393,6 +395,8 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     """
     if config.n_neutral < 2:
         raise ValueError("ODE route needs at least two neutral bidders")
+    if not tol > 0.0:
+        raise ValueError("ODE tolerance must be positive")
     grid, lo, eps_v, tail_k, slope, anchor, line = _prepare(config, grid_size)
     v_start = lo + eps_v
     top = float(grid[-1])

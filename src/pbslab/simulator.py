@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common_values import (CandlestickConfig, CandlestickSolution,
-                            PriceProcess, RootNotFoundError, law_of_v_delta,
-                            solve_candlestick)
+                            RootNotFoundError, law_of_v_delta)
 from .private_equilibrium import (EquilibriumSolution, HybridAuctionConfig,
-                                  SolverError, solve_fixed_point)
+                                  SolverError)
 
 __all__ = [
     "BLOCK_SIZE",
@@ -316,59 +315,31 @@ def sweep_header(axis: str) -> list[str]:
     return _CANDLESTICK_HEADER if axis in CANDLESTICK_AXES else _PRIVATE_HEADER
 
 
-def sweep(axis: str, grid, base: dict, verify_reps: int = 0,
+def sweep(axis: str, grid, solve_point, verify_reps: int = 0,
           seed: int = 0) -> list[dict]:
-    """Solve (and optionally verify) one model per grid point of ``axis``.
+    """Solve (and optionally verify) one point per value ``x`` of ``grid``.
 
-    Rows come back in grid order. A point whose solve or verification fails
-    with a solver or input error keeps that error in its row's ``status``
-    (``error: <class>: <message>``) instead of aborting the sweep; any other
-    exception propagates.
+    ``solve_point(x)`` returns the row's fields and a ``verify(reps, seed)``
+    giving the point's :class:`SimReport`. Rows come back in grid order. A
+    point whose solve or verification fails with a solver or input error
+    keeps that error in its row's ``status`` (``error: <class>: <message>``)
+    instead of aborting the sweep; any other exception propagates.
     """
     if axis not in CANDLESTICK_AXES + PRIVATE_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; "
                          f"choose from {CANDLESTICK_AXES + PRIVATE_AXES}")
-    solve_point = _candlestick_point if axis in CANDLESTICK_AXES else _private_point
+    if verify_reps and verify_reps < _MIN_REPS:
+        raise ValueError(f"need at least {_MIN_REPS} replications")
     rows = []
     for x in grid:
         row = dict.fromkeys(sweep_header(axis), "")
         row["axis_value"] = x
         try:
-            verify = solve_point(axis, x, base, row)
-            row["status"] = "ok"
+            fields, verify = solve_point(x)
+            row.update(fields, status="ok")
             if verify_reps and not verify(verify_reps, seed).agreement_ok:
                 row["status"] = "verify-failed"
         except (SolverError, RootNotFoundError, ValueError) as exc:
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
-
-
-def _candlestick_point(axis, x, base, row):
-    """Solve one candlestick point into ``row``; returns its verifier."""
-    params = {"v0": base.get("v0", 1.0), "vol": base.get("vol", 0.2),
-              "delta": base.get("delta", 1.0), "p": base.get("p", 0.5)}
-    params[axis] = x
-    config = CandlestickConfig(
-        PriceProcess(params["v0"], params["vol"], params["delta"]), params["p"])
-    solution = solve_candlestick(config, tol=base.get("tol", 1e-12))
-    row.update(b0s=solution.b0s, slow_win_prob=solution.slow_win_prob,
-               fast_profit=solution.fast_expected_profit)
-    return lambda reps, seed: simulate_candlestick(
-        config, solution, base.get("n_slow", 2), reps, seed)
-
-
-def _private_point(axis, x, base, row):
-    """Solve one hybrid-auction point into ``row``; returns its verifier."""
-    if not float(x).is_integer():
-        raise ValueError(f"{axis} grid values must be integers, got {x}")
-    n = int(x)
-    na = n if axis == "na" else base.get("na", 1)
-    nb = n if axis == "nb" else base.get("nb", 1)
-    config = HybridAuctionConfig(na, nb, base["fa"], base["fb"])
-    solution = solve_fixed_point(config, grid_size=base.get("grid_size", 512),
-                                 tol=base.get("tol", 1e-6))
-    v, b = solution.values, solution.bids
-    row.update(slope_fit=float(np.dot(b, v) / np.dot(v, v)),
-               residual=solution.residual)
-    return lambda reps, seed: simulate_hybrid(config, solution, reps, seed)

@@ -1,5 +1,6 @@
 """CLI surface: flags, files, exit codes, determinism."""
 
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -102,6 +103,23 @@ def test_solve_private_ode_method(tmp_path):
                "--method", "ode", "--out", str(out)])
     assert rc == 0
     assert json.loads(out.with_suffix(".json").read_text())["solver"]["method"] == "ode"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-iter", "-5", "--method", "fixed-point"),
+    ("--tol", "-1", "--method", "fixed-point"),
+    ("--tol", "-1", "--method", "ode"),
+])
+def test_solve_private_unmeetable_limits_are_usage_errors(tmp_path, capsys, recwarn,
+                                                         deadline, flags):
+    """Rejected before any work: no solver warning, no sweeps up to the cap."""
+    out = tmp_path / "x.csv"
+    rc = main(["solve-private", "--na", "3", "--nb", "3",
+               "--fa", "beta(2,2)", "--fb", "beta(2,2)", *flags, "--out", str(out)])
+    assert rc == 2
+    assert flags[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not recwarn.list
+    assert not out.exists()
 
 
 # ------------------------------ solve-candlestick ------------------------------
@@ -212,6 +230,42 @@ def test_sweep_malformed_grid(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("axis", ["p", "na"])
+@pytest.mark.parametrize("law", [("--fa", "bogus"), ("--fb", "bogus(1)")])
+def test_sweep_malformed_law_is_usage_error(tmp_path, axis, law):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--axis", axis, "--grid", "1,2", *law, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reps", ["5", "9999", "-5"])
+def test_sweep_too_few_verify_reps_is_usage_error(tmp_path, reps):
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--axis", "p", "--grid", "0.5", "--verify-reps", reps,
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def _sweep_rows(tmp_path, *flags):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_grid_size_and_tol_reach_the_points(tmp_path):
+    flags = ["--axis", "na", "--grid", "3", "--nb", "2",
+             "--fa", "beta(2,2)", "--fb", "beta(2,2)"]
+    [row] = _sweep_rows(tmp_path, *flags, "--grid-size", "10")
+    assert row["status"].startswith("error: ValueError: grid_size")
+    [row] = _sweep_rows(tmp_path, *flags)
+    assert row["status"] == "ok" and float(row["residual"]) <= 1e-6
+    [row] = _sweep_rows(tmp_path, *flags, "--tol", "0.5")
+    assert row["status"] == "ok" and 1e-6 < float(row["residual"]) <= 0.5
+
+
 # ----------------------------------- figure ------------------------------------
 
 
@@ -319,6 +373,29 @@ def test_config_file_sweep_grid_list(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["0.25", "0.5"]
     assert all(row.endswith(",ok") for row in rows)
+
+
+def test_config_file_null_counts_as_absent(tmp_path):
+    cfg = _private_config_file(tmp_path, na=None)
+    assert main(["solve-private", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "typed.csv").exists()
+    cfg = _private_config_file(tmp_path, grid=None, method=None)
+    assert main(["solve-private", "--config", str(cfg)]) == 0
+    _, data = _read_csv_columns(tmp_path / "typed.csv")
+    assert len(data) == 512
+
+
+def test_config_file_max_iter_reaches_the_solver(tmp_path, capsys):
+    cfg = _private_config_file(tmp_path, na=3, nb=3, fa="beta(2,2)",
+                               fb="beta(2,2)", max_iter=0)
+    assert main(["solve-private", "--config", str(cfg)]) == 3
+    assert "after 0 sweeps" in capsys.readouterr().err
+
+
+def test_config_file_bad_choice_rejected(tmp_path):
+    cfg = _private_config_file(tmp_path, method="bogus")
+    assert main(["solve-private", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "typed.csv").exists()
 
 
 # ------------------------------------ misc -------------------------------------

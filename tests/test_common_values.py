@@ -149,6 +149,12 @@ def test_solver_matches_dense_grid_quadrature_oracle(candlestick_half):
     assert abs(sol.b0s - _oracle_root(config)) < 1e-8
 
 
+def test_zero_tolerance_stays_legal(candlestick_half):
+    """The bisection stops at its iteration cap, so tol=0 still solves."""
+    config, sol = candlestick_half
+    assert solve_candlestick(config, tol=0.0).b0s == pytest.approx(sol.b0s, abs=1e-12)
+
+
 def test_b0s_nonincreasing_in_p():
     previous = math.inf
     for p in np.linspace(0.0, 1.0, 11):

@@ -106,10 +106,19 @@ def test_non_convergence_raises_with_residual():
     dict(grid_size=32),
     dict(damping=0.0),
     dict(damping=1.5),
+    dict(max_iter=-1),
+    dict(tol=-1e-9),
+    dict(tol=float("nan")),
 ])
 def test_solver_argument_validation(bad):
     with pytest.raises(ValueError):
         solve_fixed_point(HybridAuctionConfig(1, 2, UNIT, UNIT), **bad)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_ode_rejects_unmeetable_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_ode(HybridAuctionConfig(1, 2, UNIT, UNIT), tol=tol)
 
 
 def test_config_validation():

@@ -1,13 +1,15 @@
 """Monte Carlo engine: stream determinism, payment rules, statistical agreement."""
 
+import csv
+
 import numpy as np
 import pytest
 
-import pbslab.simulator
 from pbslab import (CandlestickConfig, HybridAuctionConfig, PriceProcess,
                     ReplicationRng, Uniform, simulate_candlestick,
                     simulate_hybrid, solve_candlestick, solve_fixed_point,
                     sweep)
+from pbslab.cli import main
 from pbslab.simulator import (_candlestick_block, _hybrid_block,
                               _replications, pick_winners, sweep_header)
 
@@ -208,9 +210,32 @@ def test_replication_floor_and_n_slow(uniform_3_1, candlestick_half):
 # ----------------------------------- sweeps ------------------------------------
 
 
+def _candlestick_point(axis, v0=1.0, vol=0.2, delta=1.0, p=0.5):
+    """A ``solve_point`` for ``sweep``: the candlestick model with ``axis`` at x."""
+    def solve_point(x):
+        params = {"v0": v0, "vol": vol, "delta": delta, "p": p, axis: x}
+        config = CandlestickConfig(
+            PriceProcess(params["v0"], params["vol"], params["delta"]), params["p"])
+        solution = solve_candlestick(config)
+        return ({"b0s": solution.b0s},
+                lambda reps, seed: simulate_candlestick(config, solution, 2, reps, seed))
+    return solve_point
+
+
+def _hybrid_point(axis, na=1, nb=1):
+    """A ``solve_point`` for ``sweep``: the uniform hybrid model with ``axis`` at x."""
+    def solve_point(x):
+        counts = {"na": na, "nb": nb, axis: x}
+        solution = solve_fixed_point(
+            HybridAuctionConfig(counts["na"], counts["nb"], UNIT, UNIT))
+        v, b = solution.values, solution.bids
+        return {"slope_fit": float(np.dot(b, v) / np.dot(v, v))}, None
+    return solve_point
+
+
 def test_sweep_over_revision_probability():
     rows = sweep("p", [0.0, 0.25, 0.5, 0.75, 1.0],
-                 {"v0": 1.0, "vol": 0.2, "delta": 1.0})
+                 _candlestick_point("p", v0=1.0, vol=0.2, delta=1.0))
     assert [r["status"] for r in rows] == ["ok"] * 5
     assert rows[0]["b0s"] == 1.0
     assert rows[-1]["b0s"] == 0.0
@@ -219,53 +244,61 @@ def test_sweep_over_revision_probability():
 
 
 def test_sweep_over_integrated_count():
-    rows = sweep("na", [1, 2, 3, 5], {"nb": 1, "fa": UNIT, "fb": UNIT})
+    rows = sweep("na", [1, 2, 3, 5], _hybrid_point("na", nb=1))
     slopes = [r["slope_fit"] for r in rows]
     assert slopes == pytest.approx([1 / 2, 2 / 3, 3 / 4, 5 / 6], abs=1e-6)
 
 
 def test_sweep_nb_axis():
-    rows = sweep("nb", [2, 3], {"na": 0, "fa": UNIT, "fb": UNIT})
+    rows = sweep("nb", [2, 3], _hybrid_point("nb", na=0))
     assert [r["slope_fit"] for r in rows] == pytest.approx([0.5, 2 / 3], abs=1e-3)
 
 
 def test_sweep_empty_grid():
-    assert sweep("p", [], {}) == []
+    assert sweep("p", [], _candlestick_point("p")) == []
     assert sweep_header("p") == ["axis_value", "b0s", "slow_win_prob",
                                  "fast_profit", "status"]
     assert sweep_header("na") == ["axis_value", "slope_fit", "residual", "status"]
 
 
 def test_sweep_records_per_point_failures():
-    rows = sweep("p", [0.5, 1.5], {"v0": 1.0})  # 1.5 is out of range
+    rows = sweep("p", [0.5, 1.5], _candlestick_point("p"))  # 1.5 is out of range
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["b0s"] == ""
 
 
-def test_sweep_error_status_names_the_exception():
-    rows = sweep("p", [1.5], {"v0": 1.0})
-    assert rows[0]["status"].startswith("error: ValueError: ")
-    rows = sweep("na", [1.5], {"nb": 1, "fa": UNIT, "fb": UNIT})
-    assert rows[0]["status"].startswith("error: ValueError: ")
+def _sweep_statuses(tmp_path, *flags):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return [row["status"] for row in csv.DictReader(fh)]
 
 
-def test_sweep_propagates_programming_errors(monkeypatch):
+def test_sweep_error_status_names_the_exception(tmp_path):
+    rows = sweep("p", [1.5], _candlestick_point("p"))
+    assert rows[0]["status"].startswith("error: ValueError: ")
+    statuses = _sweep_statuses(tmp_path, "--axis", "na", "--grid", "1.5", "--nb", "1")
+    assert statuses[0].startswith("error: ValueError: ")
+
+
+def test_sweep_propagates_programming_errors(monkeypatch, tmp_path):
     """Only solver and input errors become rows; a bug must not exit 0."""
-    def broken(config, tol):
+    def broken(config, **kwargs):
         raise TypeError("bug inside a sweep point")
 
-    monkeypatch.setattr(pbslab.simulator, "solve_candlestick", broken)
+    monkeypatch.setattr("pbslab.cli.solve_candlestick", broken)
     with pytest.raises(TypeError, match="bug inside a sweep point"):
-        sweep("p", [0.5], {"v0": 1.0})
+        main(["sweep", "--axis", "p", "--grid", "0.5", "--v0", "1",
+              "--out", str(tmp_path / "sweep.csv")])
 
 
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError):
-        sweep("volatility", [0.1], {})
+        sweep("volatility", [0.1], _candlestick_point("vol"))
 
 
 def test_sweep_with_verification():
-    rows = sweep("p", [0.5], {"v0": 1.0, "vol": 0.2, "delta": 1.0},
+    rows = sweep("p", [0.5], _candlestick_point("p", v0=1.0, vol=0.2, delta=1.0),
                  verify_reps=20_000, seed=2)
     assert rows[0]["status"] == "ok"

@@ -147,7 +147,7 @@ def _from_file(parser: argparse.ArgumentParser, o: _Opt, value) -> str:
         if isinstance(value, bool) or not isinstance(value, exact):
             raise TypeError
         value = o.type(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         parser.error(f"config value {value!r} is not a valid --{o.name}")
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     return f"--{o.name}={text}"

@@ -168,9 +168,74 @@ def pick_winners(bids: np.ndarray, tie_u: np.ndarray) -> np.ndarray:
     return winners
 
 
+def _top_two(u: np.ndarray):
+    """Column and value of each row's largest entry, and the second largest
+    entry (``None`` for a single column)."""
+    col = np.argmax(u, axis=1)
+    top = u[np.arange(u.shape[0]), col]
+    second = np.partition(u, -2, axis=1)[:, -2] if u.shape[1] > 1 else None
+    return col, top, second
+
+
 def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
                   u: np.ndarray) -> dict[str, np.ndarray]:
-    """Play one batch of auctions from a matrix of uniforms (one row per rep)."""
+    """Play one batch of auctions from a matrix of uniforms (one row per rep).
+
+    The quantile functions and the bid schedule are nondecreasing, so each
+    class's largest uniform gives its top value. A row evaluates the top
+    integrated value, the top neutral value and its bid, and the second
+    value of the winning class: at most three quantiles. Rows where that
+    second ties or passes its top, or the two tops tie, are replayed by
+    :func:`_hybrid_full_rows`, which breaks ties uniformly at random. So the
+    outputs equal the full row's bit for bit wherever the computed values
+    do not decrease as a row's uniforms rise (scipy's ``betaincinv`` can
+    drop by one ulp between adjacent doubles).
+    """
+    n_int, n_neu = config.n_integrated, config.n_neutral
+    m = u.shape[0]
+    neu_col, neu_u, neu_u2 = _top_two(u[:, n_int:n_int + n_neu])
+    neu_value = np.asarray(config.neutral_values.quantile(neu_u), dtype=float)
+    neu_bid = solution.bid_function(neu_value)
+    if n_int:
+        int_col, int_u, int_u2 = _top_two(u[:, :n_int])
+        int_value = np.asarray(config.integrated_values.quantile(int_u), dtype=float)
+    else:  # no reserve: every row goes to the top neutral bid
+        int_col, int_value = np.zeros(m, dtype=np.intp), np.full(m, -np.inf)
+    integrated_won = int_value > neu_bid
+    ambiguous = int_value == neu_bid
+
+    # integrated winners pay the next-highest bid, neutral winners their own
+    payment = neu_bid.copy()
+    won = np.flatnonzero(integrated_won)
+    if n_int > 1:
+        second = np.asarray(config.integrated_values.quantile(int_u2[won]), dtype=float)
+        payment[won] = np.maximum(second, neu_bid[won])
+        ambiguous[won] |= second >= int_value[won]
+    lost = np.flatnonzero(~integrated_won)
+    if n_neu > 1:
+        second = np.asarray(config.neutral_values.quantile(neu_u2[lost]), dtype=float)
+        ambiguous[lost] |= solution.bid_function(second) >= neu_bid[lost]
+
+    winner_value = np.where(integrated_won, int_value, neu_value)
+    out = {
+        "winner": np.where(integrated_won, int_col, n_int + neu_col),
+        "integrated_won": integrated_won,
+        "winning_bid": np.where(integrated_won, int_value, neu_bid),
+        "payment": payment,
+        "winner_value": winner_value,
+        "surplus": winner_value - payment,
+    }
+    tied = np.flatnonzero(ambiguous)
+    if tied.size:
+        for key, values in _hybrid_full_rows(config, solution, u[tied]).items():
+            out[key][tied] = values
+    return out
+
+
+def _hybrid_full_rows(config: HybridAuctionConfig, solution: EquilibriumSolution,
+                      u: np.ndarray) -> dict[str, np.ndarray]:
+    """:func:`_hybrid_block` drawing every bidder's value; ties go to
+    :func:`pick_winners`."""
     n_int, n_neu = config.n_integrated, config.n_neutral
     m = u.shape[0]
     vals_int = np.asarray(config.integrated_values.quantile(u[:, :n_int]),

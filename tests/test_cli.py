@@ -363,6 +363,16 @@ def test_config_file_fractional_integer_rejected(tmp_path, capsys):
     assert not (tmp_path / "typed.csv").exists()
 
 
+def test_config_file_integer_too_large_for_a_float_rejected(tmp_path, capsys):
+    cfg = tmp_path / "candle.json"
+    out = tmp_path / "candle_out.json"
+    cfg.write_text(json.dumps({"v0": 10 ** 400, "p": 0.5, "out": str(out)}))
+    rc = main(["solve-candlestick", "--config", str(cfg)])
+    assert rc == 2
+    assert "--v0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_sweep_grid_list(tmp_path):
     out = tmp_path / "sweep.csv"
     cfg = tmp_path / "sweep.json"

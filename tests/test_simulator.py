@@ -5,13 +5,15 @@ import csv
 import numpy as np
 import pytest
 
-from pbslab import (CandlestickConfig, HybridAuctionConfig, PriceProcess,
-                    ReplicationRng, Uniform, simulate_candlestick,
-                    simulate_hybrid, solve_candlestick, solve_fixed_point,
-                    sweep)
+from pbslab import (Beta, CandlestickConfig, EmpiricalGrid, HybridAuctionConfig,
+                    Lognormal, PriceProcess, ReplicationRng, Uniform,
+                    simulate_candlestick, simulate_hybrid, solve_candlestick,
+                    solve_fixed_point, sweep)
+from pbslab import simulator
 from pbslab.cli import main
 from pbslab.simulator import (_candlestick_block, _hybrid_block,
-                              _replications, pick_winners, sweep_header)
+                              _hybrid_full_rows, _replications, pick_winners,
+                              sweep_header)
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -127,6 +129,127 @@ def test_accounting_identity(uniform_3_3):
     integrated = out["integrated_won"]
     assert np.all(out["payment"][integrated] <= out["winning_bid"][integrated] + 1e-12)
     assert np.allclose(out["payment"][~integrated], out["winning_bid"][~integrated])
+
+
+# ----------------------- hybrid kernel against the full row --------------------
+
+KERNEL_LAWS = {
+    "uniform": UNIT,
+    "beta": Beta(5.0, 0.5),  # saturates at 1.0 for uniforms within 2**-50 of 1
+    "lognormal": Lognormal(0.0, 0.5),
+    "empirical": EmpiricalGrid(np.array([0.0, 0.2, 0.5, 1.0, 2.0]),
+                               np.array([0.0, 0.1, 0.5, 0.9, 1.0])),
+}
+KERNEL_SHAPES = [(0, 3), (1, 1), (3, 1), (3, 3), (8, 8)]
+
+
+def _kernel_case(n_int, n_neu, fa, fb):
+    """A config and a coarse solution: the kernel reads only the bid schedule."""
+    config = HybridAuctionConfig(n_int, n_neu, fa, fb)
+    return config, solve_fixed_point(config, grid_size=128, tol=1e-4)
+
+
+def _edge_blocks(width, rng, m=256):
+    """Blocks of uniforms whose rows tie or nearly tie; the last column is the
+    tie-break uniform."""
+    base = rng.random((m, 1))
+    blocks = {
+        "random": rng.random((m, width)),
+        "equal": np.repeat(base, width, axis=1),
+        # 0 to 2 representable doubles above a common base
+        "adjacent": (base.view(np.int64) + rng.integers(0, 3, (m, width))).view(float),
+        # past the bid grid's top, where np.interp clamps and bids tie
+        "saturated": 1.0 - rng.integers(1, 4, (m, width)) * 2.0 ** -53,
+    }
+    for u in blocks.values():
+        u[:, -1] = rng.random(m)
+    return blocks
+
+
+def _nondecreasing_rows(config, sol, u):
+    """Rows whose computed values, and neutral bids, do not decrease as the
+    uniforms of a class rise: the kernel's assumption. scipy's betaincinv
+    breaks it at the last bit for about 1.5% of adjacent doubles."""
+    n_int, n_neu = config.n_integrated, config.n_neutral
+    ok = np.ones(len(u), dtype=bool)
+    for law, cols, maps in ((config.integrated_values, u[:, :n_int], []),
+                            (config.neutral_values, u[:, n_int:n_int + n_neu],
+                             [sol.bid_function])):
+        x = np.asarray(law.quantile(np.sort(cols, axis=1)), dtype=float)
+        for xs in [x] + [f(x) for f in maps]:
+            ok &= np.all(np.diff(xs, axis=1) >= 0.0, axis=1)
+    return ok
+
+
+def _assert_kernel_matches(config, sol, u, monkeypatch):
+    """On every row where the quantiles do not decrease, the kernel's outputs
+    equal the full row's bit for bit. Returns the number of rows the kernel
+    sent to the full row (the only caller of pick_winners)."""
+    expected = _hybrid_full_rows(config, sol, u)
+    fallback_rows = []
+
+    def recording(bids, tie_u):
+        fallback_rows.append(len(bids))
+        return pick_winners(bids, tie_u)
+
+    monkeypatch.setattr(simulator, "pick_winners", recording)
+    got = _hybrid_block(config, sol, u)
+    monkeypatch.undo()
+    rows = _nondecreasing_rows(config, sol, u)
+    assert rows.mean() > 0.9
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key].dtype == expected[key].dtype, key
+        assert np.array_equal(got[key][rows], expected[key][rows]), key
+    return sum(fallback_rows)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "%d+%d" % s)
+@pytest.mark.parametrize("law", KERNEL_LAWS)
+def test_kernel_equals_full_rows_on_ties(law, shape, monkeypatch):
+    n_int, n_neu = shape
+    fb = KERNEL_LAWS[law]
+    config, sol = _kernel_case(n_int, n_neu, fb, fb)
+    rng = np.random.default_rng(sum(shape))
+    for name, u in _edge_blocks(n_int + n_neu + 1, rng).items():
+        fallback = _assert_kernel_matches(config, sol, u, monkeypatch)
+        if name == "random":
+            assert fallback == 0
+        elif name == "equal" and n_int + n_neu > 2:  # a tie in the winning class
+            assert fallback == len(u)
+
+    if n_int:
+        # an exact cross-class tie: a uniform(0,16) value is 16 times its
+        # uniform, exactly, and 16 lies above every bid here
+        config, sol = _kernel_case(n_int, n_neu, Uniform(0.0, 16.0), fb)
+        u = rng.random((256, n_int + n_neu + 1))
+        top_bid = sol.bid_function(fb.quantile(u[:, n_int:n_int + n_neu].max(axis=1)))
+        u[:, :n_int] *= top_bid[:, None] / 16.0
+        u[:, 0] = top_bid / 16.0
+        assert _assert_kernel_matches(config, sol, u, monkeypatch) == len(u)
+
+
+class _CountingLaw:
+    """A value law that counts the values passed to its ``quantile``."""
+
+    def __init__(self, law):
+        self.law, self.values = law, 0
+
+    def quantile(self, q):
+        self.values += np.size(q)
+        return self.law.quantile(q)
+
+    def __getattr__(self, name):
+        return getattr(self.law, name)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_kernel_draws_at_most_three_quantiles_per_replication(n):
+    law = _CountingLaw(Beta(2, 2))
+    config = HybridAuctionConfig(n, n, law, law)
+    sol = solve_fixed_point(HybridAuctionConfig(n, n, law.law, law.law))
+    _hybrid_outcomes(config, sol, 20_000, seed=4)
+    assert law.values <= 3 * 20_000
 
 
 # --------------------------- statistical verification --------------------------

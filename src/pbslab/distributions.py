@@ -127,30 +127,29 @@ class Beta(ValueDistribution):
     alpha: float
     beta: float
     kind: str = field(default="beta", init=False, repr=False)
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError(f"beta shape parameters must be positive, got "
                              f"({self.alpha}, {self.beta})")
+        object.__setattr__(self, "_log_norm", betaln(self.alpha, self.beta))
 
     @property
     def support(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
     def cdf(self, x):
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
         return betainc(self.alpha, self.beta, x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         inside = (x > 0.0) & (x < 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pdf = ((self.alpha - 1.0) * np.log(x, where=inside, out=np.zeros_like(x))
-                       + (self.beta - 1.0) * np.log1p(-x, where=inside, out=np.zeros_like(x))
-                       - betaln(self.alpha, self.beta))
-        np.exp(log_pdf, where=inside, out=out)
-        return out
+        x_in = np.where(inside, x, 0.5)  # keeps log and log1p finite outside
+        log_pdf = ((self.alpha - 1.0) * np.log(x_in)
+                   + (self.beta - 1.0) * np.log1p(-x_in) - self._log_norm)
+        return np.where(inside, np.exp(log_pdf), 0.0)
 
     def quantile(self, q):
         return betaincinv(self.alpha, self.beta, _check_prob(q))
@@ -186,16 +185,17 @@ class Lognormal(ValueDistribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 0.0)) - self.log_mean) / self.log_sd
-        return np.where(x > 0.0, ndtr(z), 0.0)
+        pos = x > 0.0
+        z = (np.log(np.where(pos, x, 1.0)) - self.log_mean) / self.log_sd
+        return np.where(pos, ndtr(z), 0.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(x, where=pos, out=np.zeros_like(x)) - self.log_mean) / self.log_sd
-            dens = np.exp(-0.5 * z * z) / (x * self.log_sd * math.sqrt(2.0 * math.pi))
+        x_pos = np.where(pos, x, 1.0)  # keeps log finite outside the support
+        z = (np.log(x_pos) - self.log_mean) / self.log_sd
+        with np.errstate(invalid="ignore"):  # 0/0 where x * log_sd underflows to 0
+            dens = np.exp(-0.5 * z * z) / (x_pos * self.log_sd * math.sqrt(2.0 * math.pi))
         return np.where(pos, dens, 0.0)
 
     def quantile(self, q):

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .distributions import ValueDistribution, lower_tail_exponent
 
@@ -290,21 +289,22 @@ def _isotonic(y: np.ndarray) -> np.ndarray:
 
 
 def _strictly_increasing(b: np.ndarray) -> np.ndarray:
-    """Break exact ties upward by the smallest representable step."""
-    out = b.copy()
-    for i in range(1, out.size):
-        if out[i] <= out[i - 1]:
-            out[i] = np.nextafter(out[i - 1], math.inf)
+    """Break exact ties upward by one ulp: for finite b >= 0 the int64 view is
+    monotone, so that is a running max of view_i - i (+ 0.0 maps -0.0 to 0)."""
+    steps = np.arange(b.size, dtype=np.int64)
+    view = (b + 0.0).view(np.int64)
+    out = (np.maximum.accumulate(view - steps) + steps).view(np.float64)
+    out[:1] = b[:1]
     return out
 
 
 def _equation_defect(config: HybridAuctionConfig, values: np.ndarray,
-                     bids: np.ndarray, lo: float, tail_k: float,
+                     rival: np.ndarray, bids: np.ndarray, lo: float, tail_k: float,
                      skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The shading identity's right-hand side v - int(G)/G, the points where
     it is usable (G above the floor, not in ``skip``: anchor points) and the
-    sup-norm defect |bid - mapped| over them."""
-    g = config.rival_cdf(values) * config.reserve_cdf(bids)
+    sup-norm defect |bid - mapped| over them. ``rival``: rival_cdf(values)."""
+    g = rival * config.reserve_cdf(bids)
     integral = _power_cumint(values, g, lo, tail_k)
     usable = (g > _G_FLOOR) & ~skip
     ratio = np.zeros_like(values)
@@ -329,14 +329,14 @@ def _prepare(config: HybridAuctionConfig, grid_size: int):
     anchor = grid <= lo + eps_v
     anchor[0] = True
     line = lo + slope * (grid - lo)
-    return grid, lo, eps_v, tail_k, slope, anchor, line
+    return grid, lo, eps_v, tail_k, slope, anchor, line, config.rival_cdf(grid)
 
 
-def _finish(config, grid, bids, residual, method, iterations, tol,
+def _finish(config, grid, rival, bids, residual, method, iterations, tol,
             anchor_count, lo, tail_k) -> EquilibriumSolution:
     bids = _strictly_increasing(np.clip(bids, 0.0, grid))
     bid_function = BidFunction(grid, bids)
-    x = config.rival_cdf(grid) * config.reserve_cdf(bids)
+    x = rival * config.reserve_cdf(bids)
     surplus = _power_cumint(grid, x, lo, tail_k)
     return EquilibriumSolution(
         config=config, bid_function=bid_function, win_prob=x, surplus=surplus,
@@ -361,14 +361,14 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         raise ValueError("damping must be in (0, 1]")
     if max_iter < 0 or not tol >= 0.0:
         raise ValueError("need max_iter >= 0 and tol >= 0")
-    grid, lo, eps_v, tail_k, slope, anchor, line = _prepare(config, grid_size)
+    grid, lo, eps_v, tail_k, slope, anchor, line, rival = _prepare(config, grid_size)
 
     bids = line.copy()
     for iteration in range(max_iter + 1):
-        mapped, usable, residual = _equation_defect(config, grid, bids, lo,
-                                                    tail_k, anchor)
+        mapped, usable, residual = _equation_defect(config, grid, rival, bids,
+                                                    lo, tail_k, anchor)
         if residual <= tol:
-            return _finish(config, grid, bids, residual, "fixed-point",
+            return _finish(config, grid, rival, bids, residual, "fixed-point",
                            iteration, tol, int(anchor.sum()), lo, tail_k)
 
         bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
@@ -393,15 +393,15 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     more than ``_MAX_NFEV`` right-hand-side evaluations :class:`SolverError`;
     ``solve-private --method auto`` then skips the cross-check.
     """
+    from scipy.integrate import solve_ivp  # only this solver needs it
     if config.n_neutral < 2:
         raise ValueError("ODE route needs at least two neutral bidders")
     if not tol > 0.0:
         raise ValueError("ODE tolerance must be positive")
-    grid, lo, eps_v, tail_k, slope, anchor, line = _prepare(config, grid_size)
+    grid, lo, eps_v, tail_k, slope, anchor, line, rival = _prepare(config, grid_size)
     v_start = lo + eps_v
     top = float(grid[-1])
-    n_int = config.n_integrated
-    n_neu = config.n_neutral
+    n_int, n_neu = config.n_integrated, config.n_neutral
     f_neu, big_f_neu = config.neutral_values.pdf, config.neutral_values.cdf
     f_int, big_f_int = config.integrated_values.pdf, config.integrated_values.cdf
     evaluations = count(1)
@@ -445,9 +445,9 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     bids = line.copy()
     bids[solved] = sol.y[0]
     bids = np.minimum(bids, grid)
-    residual = _equation_defect(config, grid, bids, lo, tail_k, anchor)[2]
-    return _finish(config, grid, bids, residual, "ode", int(sol.nfev), tol,
-                   int(anchor.sum()), lo, tail_k)
+    residual = _equation_defect(config, grid, rival, bids, lo, tail_k, anchor)[2]
+    return _finish(config, grid, rival, bids, residual, "ode", int(sol.nfev),
+                   tol, int(anchor.sum()), lo, tail_k)
 
 
 # ------------------------------- closed forms ---------------------------------

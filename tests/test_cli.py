@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbslab
 from pbslab.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -423,3 +428,16 @@ def test_no_subcommand_is_usage_error():
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_import_loads_no_ode_or_root_finder_modules():
+    """Only ``solve_ode`` needs scipy.integrate (which pulls in
+    scipy.optimize), so a command that never runs it does not import it."""
+    src = str(Path(pbslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, pbslab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc, betaln, ndtr
 
 from pbslab import (Beta, EmpiricalGrid, Lognormal, NegligibleMassError,
                     Uniform, lognormal_put_value, lognormal_truncated_mean,
@@ -80,6 +81,70 @@ def test_pdf_integrates_to_one(dist):
         else dist.support[1]
     total = quad(lambda t: float(dist.pdf(t)), lo, hi, limit=400)[0]
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+# Reference formulas for the scalar-and-array law methods: the masked-output
+# forms that the single np.where code path replaced, kept to pin its values.
+def _reference_beta_cdf(d, x):
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    return betainc(d.alpha, d.beta, x)
+
+
+def _reference_beta_pdf(d, x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = (x > 0.0) & (x < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pdf = ((d.alpha - 1.0) * np.log(x, where=inside, out=np.zeros_like(x))
+                   + (d.beta - 1.0) * np.log1p(-x, where=inside, out=np.zeros_like(x))
+                   - betaln(d.alpha, d.beta))
+    np.exp(log_pdf, where=inside, out=out)
+    return out
+
+
+def _reference_lognormal_cdf(d, x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        z = (np.log(np.maximum(x, 0.0)) - d.log_mean) / d.log_sd
+    return np.where(x > 0.0, ndtr(z), 0.0)
+
+
+def _reference_lognormal_pdf(d, x):
+    x = np.asarray(x, dtype=float)
+    pos = x > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (np.log(x, where=pos, out=np.zeros_like(x)) - d.log_mean) / d.log_sd
+        dens = np.exp(-0.5 * z * z) / (x * d.log_sd * math.sqrt(2.0 * math.pi))
+    return np.where(pos, dens, 0.0)
+
+
+_REFERENCE = {Beta: (_reference_beta_cdf, _reference_beta_pdf),
+              Lognormal: (_reference_lognormal_cdf, _reference_lognormal_pdf)}
+
+# support ends, one step inside and outside them, negatives, infinities, nan
+_EDGE_POINTS = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 0.3, 0.999,
+                float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)),
+                1.7, 1e300, -0.5, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("law", [
+    Beta(0.5, 0.5), Beta(0.7, 3.0), Beta(1.0, 1.0), Beta(2.0, 2.0),
+    Beta(3.5, 0.8), Lognormal(0.0, 0.5), Lognormal(-0.02, 0.2),
+    Lognormal(1.0, 1.5),
+], ids=repr)
+def test_law_values_match_reference_formulas_bit_for_bit(law):
+    """cdf and pdf return the reference formulas' type, dtype, shape and bits
+    for Python floats, 0-d and 1-d arrays; the suite's error::RuntimeWarning
+    filter makes any warning they raise a failure."""
+    inputs = [*_EDGE_POINTS, *map(np.asarray, _EDGE_POINTS),
+              np.array(_EDGE_POINTS), np.array([])]
+    for method, reference in zip(("cdf", "pdf"), _REFERENCE[type(law)]):
+        for x in inputs:
+            got, want = getattr(law, method)(x), reference(law, x)
+            assert type(got) is type(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), (method, x)
+            assert got.tobytes() == want.tobytes(), (method, x)  # sign of 0
 
 
 # --------------------------------- quantiles ----------------------------------

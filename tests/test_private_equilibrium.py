@@ -95,6 +95,31 @@ def test_empirical_grid_plays_like_uniform():
     assert np.max(np.abs(sol.bids - 0.75 * sol.values)) < 1e-3
 
 
+class _CountingBeta(Beta):
+    """Beta law that records the size of every ``cdf`` argument."""
+
+    def __init__(self, alpha, beta, sizes):
+        super().__init__(alpha, beta)
+        object.__setattr__(self, "sizes", sizes)
+
+    def cdf(self, x):
+        self.sizes.append(np.size(x))
+        return super().cdf(x)
+
+
+def test_fixed_point_evaluates_rival_cdf_once_per_solve():
+    """The rival CDF on the value grid is loop-invariant: a multi-sweep
+    solve evaluates the neutral law on the whole grid once, not per sweep."""
+    sizes = []
+    config = HybridAuctionConfig(3, 3, Beta(2, 2), _CountingBeta(2, 2, sizes))
+    sol = solve_fixed_point(config)
+    assert sol.iterations > 10
+    assert sizes.count(sol.values.size) == 1
+    plain = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)))
+    assert np.array_equal(sol.bids, plain.bids)
+    assert np.array_equal(sol.surplus, plain.surplus)
+
+
 def test_non_convergence_raises_with_residual():
     config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
     with pytest.raises(SolverError) as err:
@@ -237,6 +262,34 @@ def test_envelope_detects_perturbed_schedule(uniform_3_1):
                                surplus=sol.surplus, residual=0.0,
                                method="perturbed", iterations=0, tol=sol.tol)
     assert verify_envelope(fake).max_defect > 1e-2
+
+
+def _strictly_increasing_loop(b):
+    """The loop that ``_strictly_increasing`` vectorizes, as its reference."""
+    out = b.copy()
+    for i in range(1, out.size):
+        if out[i] <= out[i - 1]:
+            out[i] = np.nextafter(out[i - 1], np.inf)
+    return out
+
+
+@given(runs=st.lists(st.tuples(
+           st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0]),
+                     st.floats(0.0, 2.0)),
+           st.integers(1, 6)), min_size=1, max_size=20),
+       ascending=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_strictly_increasing_matches_reference_loop(runs, ascending):
+    """Bit-for-bit equal to the loop on nonnegative input with runs of exact
+    ties, signed zeros and subnormals, sorted or not."""
+    from pbslab.private_equilibrium import _strictly_increasing
+    values, repeats = zip(*runs)
+    b = np.repeat(np.array(values), repeats)
+    if ascending:
+        b = np.sort(b, kind="stable")
+    got = _strictly_increasing(b)
+    assert got.tobytes() == _strictly_increasing_loop(b).tobytes()
+    assert np.all(np.diff(got) > 0.0)
 
 
 def test_best_response_closed_form_case(uniform_3_1):

@@ -79,7 +79,9 @@ _PRIVATE_OPTS = (
     _Opt("grid", int, 512, help="value-grid points (default 512)"),
     _Opt("tol", float, None, help="solver tolerance (default 1e-6 fixed-point, 1e-9 ode)"),
     _Opt("max-iter", int, 10_000, help="fixed-point sweep cap"),
-    _Opt("damping", float, 0.5, help="fixed-point damping in (0,1]"),
+    _Opt("damping", float, 0.5,
+         help="mixing weight in (0,1] of the Anderson-accelerated fixed point, "
+              "safeguarded by the isotonic projection and the anchor clamp"),
     _Opt("method", str, "auto", choices=("fixed-point", "ode", "auto"),
          help="solver; auto cross-checks fixed-point with ode when nb >= 2"),
     _Opt("out", str, required=True, help="output CSV path (JSON envelope written alongside)"),

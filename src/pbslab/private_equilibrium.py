@@ -14,8 +14,9 @@ pinned down by the win-probability envelope ``integral of G``.
 
 Two independent solvers are provided and cross-checked by the test suite:
 
-- :func:`solve_fixed_point`: damped iteration of the shading identity on a
-  quantile-spaced value grid, with an isotonic projection each sweep.
+- :func:`solve_fixed_point`: Anderson-accelerated fixed point of the damped
+  shading identity on a quantile-spaced value grid, safeguarded by the
+  isotonic projection and the anchor clamp.
 - :func:`solve_ode`: adaptive Runge-Kutta integration of the differentiated
   identity (requires at least two neutral bidders).
 
@@ -59,6 +60,12 @@ _TOP_Q = 1.0 - 1e-6
 
 # rhs calls before solve_ode gives up; the most a tested input used is 30,817
 _MAX_NFEV = 40_000
+
+# differences of map images the fixed point extrapolates from
+_ANDERSON_DEPTH = 3
+
+# sweeps without a new best residual before the fixed point drops its history
+_STALL_SWEEPS = 4
 
 
 class SolverError(RuntimeError):
@@ -174,6 +181,8 @@ class EquilibriumSolution:
     tol: float
     converged: bool = True
     anchor_points: int = field(default=0, repr=False)
+    restarts: int = 0
+    residual_history: tuple = field(default=(), repr=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -189,6 +198,10 @@ class EquilibriumSolution:
                 "x": self.win_prob, "S": self.surplus}
 
     def metadata(self) -> dict:
+        """Solver summary; ``residual_history`` is the defect after each
+        fixed-point sweep, decimated to at most 64 entries with the last kept."""
+        history = self.residual_history
+        keep = np.linspace(0, len(history) - 1, min(len(history), 64)).astype(int)
         return {
             "method": self.method,
             "grid_size": int(self.values.size),
@@ -196,6 +209,8 @@ class EquilibriumSolution:
             "residual": float(self.residual),
             "tol": float(self.tol),
             "converged": bool(self.converged),
+            "restarts": int(self.restarts),
+            "residual_history": [float(history[i]) for i in keep],
         }
 
 
@@ -333,7 +348,7 @@ def _prepare(config: HybridAuctionConfig, grid_size: int):
 
 
 def _finish(config, grid, rival, bids, residual, method, iterations, tol,
-            anchor_count, lo, tail_k) -> EquilibriumSolution:
+            anchor_count, lo, tail_k, restarts=0, history=()) -> EquilibriumSolution:
     bids = _strictly_increasing(np.clip(bids, 0.0, grid))
     bid_function = BidFunction(grid, bids)
     x = rival * config.reserve_cdf(bids)
@@ -341,7 +356,27 @@ def _finish(config, grid, rival, bids, residual, method, iterations, tol,
     return EquilibriumSolution(
         config=config, bid_function=bid_function, win_prob=x, surplus=surplus,
         residual=residual, method=method, iterations=iterations, tol=tol,
-        converged=True, anchor_points=anchor_count)
+        converged=True, anchor_points=anchor_count, restarts=restarts,
+        residual_history=tuple(history))
+
+
+def _project(bids, grid, anchor, line) -> np.ndarray:
+    """The safeguard every sweep ends with: isotonic projection, clip into
+    [0, v] and the anchor clamp. Returns a new array."""
+    bids = np.clip(_isotonic(bids), 0.0, grid)
+    bids[anchor] = line[anchor]
+    return bids
+
+
+def _extrapolate(image, step, d_image, d_step) -> np.ndarray | None:
+    """Anderson candidate ``image - gamma @ d_image``, where gamma fits the
+    step differences ``d_step`` (rows) to ``step`` by least squares; None when
+    that fit is singular or the candidate is not finite."""
+    gamma, _, rank, _ = np.linalg.lstsq(d_step.T, step, rcond=None)
+    if rank < gamma.size:
+        return None
+    candidate = image - gamma @ d_image
+    return candidate if np.all(np.isfinite(candidate)) else None
 
 
 # --------------------------------- solvers -----------------------------------
@@ -350,12 +385,18 @@ def _finish(config, grid, rival, bids, residual, method, iterations, tol,
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
                       tol: float = 1e-6, max_iter: int = 10_000,
                       damping: float = 0.5) -> EquilibriumSolution:
-    """Solve the shading identity by damped fixed-point iteration.
+    """Solve the shading identity by Anderson-accelerated fixed point,
+    safeguarded by the isotonic projection and the anchor clamp.
 
-    Each sweep maps the current schedule through the identity's right-hand
-    side, blends with weight ``damping``, projects back onto monotone
-    schedules and clamps into [0, v]. Success means the sup-norm defect of
-    the identity is at most ``tol`` away from the anchored boundary region.
+    Each sweep blends the identity's right-hand side into the schedule with
+    weight ``damping``, extrapolates from the last ``_ANDERSON_DEPTH``
+    differences of these images (Walker & Ni, SIAM J. Numer. Anal. 2011) and
+    projects the result onto monotone schedules in [0, v] on the anchor line.
+    The history is dropped for the plain damped step when the residual
+    exceeds twice its best, makes no new best for ``_STALL_SWEEPS`` sweeps,
+    or the extrapolation is singular or not finite. Success means the
+    sup-norm defect of the identity is at most ``tol`` away from the anchored
+    boundary region within ``max_iter`` sweeps.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must be in (0, 1]")
@@ -363,18 +404,43 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         raise ValueError("need max_iter >= 0 and tol >= 0")
     grid, lo, eps_v, tail_k, slope, anchor, line, rival = _prepare(config, grid_size)
 
+    d_image = np.empty((_ANDERSON_DEPTH, grid.size))  # ring of image differences
+    d_step = np.empty_like(d_image)                    # and of step differences
+    stored = restarts = stalled = 0
+    best = math.inf
+    previous = None
+    history = []
     bids = line.copy()
     for iteration in range(max_iter + 1):
         mapped, usable, residual = _equation_defect(config, grid, rival, bids,
                                                     lo, tail_k, anchor)
+        history.append(residual)
         if residual <= tol:
             return _finish(config, grid, rival, bids, residual, "fixed-point",
-                           iteration, tol, int(anchor.sum()), lo, tail_k)
+                           iteration, tol, int(anchor.sum()), lo, tail_k,
+                           restarts, history[1:])
 
-        bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
-        bids = _isotonic(bids)
-        np.clip(bids, 0.0, grid, out=bids)
-        bids[anchor] = line[anchor]
+        image = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
+        step = image - bids
+        stalled = 0 if residual < best else stalled + 1
+        best = min(best, residual)
+        if residual > 2.0 * best or stalled >= _STALL_SWEEPS:
+            previous, stored, stalled = None, 0, 0
+            restarts += 1
+        if previous is not None:
+            slot = stored % _ANDERSON_DEPTH
+            np.subtract(image, previous[0], out=d_image[slot])
+            np.subtract(step, previous[1], out=d_step[slot])
+            stored += 1
+        previous = image, step
+        candidate = image
+        if stored:
+            depth = min(stored, _ANDERSON_DEPTH)
+            candidate = _extrapolate(image, step, d_image[:depth], d_step[:depth])
+            if candidate is None:
+                candidate, stored = image, 0
+                restarts += 1
+        bids = _project(candidate, grid, anchor, line)
 
     raise SolverError(
         f"fixed point did not reach tol={tol:g} after {max_iter} sweeps "

@@ -59,6 +59,22 @@ def test_solve_private_auto_cross_checks(tmp_path):
     assert np.all(sigma <= v + 1e-12)
 
 
+def test_solve_private_json_reports_solver_path(tmp_path, capsys):
+    """The solver block states restarts and the per-sweep residual history;
+    stdout keeps its one line."""
+    out = tmp_path / "beta.csv"
+    rc = main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+               "--fb", "beta(2,2)", "--method", "fixed-point", "--out", str(out)])
+    assert rc == 0
+    solver = json.loads(out.with_suffix(".json").read_text())["solver"]
+    assert solver["restarts"] == 0
+    history = solver["residual_history"]
+    assert len(history) == solver["iterations"] > 0
+    assert history[-1] == solver["residual"] <= solver["tol"]
+    assert capsys.readouterr().out == (
+        f"solved: residual={solver['residual']:.3g} (fixed-point)\n")
+
+
 def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):
     flags = ["solve-private", "--na", "3", "--nb", "3",
              "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)"]

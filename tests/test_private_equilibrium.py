@@ -1,5 +1,6 @@
 """Hybrid-auction equilibrium solvers: closed forms, cross-validation, checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from pbslab import (Beta, BidFunction, EmpiricalGrid, EquilibriumSolution,
                     closed_form_single_neutral, solve_fixed_point, solve_ode,
                     surplus_single_neutral, verify_best_response,
                     verify_envelope, winning_probability)
+from pbslab import private_equilibrium as pe
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -120,6 +122,156 @@ def test_fixed_point_evaluates_rival_cdf_once_per_solve():
     assert np.array_equal(sol.surplus, plain.surplus)
 
 
+# --------------------------- Anderson acceleration ----------------------------
+
+
+def _damped_reference(config, grid_size=512, tol=1e-6, damping=0.5):
+    """The plain damped iteration of the shading identity (no extrapolation),
+    the reference the accelerated solver is held to."""
+    grid, lo, _, tail_k, _, anchor, line, rival = pe._prepare(config, grid_size)
+    bids = line.copy()
+    for sweeps in range(10_000):
+        mapped, usable, residual = pe._equation_defect(config, grid, rival, bids,
+                                                       lo, tail_k, anchor)
+        if residual <= tol:
+            return pe._finish(config, grid, rival, bids, residual, "damped",
+                              sweeps, tol, int(anchor.sum()), lo, tail_k)
+        bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
+        bids = np.clip(pe._isotonic(bids), 0.0, grid)
+        bids[anchor] = line[anchor]
+    raise AssertionError("damped reference did not converge")
+
+
+LOGNORMAL = Lognormal(0.0, 0.5)
+LOGNORMAL_2_4 = HybridAuctionConfig(2, 4, LOGNORMAL, LOGNORMAL)
+ANDERSON_MATRIX = {
+    "beta(0.7,3) 3+3": (HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)), 512),
+    "beta(0.7,3) 3+3 g8192": (HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)), 8192),
+    "beta(2,2) 3+3": (HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), 512),
+    "beta(2,2) 8+8": (HybridAuctionConfig(8, 8, Beta(2, 2), Beta(2, 2)), 512),
+    "beta(2,2) 3+3 g4096": (HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), 4096),
+    "beta(0.5,5) 3+3": (HybridAuctionConfig(3, 3, Beta(0.5, 5), Beta(0.5, 5)), 512),
+    "uniform/beta(2,5) 3+2": (HybridAuctionConfig(3, 2, UNIT, Beta(2, 5)), 512),
+    "beta(2,2) 5+1": (HybridAuctionConfig(5, 1, Beta(2, 2), Beta(2, 2)), 512),
+    "beta(2,2) 0+4": (HybridAuctionConfig(0, 4, Beta(2, 2), Beta(2, 2)), 512),
+    "lognormal 2+4": (LOGNORMAL_2_4, 512),
+    "lognormal/beta(2,2) 2+4": (HybridAuctionConfig(2, 4, LOGNORMAL, Beta(2, 2)), 512),
+    "beta(5,2)/lognormal 2+4": (HybridAuctionConfig(2, 4, Beta(5, 2), LOGNORMAL), 512),
+}
+
+
+@pytest.mark.parametrize("name", list(ANDERSON_MATRIX))
+def test_anderson_matches_damped_reference(name):
+    """Same tolerance, fewer sweeps: the accelerated schedule meets ``tol`` on
+    its own bids and lies within 5e-5 (surplus 2e-6) of the damped one."""
+    config, grid_size = ANDERSON_MATRIX[name]
+    sol = solve_fixed_point(config, grid_size)
+    ref = _damped_reference(config, grid_size)
+    grid, lo, _, tail_k, _, anchor, _, rival = pe._prepare(config, grid_size)
+    assert pe._equation_defect(config, grid, rival, sol.bids, lo, tail_k,
+                               anchor)[2] <= sol.tol
+    assert np.max(np.abs(sol.bids - ref.bids)) <= 5e-5
+    assert np.max(np.abs(sol.surplus - ref.surplus)) <= 2e-6
+    assert sol.iterations < ref.iterations
+
+
+@pytest.mark.parametrize("law", [Beta(0.7, 3), Beta(2, 2)])
+def test_beta_three_by_three_converges_in_30_sweeps(law):
+    """The damped iteration takes 88 and 59 sweeps here."""
+    sol = solve_fixed_point(HybridAuctionConfig(3, 3, law, law))
+    assert sol.iterations <= 30
+    assert sol.residual <= sol.tol
+
+
+def test_full_step_converges_in_fewer_sweeps():
+    """damping=1.0 (no mixing) still converges, in fewer sweeps than the
+    plain iteration at that weight."""
+    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
+    sol = solve_fixed_point(config, damping=1.0)
+    assert sol.residual <= sol.tol
+    assert sol.iterations < _damped_reference(config, damping=1.0).iterations
+
+
+def test_safeguard_restarts_keep_full_steps_on_pace_and_projected(monkeypatch):
+    """On lognormal 2+4 the top cell is the sup-norm defect, which the
+    least-squares fit barely weighs: at damping=1.0 the extrapolation stalls
+    there, and dropping the history keeps the solve near the plain pace.
+    Extrapolated candidates, which leave the monotone schedules here, pass
+    through the same projection as plain steps: each schedule the map sees
+    is nondecreasing, in [0, v] and on the anchor line."""
+    seen = []
+
+    def spy(config, values, rival, bids, lo, tail_k, skip):
+        seen.append((values, bids.copy(), skip))
+        return defect(config, values, rival, bids, lo, tail_k, skip)
+
+    defect = pe._equation_defect
+    monkeypatch.setattr(pe, "_equation_defect", spy)
+    sol = solve_fixed_point(LOGNORMAL_2_4, damping=1.0)
+    assert sol.restarts > 0
+    assert sol.residual <= sol.tol
+    assert len(seen) == sol.iterations + 1
+    line = seen[0][1]
+    for values, bids, anchor in seen:
+        assert np.all(np.diff(bids) >= 0.0)
+        assert np.all((bids >= 0.0) & (bids <= values))
+        assert np.array_equal(bids[anchor], line[anchor])
+    monkeypatch.undo()
+    assert sol.iterations <= 2 * _damped_reference(LOGNORMAL_2_4, damping=1.0).iterations
+    assert solve_fixed_point(LOGNORMAL_2_4).restarts > 0
+
+
+def test_rejected_extrapolation_is_the_damped_step(monkeypatch):
+    """With every least-squares solve singular, each sweep drops the history
+    and the solver is the damped iteration, bit for bit."""
+    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
+    ref = _damped_reference(config)
+    monkeypatch.setattr(pe.np.linalg, "lstsq",
+                        lambda a, b, rcond: (np.zeros(a.shape[1]), None, 0, None))
+    sol = solve_fixed_point(config)
+    assert sol.iterations == ref.iterations
+    assert sol.restarts == ref.iterations - 1
+    assert sol.bids.tobytes() == ref.bids.tobytes()
+
+
+def test_extrapolate_rejects_singular_and_non_finite():
+    step = np.array([1.0, 2.0, 3.0])
+    image = np.zeros(3)
+    twice = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])  # rank 1 of 2
+    assert pe._extrapolate(image, step, twice, twice) is None
+    d_step = np.array([[1.0, 0.0, 0.0]])
+    assert pe._extrapolate(image, step, np.array([[np.inf, 0.0, 0.0]]), d_step) is None
+    assert np.array_equal(pe._extrapolate(image, step, d_step, d_step),
+                          [-1.0, 0.0, 0.0])
+
+
+def test_metadata_reports_solver_path(uniform_3_3):
+    """An exact start line takes 0 sweeps, reports no history and keeps the
+    damped solution bit for bit."""
+    config, exact = uniform_3_3
+    meta = exact.metadata()
+    assert exact.iterations == 0
+    assert meta["restarts"] == 0 and meta["residual_history"] == []
+    assert exact.bids.tobytes() == _damped_reference(config).bids.tobytes()
+
+    sol = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)))
+    meta = sol.metadata()
+    assert len(meta["residual_history"]) == sol.iterations
+    assert meta["residual_history"][-1] == sol.residual
+    assert meta["restarts"] == sol.restarts == 0
+
+
+def test_metadata_decimates_residual_history(uniform_3_3):
+    _, sol = uniform_3_3
+    for n in (63, 64, 65, 200, 10_000):
+        history = dataclasses.replace(
+            sol, residual_history=tuple(np.arange(n, dtype=float))).metadata()[
+                "residual_history"]
+        assert len(history) == min(n, 64)
+        assert history[0] == 0.0 and history[-1] == n - 1
+        assert np.all(np.diff(history) > 0)
+
+
 def test_non_convergence_raises_with_residual():
     config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
     with pytest.raises(SolverError) as err:
@@ -195,10 +347,6 @@ def test_ode_reports_a_start_past_the_domain_edge(deadline):
     with pytest.raises(OdeSingularityError) as info:
         solve_ode(config)
     assert info.value.location < 0.01
-
-
-LOGNORMAL_2_4 = HybridAuctionConfig(2, 4, Lognormal(0.0, 0.5),
-                                    Lognormal(0.0, 0.5))
 
 
 def test_ode_solves_lognormal_without_warnings(deadline):

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -32,7 +33,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .charts import Series, line_chart_svg
 from .common_values import (CandlestickConfig, PriceProcess, RootNotFoundError,
                             solve_candlestick)
@@ -208,9 +211,15 @@ def _jsonify(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _json_text(payload: dict) -> str:
-    envelope = {"schema_version": 1, **payload,
-                "meta": {"created_utc": datetime.now(timezone.utc).isoformat()}}
+def _json_text(payload: dict, argv: list[str]) -> str:
+    """The JSON document of a run: its payload plus a ``meta`` block naming
+    when, with which versions and from which arguments it was made."""
+    meta = {"created_utc": datetime.now(timezone.utc).isoformat(),
+            "argv": argv,
+            "versions": {"pbslab": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__,
+                         "python": platform.python_version()}}
+    envelope = {"schema_version": 1, **payload, "meta": meta}
     return json.dumps(envelope, sort_keys=True, indent=2, default=_jsonify) + "\n"
 
 
@@ -283,7 +292,7 @@ def cmd_solve_private(ns) -> int:
             "cross_method_max_disagreement": disagreement,
             "cross_method_note": cross_note,
         },
-    }))
+    }, ns.argv))
     msg = f"solved: residual={solution.residual:.3g} ({solution.method})"
     if disagreement is not None:
         msg += f", fixed-point vs ode max disagreement={disagreement:.3g}"
@@ -297,7 +306,7 @@ def cmd_solve_candlestick(ns) -> int:
     payload = solution.to_dict()
     payload["bracket"] = list(solution.bracket) if solution.bracket else None
     payload["iterations"] = solution.iterations
-    _write_atomic(ns.out, _json_text(payload))
+    _write_atomic(ns.out, _json_text(payload, ns.argv))
     print(f"b0s={solution.b0s:.12g} slow_win_prob={solution.slow_win_prob:.6g} "
           f"residual={solution.residual:.3g}")
     return EXIT_OK
@@ -312,7 +321,7 @@ def cmd_simulate(ns) -> int:
         config, solution = _candlestick(ns)
         report = simulate_candlestick(config, solution, ns.n_slow, ns.reps, ns.seed)
 
-    _write_atomic(ns.out, _json_text(report.to_dict()))
+    _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv))
     if report.agreement_ok:
         print(f"PASS: {len(report.checks)}/{len(report.checks)} analytic-vs-MC "
               f"checks within 3 half-widths ({ns.model}, reps={ns.reps})")
@@ -392,12 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_with_config(
-            parser, sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_with_config(parser, argv))
         if getattr(args, "handler", None) is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        args.argv = argv
         return args.handler(args)
     except SystemExit as exc:  # argparse --help (0) and usage errors (2)
         return int(exc.code or 0)

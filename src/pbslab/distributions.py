@@ -4,7 +4,8 @@ Four families of private-value laws share one interface (CDF, density,
 quantile, inverse-transform sampling):
 
 - ``Uniform(lo, hi)``       closed forms
-- ``Beta(alpha, beta)``     regularized incomplete beta on [0, 1]
+- ``Beta(alpha, beta)``     regularized incomplete beta on [0, 1]; the quantile
+                            is a per-law table finished by one Halley step
 - ``Lognormal(a, s)``       V = exp(N(a, s^2)); supports unbounded values
 - ``EmpiricalGrid(x, cdf)`` monotone piecewise-linear CDF from tabulated points
 
@@ -128,6 +129,7 @@ class Beta(ValueDistribution):
     beta: float
     kind: str = field(default="beta", init=False, repr=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.beta > 0.0):
@@ -152,7 +154,60 @@ class Beta(ValueDistribution):
         return np.where(inside, np.exp(log_pdf), 0.0)
 
     def quantile(self, q):
-        return betaincinv(self.alpha, self.beta, _check_prob(q))
+        """Inverse of ``cdf``, elementwise; each value depends on its own q
+        only. Above a split at or over 1/2 it is one minus the quantile of
+        Beta(beta, alpha) at the exact 1 - q, so that upper tails keep their
+        relative precision; below it is solved directly (see
+        :meth:`_halves`)."""
+        q = _check_prob(q)
+        below, above, split = self._halves()
+        flat = q.ravel()
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, _BLOCK):  # temporaries stay in cache
+            q_b, out_b = flat[start:start + _BLOCK], out[start:start + _BLOCK]
+            upper = q_b > split
+            lower_idx, upper_idx = np.flatnonzero(~upper), np.flatnonzero(upper)
+            out_b[lower_idx] = below(q_b[lower_idx])
+            out_b[upper_idx] = 1.0 - above(1.0 - q_b[upper_idx], complement=True)
+        out = out.reshape(q.shape)
+        return out if out.ndim else out[()]
+
+    def _halves(self) -> tuple["_BetaHalf", "_BetaHalf", float]:
+        """The tables below and above the probability that splits the two
+        ways of solving, and that split, built on first use.
+
+        The split is 1/2 unless the value at q = 1/2 lies below 1/2. Then,
+        for q between 1/2 and cdf(1/2), the direct solve misses by about
+        ulp(q)/f and the one through 1 - q by half an ulp of 1, so the split
+        moves up to where the density f falls to _SPLIT_DENSITY = 2. It
+        stays under 1, so that q = 1 gives 1."""
+        if self._tables is None:
+            a, b = self.alpha, self.beta
+            split = 0.5
+            if betainc(a, b, 0.5) > 0.5:
+                split = float(betainc(a, b, self._where_density_falls()))
+            split = min(max(split, 0.5), 1.0 - 2.0 ** -53)
+            below = _BetaHalf(a, b, self._log_norm, split)
+            above = below if a == b else _BetaHalf(b, a, self._log_norm, 1.0 - split)
+            object.__setattr__(self, "_tables", (below, above, split))
+        return self._tables
+
+    def _where_density_falls(self) -> float:
+        """The x in [mode, 1/2] (from 0 for alpha <= 1) where the density
+        falls to _SPLIT_DENSITY, by bisection in log x: when cdf(1/2) > 1/2
+        the density falls all along that interval. An end of it when the
+        density stays on one side."""
+        a1, b1 = self.alpha - 1.0, self.beta - 1.0
+        lo = math.log(a1 / (a1 + b1)) if a1 > 0.0 else math.log(_TINY)
+        hi = math.log(0.5)
+        log_level = math.log(_SPLIT_DENSITY) + self._log_norm
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if a1 * mid + b1 * math.log1p(-math.exp(mid)) > log_level:
+                lo = mid
+            else:
+                hi = mid
+        return math.exp(hi)
 
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
@@ -160,6 +215,112 @@ class Beta(ValueDistribution):
     def variance(self) -> float:
         ab = self.alpha + self.beta
         return self.alpha * self.beta / (ab * ab * (ab + 1.0))
+
+
+# Beta quantile (Beta.quantile, _BetaHalf)
+_CELLS = 384             # cells per table, one betaincinv knot each
+_BLOCK = 8192            # values per pass, so that temporaries stay in cache
+_SPLIT_DENSITY = 2.0     # see Beta._halves
+_MAX_STEP = 2.0 ** -10   # largest final Halley step, relative to the distance
+                         # to the nearer end and to the scale 1/|f'/f|
+_HALLEY_ERR = 2.0 ** -54  # largest predicted error it may leave, relative
+_MAX_REFINE = 100        # cap on the steps of the bracketed fallback
+_TINY = np.finfo(float).tiny
+
+
+class _BetaHalf:
+    """Quantiles z of Beta(a, b) at probabilities y in [0, y_top].
+
+    The table is a cubic Hermite interpolant in p = (a B(a, b) y)^(1/a), the
+    leading term of the lower tail: z = p c(p) with c(0) = 1, so the cells
+    near y = 0 are no worse a guess than the others. Its knot values come
+    from ``betaincinv`` and its slopes from the density. One Halley step on
+    ``betainc`` finishes each value. It counts as converged when the step is
+    small and Halley's error term C step^3 (C = g'/6 - g^2/12, g = f'/f) is
+    below 2^-54 of the value; the rest go through :meth:`_refine`.
+    """
+
+    def __init__(self, a: float, b: float, log_norm: float, y_top: float):
+        self.a, self.b, self.log_norm = a, b, log_norm
+        self.log_ab = math.log(a) + log_norm
+        self.cells_per_p = _CELLS / math.exp((math.log(y_top) + self.log_ab) / a)
+        p = np.arange(1, _CELLS + 1) / self.cells_per_p
+        with np.errstate(all="ignore"):
+            y = np.minimum(np.exp(a * np.log(p) - self.log_ab), y_top)
+            z = betaincinv(a, b, y)
+            c = np.concatenate([[1.0], z / p])
+            # dc/dp from dz/dy = 1/f and dy/dp = a y / p; (b-1)/(a+1) at p = 0
+            dc = (a * y / (p * self._density(z)[0]) - c[1:]) / p
+        slope = np.concatenate([[(b - 1.0) / (a + 1.0)], dc]) / self.cells_per_p
+        secant = np.diff(c)
+        m0 = np.where(np.isfinite(slope[:-1]), slope[:-1], secant)
+        m1 = np.where(np.isfinite(slope[1:]), slope[1:], secant)
+        # c on cell i is c0 + t (m0 + t (c2 + t c3)) for t in [0, 1]
+        self.coef = np.stack([c[:-1], m0, 3.0 * secant - 2.0 * m0 - m1,
+                              m0 + m1 - 2.0 * secant])
+
+    def _density(self, z):
+        """f(z), g = f'/f and g' for 0 < z < 1."""
+        a1, b1 = self.a - 1.0, self.b - 1.0
+        iz, iw = 1.0 / z, 1.0 / (1.0 - z)
+        f = np.exp(a1 * np.log(z) + b1 * np.log1p(-z) - self.log_norm)
+        return f, a1 * iz - b1 * iw, -a1 * iz * iz - b1 * iw * iw
+
+    def __call__(self, y: np.ndarray, complement: bool = False) -> np.ndarray:
+        """The quantiles at ``y``; with ``complement`` the caller takes
+        1 - z, so z must also be exact relative to 1 - z."""
+        with np.errstate(all="ignore"):
+            p = np.exp((np.log(y) + self.log_ab) / self.a)
+            s = p * self.cells_per_p
+            i = np.fmin(s, _CELLS - 1).astype(np.intp)  # NaN lands in range too
+            t = s - i
+            c0, m, c2, c3 = self.coef.take(i, axis=1)
+            z = p * (c0 + t * (m + t * (c2 + t * c3)))
+            f, g, g1 = self._density(z)
+            d = (betainc(self.a, self.b, z) - y) / f
+            step = -d / (1.0 - 0.5 * d * g)
+            size, near_end = np.abs(step), np.minimum(z, 1.0 - z)
+            err = np.abs(g1 / 6.0 - g * g / 12.0) * size * size * size
+            done = ((size <= _MAX_STEP * near_end) & (np.abs(d * g) <= _MAX_STEP)
+                    & (err <= _HALLEY_ERR * (near_end if complement else z)))
+        # the power law is the answer where p underflows, and betainc cannot
+        # resolve a residual below the smallest normal probability
+        as_is = (y < _TINY) | (z == 0.0)
+        out = np.where(as_is, z, z + step)
+        rest = np.flatnonzero(~(done | as_is))
+        if rest.size:
+            out[rest] = self._refine(y[rest], out[rest], complement)
+        return out
+
+    def _refine(self, y: np.ndarray, z: np.ndarray, complement: bool) -> np.ndarray:
+        """Newton on log F(z) = log y, exact on a power-law tail, kept inside
+        a bracket that each residual narrows; a step that leaves it bisects
+        instead. Each value stops on its own, after at most _MAX_REFINE
+        steps."""
+        out = np.empty_like(y)
+        idx = np.arange(y.size)
+        lo, hi = np.zeros_like(y), np.ones_like(y)
+        z = np.where((z > 0.0) & (z < 1.0), z, 0.5)
+        log_y = np.log(y)
+        for _ in range(_MAX_REFINE):
+            with np.errstate(all="ignore"):
+                big_f = betainc(self.a, self.b, z)
+                below = big_f < y
+                lo, hi = np.where(below, z, lo), np.where(below, hi, z)
+                newton = z * np.exp((log_y - np.log(big_f)) * big_f
+                                    / (z * self._density(z)[0]))
+                mid = np.where(lo > 0.0, np.sqrt(lo) * np.sqrt(hi), 0.5 * hi)
+                nxt = np.where(big_f == y, z,
+                               np.where((newton > lo) & (newton < hi), newton, mid))
+            scale = np.minimum(nxt, 1.0 - nxt) if complement else nxt
+            stop = np.abs(nxt - z) <= 2.0 ** -50 * scale
+            out[idx[stop]] = nxt[stop]
+            go = ~stop
+            idx, y, log_y, z, lo, hi = idx[go], y[go], log_y[go], nxt[go], lo[go], hi[go]
+            if not idx.size:
+                break
+        out[idx] = z
+        return out
 
 
 @dataclass(frozen=True)
@@ -194,9 +355,10 @@ class Lognormal(ValueDistribution):
         pos = x > 0.0
         x_pos = np.where(pos, x, 1.0)  # keeps log finite outside the support
         z = (np.log(x_pos) - self.log_mean) / self.log_sd
+        kernel = np.exp(-0.5 * z * z)
         with np.errstate(invalid="ignore"):  # 0/0 where x * log_sd underflows to 0
-            dens = np.exp(-0.5 * z * z) / (x_pos * self.log_sd * math.sqrt(2.0 * math.pi))
-        return np.where(pos, dens, 0.0)
+            dens = kernel / (x_pos * self.log_sd * math.sqrt(2.0 * math.pi))
+        return np.where(pos & (kernel > 0.0), dens, 0.0)
 
     def quantile(self, q):
         q = _check_prob(q)

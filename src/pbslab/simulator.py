@@ -188,8 +188,8 @@ def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
     second ties or passes its top, or the two tops tie, are replayed by
     :func:`_hybrid_full_rows`, which breaks ties uniformly at random. So the
     outputs equal the full row's bit for bit wherever the computed values
-    do not decrease as a row's uniforms rise (scipy's ``betaincinv`` can
-    drop by one ulp between adjacent doubles).
+    do not decrease as a row's uniforms rise (the Beta quantile can drop by
+    one ulp between adjacent doubles, where ``betainc`` rounds).
     """
     n_int, n_neu = config.n_integrated, config.n_neutral
     m = u.shape[0]

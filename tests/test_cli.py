@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import pbslab
 from pbslab.cli import main
@@ -163,6 +165,23 @@ def test_solve_candlestick_interior(tmp_path):
     assert abs(payload["residual"]) < 1e-10
     assert 0.0 < payload["b0s"] < 1.0
     assert payload["schema_version"] == 1
+
+
+def test_json_meta_records_versions_and_argv(tmp_path, capsys):
+    """The meta block names the versions and the arguments that made the
+    file; the line on stdout does not carry them."""
+    out = tmp_path / "c.json"
+    argv = ["solve-candlestick", "--p", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["argv"] == argv
+    assert meta["versions"] == {"pbslab": pbslab.__version__,
+                                "numpy": np.__version__,
+                                "scipy": scipy.__version__,
+                                "python": platform.python_version()}
+    assert "created_utc" in meta
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("b0s=") and stdout.count("\n") == 1
 
 
 # ---------------------------------- simulate -----------------------------------

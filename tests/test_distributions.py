@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, betaln, ndtr
+from scipy.special import betainc, betaincinv, betaln, ndtr
 
 from pbslab import (Beta, EmpiricalGrid, Lognormal, NegligibleMassError,
                     Uniform, lognormal_put_value, lognormal_truncated_mean,
@@ -47,6 +47,8 @@ def test_pdf_closed_forms():
     assert Beta(2, 2).pdf(0.5) == pytest.approx(1.5, abs=1e-12)
     assert Lognormal(0.0, 1.0).pdf(1e-12) == pytest.approx(0.0, abs=1e-30)
     assert Lognormal(0.0, 1.0).pdf(0.0) == 0.0
+    # the kernel underflows along with x * log_sd: 0, not 0/0
+    assert Lognormal(0.0, 0.5).pdf(5e-324) == 0.0
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: repr(d))
@@ -114,8 +116,9 @@ def _reference_lognormal_pdf(d, x):
     pos = x > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (np.log(x, where=pos, out=np.zeros_like(x)) - d.log_mean) / d.log_sd
-        dens = np.exp(-0.5 * z * z) / (x * d.log_sd * math.sqrt(2.0 * math.pi))
-    return np.where(pos, dens, 0.0)
+        kernel = np.exp(-0.5 * z * z)
+        dens = kernel / (x * d.log_sd * math.sqrt(2.0 * math.pi))
+    return np.where(pos & (kernel > 0.0), dens, 0.0)
 
 
 _REFERENCE = {Beta: (_reference_beta_cdf, _reference_beta_pdf),
@@ -166,6 +169,67 @@ def test_quantile_cdf_roundtrip(dist):
     assert np.max(np.abs(back - x) / scale) < 1e-8
     # and the inner identity: cdf(quantile(q)) = q to 1e-10
     assert np.max(np.abs(np.asarray(dist.cdf(x)) - q)) < 1e-10
+
+
+# interior values, the ends, the smallest subnormal, deep tails on both sides
+_BETA_Q_POINTS = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12,
+                  float(np.nextafter(1.0, 0.0)), 1.0]
+
+
+@pytest.mark.parametrize("law", [Beta(0.5, 0.5), Beta(0.7, 3.0), Beta(2.0, 2.0),
+                                 Beta(5.0, 0.5)], ids=repr)
+def test_beta_quantile_against_betaincinv(law):
+    rng = np.random.default_rng(11)
+    q = rng.permutation(np.concatenate([rng.random(200), _BETA_Q_POINTS]))
+    got = law.quantile(q)
+
+    # each value depends on its own q only: not on the call's size or shape
+    one_by_one = np.array([law.quantile(float(v)) for v in q])
+    assert got.tobytes() == one_by_one.tobytes()
+    assert law.quantile(q[::-1]).tobytes() == got[::-1].tobytes()
+    assert law.quantile(q.reshape(8, -1)).tobytes() == got.tobytes()
+
+    assert law.quantile(0.0) == 0.0 and law.quantile(1.0) == 1.0
+    assert got[q == 0.0].tobytes() == np.zeros(1).tobytes()
+
+    for x in [0.3, np.asarray(0.3), q, q.reshape(8, -1), np.array([]),
+              np.empty((0, 3))]:
+        result = law.quantile(x)
+        want = betaincinv(law.alpha, law.beta, np.asarray(x, dtype=float))
+        assert type(result) is type(want)
+        assert result.dtype == want.dtype and result.shape == want.shape
+
+    # where betaincinv inverts betainc to 1e-15 of the tail probability, the
+    # two agree to 1e-12
+    ref = betaincinv(law.alpha, law.beta, q)
+    trips = (np.abs(betainc(law.alpha, law.beta, ref) - q)
+             <= 1e-15 * np.minimum(q, 1.0 - q))
+    assert np.count_nonzero(trips) > 100
+    assert np.all(np.abs(got[trips] - ref[trips]) <= 1e-12 * ref[trips])
+
+    for bad in [math.nan, -1e-300, 1.0 + 1e-15, [0.5, math.nan], [[0.2], [1.5]]]:
+        with pytest.raises(ValueError):
+            law.quantile(bad)
+
+
+@pytest.mark.parametrize("alpha, beta, q", [
+    (0.01, 5.0, 0.6), (0.055, 62.0, 0.5025),         # a tiny value at q > 1/2
+    (0.27, 65.0, 1.0 - 2.0 ** -53), (1.0, 1e5, 1.0 - 2.0 ** -53),  # far tails
+    (200.0, 0.3, 1e-50),                              # a large value at small q
+])
+def test_beta_quantile_of_skewed_laws_keeps_relative_precision(alpha, beta, q):
+    want = betaincinv(alpha, beta, q)
+    assert abs(Beta(alpha, beta).quantile(q) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.7, 3.0), (5.0, 0.5), (50.0, 50.0)])
+def test_beta_quantile_fallback_converges_from_poor_starts(alpha, beta):
+    """The bracketed fallback reaches the quantile from any start, NaN too."""
+    below = Beta(alpha, beta)._halves()[0]
+    y = np.tile([1e-100, 1e-12, 0.01, 0.3, 0.5], 5)
+    start = np.repeat([1e-300, 1e-6, 0.5, 1.0 - 1e-9, math.nan], 5)
+    want = betaincinv(alpha, beta, y)
+    assert np.all(np.abs(below._refine(y, start, False) - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("bad_q", [-0.1, 1.5, math.nan])
@@ -300,10 +364,15 @@ def test_put_identity_single_point():
 
 @given(alpha=st.floats(0.5, 5.0), beta=st.floats(0.5, 5.0),
        q=st.floats(1e-4, 1.0 - 1e-4))
+@example(alpha=1.1015625, beta=1.1015625, q=0.5)
 @settings(max_examples=60, deadline=None)
 def test_beta_roundtrip_property(alpha, beta, q):
+    """cdf(quantile(q)) = q up to 1e-13 plus two ulps of x through the
+    density."""
     dist = Beta(alpha, beta)
-    assert float(dist.cdf(dist.quantile(q))) == pytest.approx(q, abs=1e-9)
+    x = float(dist.quantile(q))
+    bound = 1e-13 + 2.0 * float(dist.pdf(x)) * float(np.spacing(x))
+    assert abs(float(dist.cdf(x)) - q) <= bound
 
 
 @given(a=st.floats(-1.0, 1.0), s=st.floats(0.05, 1.5),

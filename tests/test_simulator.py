@@ -168,8 +168,9 @@ def _edge_blocks(width, rng, m=256):
 
 def _nondecreasing_rows(config, sol, u):
     """Rows whose computed values, and neutral bids, do not decrease as the
-    uniforms of a class rise: the kernel's assumption. scipy's betaincinv
-    breaks it at the last bit for about 1.5% of adjacent doubles."""
+    uniforms of a class rise: the kernel's assumption. The Beta quantile
+    breaks it at the last bit for about 1% of adjacent doubles (Beta(2,2):
+    1,939 of 200,000 pairs, against 3,045 for scipy's betaincinv)."""
     n_int, n_neu = config.n_integrated, config.n_neutral
     ok = np.ones(len(u), dtype=bool)
     for law, cols, maps in ((config.integrated_values, u[:, :n_int], []),

@@ -42,8 +42,7 @@ from .common_values import (CandlestickConfig, PriceProcess, RootNotFoundError,
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
                                   solve_fixed_point, solve_ode, verify_envelope)
-from .simulator import (CANDLESTICK_AXES, PRIVATE_AXES, simulate_candlestick,
-                        simulate_hybrid, sweep, sweep_header)
+from .simulator import _MIN_REPS, simulate_candlestick, simulate_hybrid
 
 __all__ = ["main"]
 
@@ -52,6 +51,11 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
+
+_CANDLESTICK_AXES = ("p", "vol", "delta")
+_PRIVATE_AXES = ("na", "nb")
+_CANDLESTICK_HEADER = ["axis_value", "b0s", "slow_win_prob", "fast_profit", "status"]
+_PRIVATE_HEADER = ["axis_value", "slope_fit", "residual", "status"]
 
 
 # ------------------------------ option registry -------------------------------
@@ -112,7 +116,7 @@ _SIMULATE_OPTS = (
 )
 
 _SWEEP_OPTS = (
-    _Opt("axis", str, required=True, choices=CANDLESTICK_AXES + PRIVATE_AXES),
+    _Opt("axis", str, required=True, choices=_CANDLESTICK_AXES + _PRIVATE_AXES),
     _Opt("grid", _parse_grid, required=True,
          help="comma-separated axis values (not grid points, as elsewhere)"),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
@@ -232,8 +236,9 @@ def _solution_csv(solution) -> str:
 
 
 def _rows_csv(header: list[str], rows: list[dict]) -> str:
+    """CSV of ``rows`` under ``header``; a field a row lacks is left empty."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=header, restval="", lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -252,15 +257,15 @@ def _laws(ns) -> tuple:
 
 
 def _candlestick(ns):
-    """Build and solve the candlestick model of ``ns``: ``(config, solution)``."""
+    """Build and solve the candlestick model of ``ns``."""
     config = CandlestickConfig(PriceProcess(ns.v0, ns.vol, ns.delta), ns.p)
-    return config, solve_candlestick(config, **_tol(ns))
+    return solve_candlestick(config, **_tol(ns))
 
 
 def _hybrid(ns, laws):
     """Build and solve, by fixed point, the hybrid model of ``ns`` over ``laws``."""
     config = HybridAuctionConfig(ns.na, ns.nb, *laws)
-    return config, solve_fixed_point(config, ns.grid, **_tol(ns))
+    return solve_fixed_point(config, ns.grid, **_tol(ns))
 
 
 def cmd_solve_private(ns) -> int:
@@ -302,7 +307,7 @@ def cmd_solve_private(ns) -> int:
 
 def cmd_solve_candlestick(ns) -> int:
     """solve the candlestick break-even slow bid"""
-    _, solution = _candlestick(ns)
+    solution = _candlestick(ns)
     payload = solution.to_dict()
     payload["bracket"] = list(solution.bracket) if solution.bracket else None
     payload["iterations"] = solution.iterations
@@ -315,11 +320,9 @@ def cmd_solve_candlestick(ns) -> int:
 def cmd_simulate(ns) -> int:
     """solve, then verify by Monte Carlo (prints PASS/FAIL)"""
     if ns.model == "hybrid":
-        config, solution = _hybrid(ns, _laws(ns))
-        report = simulate_hybrid(config, solution, ns.reps, ns.seed)
+        report = simulate_hybrid(_hybrid(ns, _laws(ns)), ns.reps, ns.seed)
     else:
-        config, solution = _candlestick(ns)
-        report = simulate_candlestick(config, solution, ns.n_slow, ns.reps, ns.seed)
+        report = simulate_candlestick(_candlestick(ns), ns.n_slow, ns.reps, ns.seed)
 
     _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv))
     if report.agreement_ok:
@@ -332,29 +335,51 @@ def cmd_simulate(ns) -> int:
     return EXIT_VERIFY
 
 
-def cmd_sweep(ns) -> int:
-    """solve one row per point along a parameter axis"""
-    laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
+def sweep(ns) -> list[dict]:
+    """Solve (and with ``--verify-reps`` verify) one point per value ``x`` of
+    ``--grid`` along ``--axis``; rows come back in grid order.
 
-    def solve_point(x):
+    A point whose solve or verification fails with a solver or input error
+    keeps that error in its row's ``status`` (``error: <class>: <message>``)
+    instead of aborting the sweep; any other exception propagates.
+    """
+    laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
+    if ns.verify_reps and ns.verify_reps < _MIN_REPS:
+        raise ValueError(f"need at least {_MIN_REPS} replications")
+    rows = []
+    for x in ns.grid:
         # sweep's --grid holds the axis values, --grid-size the value-grid points
         point = argparse.Namespace(**{**vars(ns), "grid": ns.grid_size, ns.axis: x})
-        if ns.axis in CANDLESTICK_AXES:
-            config, solution = _candlestick(point)
-            return ({"b0s": solution.b0s, "slow_win_prob": solution.slow_win_prob,
-                     "fast_profit": solution.fast_expected_profit},
-                    partial(simulate_candlestick, config, solution, ns.n_slow))
-        if not float(x).is_integer():
-            raise ValueError(f"{ns.axis} grid values must be integers, got {x}")
-        setattr(point, ns.axis, int(x))
-        config, solution = _hybrid(point, laws)
-        v, b = solution.values, solution.bids
-        return ({"slope_fit": float(np.dot(b, v) / np.dot(v, v)),
-                 "residual": solution.residual},
-                partial(simulate_hybrid, config, solution))
+        row = {"axis_value": x}
+        try:
+            if ns.axis in _CANDLESTICK_AXES:
+                solution = _candlestick(point)
+                row.update(b0s=solution.b0s, slow_win_prob=solution.slow_win_prob,
+                           fast_profit=solution.fast_expected_profit)
+                verify = partial(simulate_candlestick, solution, ns.n_slow)
+            else:
+                if not float(x).is_integer():
+                    raise ValueError(f"{ns.axis} grid values must be integers, got {x}")
+                setattr(point, ns.axis, int(x))
+                solution = _hybrid(point, laws)
+                v, b = solution.values, solution.bids
+                row.update(slope_fit=float(np.dot(b, v) / np.dot(v, v)),
+                           residual=solution.residual)
+                verify = partial(simulate_hybrid, solution)
+            row["status"] = "ok"
+            if ns.verify_reps and not verify(ns.verify_reps, ns.seed).agreement_ok:
+                row["status"] = "verify-failed"
+        except (SolverError, RootNotFoundError, ValueError) as exc:
+            row["status"] = f"error: {type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
-    rows = sweep(ns.axis, ns.grid, solve_point, ns.verify_reps, ns.seed)
-    _write_atomic(ns.out, _rows_csv(sweep_header(ns.axis), rows))
+
+def cmd_sweep(ns) -> int:
+    """solve one row per point along a parameter axis"""
+    rows = sweep(ns)
+    header = _CANDLESTICK_HEADER if ns.axis in _CANDLESTICK_AXES else _PRIVATE_HEADER
+    _write_atomic(ns.out, _rows_csv(header, rows))
     bad = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep over {ns.axis}: {len(rows)} rows, {bad} non-ok")
     return EXIT_OK
@@ -362,7 +387,7 @@ def cmd_sweep(ns) -> int:
 
 def cmd_figure(ns) -> int:
     """emit an SVG bid-schedule chart plus companion CSV"""
-    _, solution = _hybrid(ns, _laws(ns))
+    solution = _hybrid(ns, _laws(ns))
     v = solution.values
     svg = line_chart_svg(
         [Series(v, solution.bids, "equilibrium bid"),

@@ -65,10 +65,14 @@ class PriceProcess:
     delta: float
 
     def __post_init__(self):
-        if not self.v0 > 0.0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
-        if self.vol < 0.0 or self.delta < 0.0:
-            raise ValueError("vol and delta must be nonnegative")
+        if not 0.0 < self.v0 < math.inf:
+            raise ValueError(f"v0 must be positive and finite, got {self.v0}")
+        if not (0.0 <= self.vol < math.inf and 0.0 <= self.delta < math.inf):
+            raise ValueError("vol and delta must be nonnegative and finite")
+        # log_mean squares the log-sd, and a float ** 2 raises on overflow
+        if self.log_sd * self.log_sd == math.inf:
+            raise ValueError(f"log-sd vol*sqrt(delta) = {self.log_sd:g} is too "
+                             "large: its square overflows")
 
     @property
     def log_sd(self) -> float:
@@ -165,6 +169,8 @@ def solve_candlestick(config: CandlestickConfig, tol: float = 1e-12) -> Candlest
     are exact: p=0 gives v0, p=1 gives 0, and a degenerate (motionless)
     process gives v0 at any p since there is no adverse selection.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"need tol >= 0, got {tol}")
     process, p = config.process, config.p
     v0 = process.v0
     if process.is_degenerate or p == 0.0:

@@ -180,7 +180,6 @@ class EquilibriumSolution:
     iterations: int
     tol: float
     converged: bool = True
-    anchor_points: int = field(default=0, repr=False)
     restarts: int = 0
     residual_history: tuple = field(default=(), repr=False)
 
@@ -215,32 +214,6 @@ class EquilibriumSolution:
 
 
 # ------------------------------ grid machinery -------------------------------
-
-
-def _value_grid(config: HybridAuctionConfig, grid_size: int) -> np.ndarray:
-    """Equal-probability grid over the neutral value support."""
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
-    q = np.linspace(0.0, top_q, grid_size)
-    grid = np.asarray(config.neutral_values.quantile(q), dtype=float)
-    grid = np.unique(grid)
-    if grid.size < 64:
-        raise ValueError("value grid collapsed; distribution too concentrated")
-    return grid
-
-
-def _tail_exponent(config: HybridAuctionConfig, lo: float, first_step: float) -> float:
-    """Combined lower-tail exponent k of G(v) near the support bottom."""
-    k_rivals = 0.0
-    if config.n_neutral > 1:
-        k_rivals = (config.n_neutral - 1) * lower_tail_exponent(
-            config.neutral_values, lo, first_step)
-    k_reserve = 0.0
-    if config.n_integrated > 0:
-        k_reserve = config.n_integrated * lower_tail_exponent(
-            config.integrated_values, lo, first_step)
-    return k_rivals + k_reserve
 
 
 def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float,
@@ -313,59 +286,72 @@ def _strictly_increasing(b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _equation_defect(config: HybridAuctionConfig, values: np.ndarray,
-                     rival: np.ndarray, bids: np.ndarray, lo: float, tail_k: float,
-                     skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The shading identity's right-hand side v - int(G)/G, the points where
-    it is usable (G above the floor, not in ``skip``: anchor points) and the
-    sup-norm defect |bid - mapped| over them. ``rival``: rival_cdf(values)."""
-    g = rival * config.reserve_cdf(bids)
-    integral = _power_cumint(values, g, lo, tail_k)
-    usable = (g > _G_FLOOR) & ~skip
-    ratio = np.zeros_like(values)
-    np.divide(integral, g, out=ratio, where=usable)
-    mapped = values - ratio
-    sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
-    return mapped, usable, sup
+class _Problem:
+    """What one solve fixes before its first sweep: the equal-probability
+    value grid over the neutral support, the rival CDF on it, the combined
+    lower-tail exponent ``tail_k`` of G and the anchor line
+    ``lo + slope * (v - lo)`` that holds the boundary region."""
 
+    def __init__(self, config: HybridAuctionConfig, grid_size: int):
+        if grid_size < 64:
+            raise ValueError("grid_size must be at least 64")
+        top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
+        q = np.linspace(0.0, top_q, grid_size)
+        grid = np.unique(np.asarray(config.neutral_values.quantile(q), dtype=float))
+        if grid.size < 64:
+            raise ValueError("value grid collapsed; distribution too concentrated")
+        lo = float(grid[0])
+        if config.n_neutral == 1 and lo > 1e-12:
+            raise ValueError("single neutral bidder requires a value support "
+                             "starting at 0")
+        eps_v = float(grid[-1] - lo) / grid_size
+        probe = max(eps_v, float(grid[1] - lo)) / 2.0
+        tail_k = 0.0
+        if config.n_neutral > 1:
+            tail_k += (config.n_neutral - 1) * lower_tail_exponent(
+                config.neutral_values, lo, probe)
+        if config.n_integrated > 0:
+            tail_k += config.n_integrated * lower_tail_exponent(
+                config.integrated_values, lo, probe)
+        if tail_k <= 0.0:
+            raise SolverError("flat lower tail: no interior shading slope exists")
+        self.config, self.values = config, grid
+        self.lo, self.eps_v, self.tail_k = lo, eps_v, tail_k
+        self.slope = tail_k / (tail_k + 1.0)
+        self.anchor = grid <= lo + eps_v
+        self.anchor[0] = True
+        self.line = lo + self.slope * (grid - lo)
+        self.rival = config.rival_cdf(grid)
 
-def _prepare(config: HybridAuctionConfig, grid_size: int):
-    grid = _value_grid(config, grid_size)
-    lo = float(grid[0])
-    width = float(grid[-1] - lo)
-    if config.n_neutral == 1 and lo > 1e-12:
-        raise ValueError("single neutral bidder requires a value support "
-                         "starting at 0")
-    eps_v = width / grid_size
-    tail_k = _tail_exponent(config, lo, max(eps_v, float(grid[1] - lo)) / 2.0)
-    if tail_k <= 0.0:
-        raise SolverError("flat lower tail: no interior shading slope exists")
-    slope = tail_k / (tail_k + 1.0)
-    anchor = grid <= lo + eps_v
-    anchor[0] = True
-    line = lo + slope * (grid - lo)
-    return grid, lo, eps_v, tail_k, slope, anchor, line, config.rival_cdf(grid)
+    def defect(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The shading identity's right-hand side v - int(G)/G, the points
+        where it is usable (G above the floor, off the anchor) and the
+        sup-norm defect |bid - mapped| over them."""
+        g = self.rival * self.config.reserve_cdf(bids)
+        integral = _power_cumint(self.values, g, self.lo, self.tail_k)
+        usable = (g > _G_FLOOR) & ~self.anchor
+        ratio = np.zeros_like(self.values)
+        np.divide(integral, g, out=ratio, where=usable)
+        mapped = self.values - ratio
+        sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
+        return mapped, usable, sup
 
+    def project(self, bids: np.ndarray) -> np.ndarray:
+        """The safeguard every sweep ends with: isotonic projection, clip into
+        [0, v] and the anchor clamp. Returns a new array."""
+        bids = np.clip(_isotonic(bids), 0.0, self.values)
+        bids[self.anchor] = self.line[self.anchor]
+        return bids
 
-def _finish(config, grid, rival, bids, residual, method, iterations, tol,
-            anchor_count, lo, tail_k, restarts=0, history=()) -> EquilibriumSolution:
-    bids = _strictly_increasing(np.clip(bids, 0.0, grid))
-    bid_function = BidFunction(grid, bids)
-    x = rival * config.reserve_cdf(bids)
-    surplus = _power_cumint(grid, x, lo, tail_k)
-    return EquilibriumSolution(
-        config=config, bid_function=bid_function, win_prob=x, surplus=surplus,
-        residual=residual, method=method, iterations=iterations, tol=tol,
-        converged=True, anchor_points=anchor_count, restarts=restarts,
-        residual_history=tuple(history))
-
-
-def _project(bids, grid, anchor, line) -> np.ndarray:
-    """The safeguard every sweep ends with: isotonic projection, clip into
-    [0, v] and the anchor clamp. Returns a new array."""
-    bids = np.clip(_isotonic(bids), 0.0, grid)
-    bids[anchor] = line[anchor]
-    return bids
+    def finish(self, bids, residual, method, iterations, tol, restarts=0,
+               history=()) -> EquilibriumSolution:
+        bids = _strictly_increasing(np.clip(bids, 0.0, self.values))
+        x = self.rival * self.config.reserve_cdf(bids)
+        return EquilibriumSolution(
+            config=self.config, bid_function=BidFunction(self.values, bids),
+            win_prob=x, surplus=_power_cumint(self.values, x, self.lo, self.tail_k),
+            residual=residual, method=method, iterations=iterations, tol=tol,
+            restarts=restarts, residual_history=tuple(history))
 
 
 def _extrapolate(image, step, d_image, d_step) -> np.ndarray | None:
@@ -402,9 +388,10 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         raise ValueError("damping must be in (0, 1]")
     if max_iter < 0 or not tol >= 0.0:
         raise ValueError("need max_iter >= 0 and tol >= 0")
-    grid, lo, eps_v, tail_k, slope, anchor, line, rival = _prepare(config, grid_size)
+    problem = _Problem(config, grid_size)
+    line = problem.line
 
-    d_image = np.empty((_ANDERSON_DEPTH, grid.size))  # ring of image differences
+    d_image = np.empty((_ANDERSON_DEPTH, line.size))  # ring of image differences
     d_step = np.empty_like(d_image)                    # and of step differences
     stored = restarts = stalled = 0
     best = math.inf
@@ -412,13 +399,11 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     history = []
     bids = line.copy()
     for iteration in range(max_iter + 1):
-        mapped, usable, residual = _equation_defect(config, grid, rival, bids,
-                                                    lo, tail_k, anchor)
+        mapped, usable, residual = problem.defect(bids)
         history.append(residual)
         if residual <= tol:
-            return _finish(config, grid, rival, bids, residual, "fixed-point",
-                           iteration, tol, int(anchor.sum()), lo, tail_k,
-                           restarts, history[1:])
+            return problem.finish(bids, residual, "fixed-point", iteration, tol,
+                                  restarts, history[1:])
 
         image = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
         step = image - bids
@@ -440,7 +425,7 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
             if candidate is None:
                 candidate, stored = image, 0
                 restarts += 1
-        bids = _project(candidate, grid, anchor, line)
+        bids = problem.project(candidate)
 
     raise SolverError(
         f"fixed point did not reach tol={tol:g} after {max_iter} sweeps "
@@ -464,7 +449,8 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
         raise ValueError("ODE route needs at least two neutral bidders")
     if not tol > 0.0:
         raise ValueError("ODE tolerance must be positive")
-    grid, lo, eps_v, tail_k, slope, anchor, line, rival = _prepare(config, grid_size)
+    problem = _Problem(config, grid_size)
+    grid, lo, eps_v = problem.values, problem.lo, problem.eps_v
     v_start = lo + eps_v
     top = float(grid[-1])
     n_int, n_neu = config.n_integrated, config.n_neutral
@@ -492,7 +478,7 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
         return reserve_terms(v, min(float(y[0]), v))[1]
 
     domain_edge.terminal = True
-    start = [lo + slope * eps_v]
+    start = [lo + problem.slope * eps_v]
     if n_int and domain_edge(v_start, start) <= 0.0:
         raise OdeSingularityError(v_start)
 
@@ -508,12 +494,10 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     if not sol.success:
         raise SolverError(f"ODE integration failed: {sol.message}")
 
-    bids = line.copy()
+    bids = problem.line.copy()
     bids[solved] = sol.y[0]
     bids = np.minimum(bids, grid)
-    residual = _equation_defect(config, grid, rival, bids, lo, tail_k, anchor)[2]
-    return _finish(config, grid, rival, bids, residual, "ode", int(sol.nfev),
-                   tol, int(anchor.sum()), lo, tail_k)
+    return problem.finish(bids, problem.defect(bids)[2], "ode", int(sol.nfev), tol)
 
 
 # ------------------------------- closed forms ---------------------------------
@@ -572,8 +556,7 @@ class BestResponseReport:
     gains: np.ndarray = field(repr=False, default=None)
 
 
-def verify_best_response(config: HybridAuctionConfig,
-                         solution: EquilibriumSolution,
+def verify_best_response(solution: EquilibriumSolution,
                          value_grid: np.ndarray | None = None,
                          bid_grid: np.ndarray | None = None) -> BestResponseReport:
     """Grid-search for profitable deviations from the solved schedule.
@@ -584,7 +567,7 @@ def verify_best_response(config: HybridAuctionConfig,
     contest outright); at an equilibrium the best gain over the scheduled bid
     is nonpositive up to discretization.
     """
-    v_grid = solution.values
+    config, v_grid = solution.config, solution.values
     if value_grid is None:
         value_grid = np.linspace(v_grid[0], v_grid[-1], 21)
     if bid_grid is None:

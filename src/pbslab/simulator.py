@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common_values import (CandlestickConfig, CandlestickSolution,
-                            RootNotFoundError, law_of_v_delta)
-from .private_equilibrium import (EquilibriumSolution, HybridAuctionConfig,
-                                  SolverError)
+from .common_values import CandlestickSolution, law_of_v_delta
+from .private_equilibrium import EquilibriumSolution
 
 __all__ = [
     "BLOCK_SIZE",
@@ -37,7 +35,6 @@ __all__ = [
     "pick_winners",
     "simulate_hybrid",
     "simulate_candlestick",
-    "sweep",
 ]
 
 BLOCK_SIZE = 8192
@@ -91,8 +88,8 @@ class Stat:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated Monte Carlo estimates; a pure function of (config, solution,
-    reps, seed), bit-identical across reruns."""
+    """Aggregated Monte Carlo estimates; a pure function of (solution, reps,
+    seed), bit-identical across reruns."""
 
     model: str
     reps: int
@@ -177,8 +174,7 @@ def _top_two(u: np.ndarray):
     return col, top, second
 
 
-def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
-                  u: np.ndarray) -> dict[str, np.ndarray]:
+def _hybrid_block(solution: EquilibriumSolution, u: np.ndarray) -> dict[str, np.ndarray]:
     """Play one batch of auctions from a matrix of uniforms (one row per rep).
 
     The quantile functions and the bid schedule are nondecreasing, so each
@@ -191,6 +187,7 @@ def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
     do not decrease as a row's uniforms rise (the Beta quantile can drop by
     one ulp between adjacent doubles, where ``betainc`` rounds).
     """
+    config = solution.config
     n_int, n_neu = config.n_integrated, config.n_neutral
     m = u.shape[0]
     neu_col, neu_u, neu_u2 = _top_two(u[:, n_int:n_int + n_neu])
@@ -227,15 +224,16 @@ def _hybrid_block(config: HybridAuctionConfig, solution: EquilibriumSolution,
     }
     tied = np.flatnonzero(ambiguous)
     if tied.size:
-        for key, values in _hybrid_full_rows(config, solution, u[tied]).items():
+        for key, values in _hybrid_full_rows(solution, u[tied]).items():
             out[key][tied] = values
     return out
 
 
-def _hybrid_full_rows(config: HybridAuctionConfig, solution: EquilibriumSolution,
+def _hybrid_full_rows(solution: EquilibriumSolution,
                       u: np.ndarray) -> dict[str, np.ndarray]:
     """:func:`_hybrid_block` drawing every bidder's value; ties go to
     :func:`pick_winners`."""
+    config = solution.config
     n_int, n_neu = config.n_integrated, config.n_neutral
     m = u.shape[0]
     vals_int = np.asarray(config.integrated_values.quantile(u[:, :n_int]),
@@ -265,10 +263,10 @@ def _hybrid_full_rows(config: HybridAuctionConfig, solution: EquilibriumSolution
     }
 
 
-def _hybrid_analytic(config: HybridAuctionConfig,
-                     solution: EquilibriumSolution) -> dict[str, float]:
+def _hybrid_analytic(solution: EquilibriumSolution) -> dict[str, float]:
     # the solution grid is quantile-spaced, so expectations over the neutral
     # value law are plain integrals against the grid's CDF levels
+    config = solution.config
     q = np.asarray(config.neutral_values.cdf(solution.values), dtype=float)
     per_bidder_surplus = float(np.trapezoid(solution.surplus, q))
     neutral_rate = config.n_neutral * float(np.trapezoid(solution.win_prob, q))
@@ -279,14 +277,14 @@ def _hybrid_analytic(config: HybridAuctionConfig,
     }
 
 
-def simulate_hybrid(config: HybridAuctionConfig, solution: EquilibriumSolution,
-                    reps: int, seed: int) -> SimReport:
+def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimReport:
     """Aggregate ``reps`` independent hybrid auctions into a SimReport and
     compare against the analytic surplus and win rates at 3 half-widths."""
+    config = solution.config
     n_int = max(config.n_integrated, 1)
 
     def series(u):
-        out = _hybrid_block(config, solution, u)
+        out = _hybrid_block(solution, u)
         won_int = out["integrated_won"]
         return {
             "revenue": out["payment"],
@@ -300,7 +298,7 @@ def simulate_hybrid(config: HybridAuctionConfig, solution: EquilibriumSolution,
 
     width = config.n_integrated + config.n_neutral + 1  # values + tie-break
     stats = _run_stats(seed, reps, width, series)
-    analytic = _hybrid_analytic(config, solution)
+    analytic = _hybrid_analytic(solution)
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
     return SimReport(model="hybrid", reps=reps, seed=seed,
                      config=config.describe(), stats=stats, analytic=analytic,
@@ -310,10 +308,10 @@ def simulate_hybrid(config: HybridAuctionConfig, solution: EquilibriumSolution,
 # ------------------------------- candlestick ----------------------------------
 
 
-def _candlestick_block(config: CandlestickConfig, solution: CandlestickSolution,
-                       n_slow: int, u: np.ndarray) -> dict[str, np.ndarray]:
+def _candlestick_block(solution: CandlestickSolution, n_slow: int,
+                       u: np.ndarray) -> dict[str, np.ndarray]:
     """One batch of candlestick auctions from uniforms (tie, revision, value)."""
-    process, p = config.process, config.p
+    process, p = solution.config.process, solution.config.p
     b0s = solution.b0s
     m = u.shape[0]
     slow_winner = np.minimum((u[:, 0] * n_slow).astype(int), n_slow - 1)
@@ -337,15 +335,15 @@ def _candlestick_block(config: CandlestickConfig, solution: CandlestickSolution,
     }
 
 
-def simulate_candlestick(config: CandlestickConfig, solution: CandlestickSolution,
-                         n_slow: int, reps: int, seed: int) -> SimReport:
+def simulate_candlestick(solution: CandlestickSolution, n_slow: int, reps: int,
+                         seed: int) -> SimReport:
     """Play the candlestick auction with all slow bidders at the solved bid;
     the slow class must break even and the win rates must match the solution."""
     if n_slow < 2:
         raise ValueError("the zero-profit condition presumes at least two slow bidders")
 
     def series(u):
-        out = _candlestick_block(config, solution, n_slow, u)
+        out = _candlestick_block(solution, n_slow, u)
         fast_won = out["fast_won"]
         return {
             "revenue": out["revenue"],
@@ -362,49 +360,7 @@ def simulate_candlestick(config: CandlestickConfig, solution: CandlestickSolutio
         "fast_profit": solution.fast_expected_profit,
     }
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
-    cfg = config.describe()
+    cfg = solution.config.describe()
     cfg["n_slow"] = n_slow
     return SimReport(model="candlestick", reps=reps, seed=seed, config=cfg,
                      stats=stats, analytic=analytic, checks=checks)
-
-
-# ---------------------------------- sweeps ------------------------------------
-
-CANDLESTICK_AXES = ("p", "vol", "delta")
-PRIVATE_AXES = ("na", "nb")
-_CANDLESTICK_HEADER = ["axis_value", "b0s", "slow_win_prob", "fast_profit", "status"]
-_PRIVATE_HEADER = ["axis_value", "slope_fit", "residual", "status"]
-
-
-def sweep_header(axis: str) -> list[str]:
-    return _CANDLESTICK_HEADER if axis in CANDLESTICK_AXES else _PRIVATE_HEADER
-
-
-def sweep(axis: str, grid, solve_point, verify_reps: int = 0,
-          seed: int = 0) -> list[dict]:
-    """Solve (and optionally verify) one point per value ``x`` of ``grid``.
-
-    ``solve_point(x)`` returns the row's fields and a ``verify(reps, seed)``
-    giving the point's :class:`SimReport`. Rows come back in grid order. A
-    point whose solve or verification fails with a solver or input error
-    keeps that error in its row's ``status`` (``error: <class>: <message>``)
-    instead of aborting the sweep; any other exception propagates.
-    """
-    if axis not in CANDLESTICK_AXES + PRIVATE_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; "
-                         f"choose from {CANDLESTICK_AXES + PRIVATE_AXES}")
-    if verify_reps and verify_reps < _MIN_REPS:
-        raise ValueError(f"need at least {_MIN_REPS} replications")
-    rows = []
-    for x in grid:
-        row = dict.fromkeys(sweep_header(axis), "")
-        row["axis_value"] = x
-        try:
-            fields, verify = solve_point(x)
-            row.update(fields, status="ok")
-            if verify_reps and not verify(verify_reps, seed).agreement_ok:
-                row["status"] = "verify-failed"
-        except (SolverError, RootNotFoundError, ValueError) as exc:
-            row["status"] = f"error: {type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows

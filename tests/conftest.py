@@ -2,8 +2,10 @@ import signal
 
 import pytest
 
-from pbslab import (Beta, CandlestickConfig, HybridAuctionConfig, PriceProcess,
-                    Uniform, solve_candlestick, solve_fixed_point, solve_ode)
+from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
+from pbslab.distributions import Beta, Uniform
+from pbslab.private_equilibrium import (HybridAuctionConfig, solve_fixed_point,
+                                        solve_ode)
 
 UNIT = Uniform(0.0, 1.0)
 

@@ -11,12 +11,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pbslab import (Beta, CandlestickConfig, HybridAuctionConfig, PriceProcess,
-                    Uniform, candlestick_residual, law_of_v_delta,
-                    lognormal_put_value, lognormal_truncated_mean,
-                    simulate_candlestick, simulate_hybrid, solve_candlestick,
-                    solve_fixed_point, solve_ode, unraveling_slow_profit,
-                    verify_best_response, verify_envelope)
+from pbslab.common_values import (CandlestickConfig, PriceProcess,
+                                  law_of_v_delta, solve_candlestick,
+                                  unraveling_slow_profit)
+from pbslab.distributions import (Beta, Uniform, lognormal_put_value,
+                                  lognormal_truncated_mean)
+from pbslab.private_equilibrium import (HybridAuctionConfig, solve_fixed_point,
+                                        solve_ode, verify_best_response,
+                                        verify_envelope)
+from pbslab.simulator import simulate_candlestick, simulate_hybrid
 from pbslab.cli import main
 
 UNIT = Uniform(0.0, 1.0)
@@ -94,8 +97,8 @@ def test_criterion_04_envelope_identity(matrix_solutions):
 
 def test_criterion_05_best_response(matrix_solutions):
     worst = -np.inf
-    for config, sol in matrix_solutions.values():
-        worst = max(worst, verify_best_response(config, sol).max_gain)
+    for _, sol in matrix_solutions.values():
+        worst = max(worst, verify_best_response(sol).max_gain)
     _line("criterion 5 (no profitable deviation)", worst <= 1e-3,
           f"max deviation gain {worst:.2e} over 21 values x 200 bids (tol 1e-3)")
 
@@ -177,8 +180,8 @@ def test_criterion_09_hybrid_monte_carlo():
     config = HybridAuctionConfig(3, 1, UNIT, UNIT)
     sol = solve_fixed_point(config, grid_size=512)
     start = time.perf_counter()
-    report = simulate_hybrid(config, sol, 1_000_000, seed=42)
-    rerun = simulate_hybrid(config, sol, 1_000_000, seed=42)
+    report = simulate_hybrid(sol, 1_000_000, seed=42)
+    rerun = simulate_hybrid(sol, 1_000_000, seed=42)
     elapsed = time.perf_counter() - start
     identical = report.to_dict() == rerun.to_dict()
     zmax = max(abs(c["estimate"] - c["target"]) / c["half_width"]
@@ -195,7 +198,7 @@ def test_criterion_10_candlestick_monte_carlo():
     for p in (0.25, 0.5, 0.75):
         config = CandlestickConfig(process, p)
         sol = solve_candlestick(config)
-        report = simulate_candlestick(config, sol, 2, 1_000_000, seed=42)
+        report = simulate_candlestick(sol, 2, 1_000_000, seed=42)
         slow = report.stats["slow_profit"]
         straddles = abs(slow.mean) <= 3 * slow.half_width
         ok &= report.agreement_ok and straddles

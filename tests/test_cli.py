@@ -167,6 +167,19 @@ def test_solve_candlestick_interior(tmp_path):
     assert payload["schema_version"] == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ("--vol", "1.4e154"), ("--v0", "inf"), ("--delta", "nan"),
+    ("--tol", "-1"), ("--tol", "nan"),
+])
+def test_solve_candlestick_invalid_inputs_are_usage_errors(tmp_path, recwarn, flags):
+    """Rejected with exit 2 before any work: no traceback, no warning."""
+    out = tmp_path / "c.json"
+    rc = main(["solve-candlestick", "--p", "0.5", *flags, "--out", str(out)])
+    assert rc == 2
+    assert not recwarn.list
+    assert not out.exists()
+
+
 def test_json_meta_records_versions_and_argv(tmp_path, capsys):
     """The meta block names the versions and the arguments that made the
     file; the line on stdout does not carry them."""
@@ -205,8 +218,8 @@ def test_simulate_disagreement_exits_4(tmp_path, monkeypatch):
 
     real = cli.simulate_hybrid
 
-    def poisoned(config, solution, reps, seed):
-        report = real(config, solution, reps, seed)
+    def poisoned(solution, reps, seed):
+        report = real(solution, reps, seed)
         checks = [dict(c) for c in report.checks]
         checks[0]["ok"] = False
         return dataclasses.replace(report, checks=checks)
@@ -304,6 +317,12 @@ def test_sweep_grid_size_and_tol_reach_the_points(tmp_path):
     assert row["status"] == "ok" and float(row["residual"]) <= 1e-6
     [row] = _sweep_rows(tmp_path, *flags, "--tol", "0.5")
     assert row["status"] == "ok" and 1e-6 < float(row["residual"]) <= 0.5
+
+
+def test_sweep_overflowing_vol_is_an_error_row(tmp_path):
+    rows = _sweep_rows(tmp_path, "--axis", "vol", "--grid", "0.1,1.4e154", "--p", "0.5")
+    assert rows[0]["status"] == "ok"
+    assert rows[1]["status"].startswith("error: ValueError: ")
 
 
 # ----------------------------------- figure ------------------------------------

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pbslab import (CandlestickConfig, PriceProcess, candlestick_residual,
-                    fast_expected_profit, law_of_v_delta, lognormal_put_value,
-                    slow_win_probability, solve_candlestick,
-                    unraveling_slow_profit)
+from pbslab.common_values import (CandlestickConfig, PriceProcess,
+                                  candlestick_residual, fast_expected_profit,
+                                  law_of_v_delta, slow_win_probability,
+                                  solve_candlestick, unraveling_slow_profit)
+from pbslab.distributions import lognormal_put_value
 from pbslab.simulator import _candlestick_block
 
 
@@ -55,6 +56,22 @@ def test_process_validation():
         law_of_v_delta(PriceProcess(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         CandlestickConfig(_process(), 1.2)
+
+
+@pytest.mark.parametrize("v0,vol,delta", [
+    (math.inf, 0.2, 1.0), (math.nan, 0.2, 1.0), (1.0, math.inf, 1.0),
+    (1.0, math.nan, 1.0), (1.0, 0.2, math.inf), (1.0, 0.2, math.nan),
+    (1.0, 1.4e154, 1.0),   # log_sd ** 2 overflows
+    (1.0, 1e100, 1e300),   # vol * sqrt(delta) overflows
+])
+def test_process_rejects_non_finite_or_overflowing_inputs(v0, vol, delta):
+    with pytest.raises(ValueError):
+        PriceProcess(v0, vol, delta)
+
+
+def test_process_accepts_the_largest_squarable_log_sd():
+    vol = math.sqrt(1.7976931348623157e308)  # rounds to a double whose square is finite
+    assert PriceProcess(1.0, vol, 1.0).log_mean == -0.5 * vol ** 2
 
 
 # --------------------------------- residual ------------------------------------
@@ -149,6 +166,13 @@ def test_solver_matches_dense_grid_quadrature_oracle(candlestick_half):
     assert abs(sol.b0s - _oracle_root(config)) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_negative_or_nan_tolerance_rejected(tol, p):
+    with pytest.raises(ValueError, match="tol"):
+        solve_candlestick(CandlestickConfig(_process(), p), tol=tol)
+
+
 def test_zero_tolerance_stays_legal(candlestick_half):
     """The bisection stops at its iteration cap, so tol=0 still solves."""
     config, sol = candlestick_half
@@ -194,10 +218,10 @@ def test_fast_bid_decision_strictness(candlestick_half):
     # both rows revise (second uniform below p); values 1.2x and 0.8x the bid
     u = np.array([[0.0, 0.0, float(law.cdf(1.2 * sol.b0s))],
                   [0.0, 0.0, float(law.cdf(0.8 * sol.b0s))]])
-    assert _candlestick_block(config, sol, 2, u)["fast_won"].tolist() == [True, False]
+    assert _candlestick_block(sol, 2, u)["fast_won"].tolist() == [True, False]
     # a motionless value always revises to v0 = b0s: ties stay with the slow bid
     still = CandlestickConfig(_process(vol=0.0), 1.0)
-    tie = _candlestick_block(still, solve_candlestick(still), 2, np.zeros((1, 3)))
+    tie = _candlestick_block(solve_candlestick(still), 2, np.zeros((1, 3)))
     assert tie["fast_won"].tolist() == [False]
 
 
@@ -243,7 +267,7 @@ def test_zero_profit_identity(candlestick_half):
     """The solved bid makes the win-and-lose decomposition balance exactly."""
     config, sol = candlestick_half
     law = law_of_v_delta(config.process)
-    from pbslab import lognormal_truncated_mean
+    from pbslab.distributions import lognormal_truncated_mean
     mass = float(law.cdf(sol.b0s))
     adverse = mass * (lognormal_truncated_mean(law, sol.b0s) - sol.b0s)
     total = (1 - config.p) * (1.0 - sol.b0s) + config.p * adverse

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc, betaincinv, betaln, ndtr
 
-from pbslab import (Beta, EmpiricalGrid, Lognormal, NegligibleMassError,
-                    Uniform, lognormal_put_value, lognormal_truncated_mean,
-                    parse_distribution)
-from pbslab.distributions import lower_tail_exponent
+from pbslab.distributions import (Beta, EmpiricalGrid, Lognormal,
+                                  NegligibleMassError, Uniform,
+                                  lognormal_put_value, lognormal_truncated_mean,
+                                  lower_tail_exponent, parse_distribution)
 
 
 def _empirical_example() -> EmpiricalGrid:

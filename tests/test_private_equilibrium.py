@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pbslab import (Beta, BidFunction, EmpiricalGrid, EquilibriumSolution,
-                    HybridAuctionConfig, Lognormal, OdeSingularityError,
-                    SolverError, Uniform,
-                    closed_form_single_neutral, solve_fixed_point, solve_ode,
-                    surplus_single_neutral, verify_best_response,
-                    verify_envelope, winning_probability)
 from pbslab import private_equilibrium as pe
+from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
+from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
+                                        HybridAuctionConfig, OdeSingularityError,
+                                        SolverError, closed_form_single_neutral,
+                                        solve_fixed_point, solve_ode,
+                                        surplus_single_neutral,
+                                        verify_best_response, verify_envelope,
+                                        winning_probability)
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -128,14 +130,13 @@ def test_fixed_point_evaluates_rival_cdf_once_per_solve():
 def _damped_reference(config, grid_size=512, tol=1e-6, damping=0.5):
     """The plain damped iteration of the shading identity (no extrapolation),
     the reference the accelerated solver is held to."""
-    grid, lo, _, tail_k, _, anchor, line, rival = pe._prepare(config, grid_size)
+    problem = pe._Problem(config, grid_size)
+    grid, anchor, line = problem.values, problem.anchor, problem.line
     bids = line.copy()
     for sweeps in range(10_000):
-        mapped, usable, residual = pe._equation_defect(config, grid, rival, bids,
-                                                       lo, tail_k, anchor)
+        mapped, usable, residual = problem.defect(bids)
         if residual <= tol:
-            return pe._finish(config, grid, rival, bids, residual, "damped",
-                              sweeps, tol, int(anchor.sum()), lo, tail_k)
+            return problem.finish(bids, residual, "damped", sweeps, tol)
         bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
         bids = np.clip(pe._isotonic(bids), 0.0, grid)
         bids[anchor] = line[anchor]
@@ -167,9 +168,7 @@ def test_anderson_matches_damped_reference(name):
     config, grid_size = ANDERSON_MATRIX[name]
     sol = solve_fixed_point(config, grid_size)
     ref = _damped_reference(config, grid_size)
-    grid, lo, _, tail_k, _, anchor, _, rival = pe._prepare(config, grid_size)
-    assert pe._equation_defect(config, grid, rival, sol.bids, lo, tail_k,
-                               anchor)[2] <= sol.tol
+    assert pe._Problem(config, grid_size).defect(sol.bids)[2] <= sol.tol
     assert np.max(np.abs(sol.bids - ref.bids)) <= 5e-5
     assert np.max(np.abs(sol.surplus - ref.surplus)) <= 2e-6
     assert sol.iterations < ref.iterations
@@ -201,12 +200,12 @@ def test_safeguard_restarts_keep_full_steps_on_pace_and_projected(monkeypatch):
     is nondecreasing, in [0, v] and on the anchor line."""
     seen = []
 
-    def spy(config, values, rival, bids, lo, tail_k, skip):
-        seen.append((values, bids.copy(), skip))
-        return defect(config, values, rival, bids, lo, tail_k, skip)
+    def spy(problem, bids):
+        seen.append((problem.values, bids.copy(), problem.anchor))
+        return defect(problem, bids)
 
-    defect = pe._equation_defect
-    monkeypatch.setattr(pe, "_equation_defect", spy)
+    defect = pe._Problem.defect
+    monkeypatch.setattr(pe._Problem, "defect", spy)
     sol = solve_fixed_point(LOGNORMAL_2_4, damping=1.0)
     assert sol.restarts > 0
     assert sol.residual <= sol.tol
@@ -441,14 +440,14 @@ def test_strictly_increasing_matches_reference_loop(runs, ascending):
 
 
 def test_best_response_closed_form_case(uniform_3_1):
-    config, sol = uniform_3_1
-    report = verify_best_response(config, sol)
+    _, sol = uniform_3_1
+    report = verify_best_response(sol)
     assert report.max_gain <= 1e-6
 
 
 def test_best_response_three_by_three(uniform_3_3):
-    config, sol = uniform_3_3
-    report = verify_best_response(config, sol)
+    _, sol = uniform_3_3
+    report = verify_best_response(sol)
     assert report.max_gain <= 1e-3
     # a zero-value bidder cannot profit from any bid
     gains_at_zero = report.gains[0]
@@ -456,8 +455,8 @@ def test_best_response_three_by_three(uniform_3_3):
 
 
 def test_best_response_beta(beta_3_3):
-    config, sol = beta_3_3
-    assert verify_best_response(config, sol).max_gain <= 1e-3
+    _, sol = beta_3_3
+    assert verify_best_response(sol).max_gain <= 1e-3
 
 
 def test_surplus_below_truthful_counterfactual(uniform_3_3, beta_3_3):

@@ -1,19 +1,19 @@
 """Monte Carlo engine: stream determinism, payment rules, statistical agreement."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from pbslab import (Beta, CandlestickConfig, EmpiricalGrid, HybridAuctionConfig,
-                    Lognormal, PriceProcess, ReplicationRng, Uniform,
-                    simulate_candlestick, simulate_hybrid, solve_candlestick,
-                    solve_fixed_point, sweep)
 from pbslab import simulator
-from pbslab.cli import main
-from pbslab.simulator import (_candlestick_block, _hybrid_block,
+from pbslab.cli import build_parser, main, sweep
+from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
+from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
+from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
+from pbslab.simulator import (ReplicationRng, _candlestick_block, _hybrid_block,
                               _hybrid_full_rows, _replications, pick_winners,
-                              sweep_header)
+                              simulate_candlestick, simulate_hybrid)
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -24,14 +24,13 @@ def _outcomes(seed, reps, width, block_fn):
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
 
-def _hybrid_outcomes(config, sol, reps, seed):
-    width = config.n_integrated + config.n_neutral + 1  # values + tie-break
-    return _outcomes(seed, reps, width, lambda u: _hybrid_block(config, sol, u))
+def _hybrid_outcomes(sol, reps, seed):
+    width = sol.config.n_integrated + sol.config.n_neutral + 1  # values + tie-break
+    return _outcomes(seed, reps, width, lambda u: _hybrid_block(sol, u))
 
 
-def _candlestick_outcomes(config, sol, n_slow, reps, seed):
-    return _outcomes(seed, reps, 3,
-                     lambda u: _candlestick_block(config, sol, n_slow, u))
+def _candlestick_outcomes(sol, n_slow, reps, seed):
+    return _outcomes(seed, reps, 3, lambda u: _candlestick_block(sol, n_slow, u))
 
 
 # ------------------------------- random streams --------------------------------
@@ -55,19 +54,19 @@ def test_seed_validation():
 def test_outcome_prefix_stability(model, uniform_3_1, candlestick_half):
     if model == "hybrid":
         def outcomes(reps):
-            return _hybrid_outcomes(*uniform_3_1, reps, seed=11)
+            return _hybrid_outcomes(uniform_3_1[1], reps, seed=11)
     else:
         def outcomes(reps):
-            return _candlestick_outcomes(*candlestick_half, 2, reps, seed=11)
+            return _candlestick_outcomes(candlestick_half[1], 2, reps, seed=11)
     short, long = outcomes(10_000), outcomes(30_000)
     for key in short:
         assert np.array_equal(short[key], long[key][:10_000])
 
 
 def test_reports_are_bit_identical(uniform_3_1):
-    config, sol = uniform_3_1
-    r1 = simulate_hybrid(config, sol, 50_000, seed=3)
-    r2 = simulate_hybrid(config, sol, 50_000, seed=3)
+    _, sol = uniform_3_1
+    r1 = simulate_hybrid(sol, 50_000, seed=3)
+    r2 = simulate_hybrid(sol, 50_000, seed=3)
     assert r1.to_dict() == r2.to_dict()
 
 
@@ -76,10 +75,10 @@ def test_reports_are_bit_identical(uniform_3_1):
 
 def test_integrated_winner_pays_next_highest(uniform_3_1):
     """Integrated bids (0.9, 0.5, 0.2) against a neutral bid of 0.6."""
-    config, sol = uniform_3_1
+    _, sol = uniform_3_1
     # uniform values: quantiles are identities; sigma(0.8) = 0.6 exactly
     u = np.array([[0.9, 0.5, 0.2, 0.8, 0.123]])
-    out = _hybrid_block(config, sol, u)
+    out = _hybrid_block(sol, u)
     assert bool(out["integrated_won"][0]) is True
     assert out["payment"][0] == pytest.approx(0.6, abs=1e-9)
     assert out["winner_value"][0] == pytest.approx(0.9)
@@ -90,7 +89,7 @@ def test_neutral_winner_pays_own_bid():
     config = HybridAuctionConfig(1, 1, UNIT, UNIT)
     sol = solve_fixed_point(config)  # sigma(v) = v/2
     u = np.array([[0.3, 0.8, 0.99]])
-    out = _hybrid_block(config, sol, u)
+    out = _hybrid_block(sol, u)
     assert bool(out["integrated_won"][0]) is False
     assert out["payment"][0] == pytest.approx(0.4, abs=1e-9)
     assert out["surplus"][0] == pytest.approx(0.4, abs=1e-9)
@@ -100,14 +99,14 @@ def test_run_once_returns_outcome(uniform_3_1):
     """One replication through a one-row block: one winner among the four
     bidders, the only one holding surplus, and revenue is its payment."""
     config, sol = uniform_3_1
-    out = _hybrid_block(config, sol, np.random.default_rng(0).random((1, 5)))
+    out = _hybrid_block(sol, np.random.default_rng(0).random((1, 5)))
     winner = int(out["winner"][0])
     assert bool(out["integrated_won"][0]) == (winner < config.n_integrated)
     assert out["surplus"][0] == out["winner_value"][0] - out["payment"][0]
     assert out["surplus"].shape == (1,)
     assert 0 <= winner < 4
-    report = simulate_hybrid(config, sol, 10_000, seed=0)
-    payment = _hybrid_outcomes(config, sol, 10_000, seed=0)["payment"]
+    report = simulate_hybrid(sol, 10_000, seed=0)
+    payment = _hybrid_outcomes(sol, 10_000, seed=0)["payment"]
     assert report.stats["revenue"].mean == pytest.approx(payment.mean(), rel=1e-12)
 
 
@@ -121,8 +120,8 @@ def test_tie_break_is_uniform():
 
 
 def test_accounting_identity(uniform_3_3):
-    config, sol = uniform_3_3
-    out = _hybrid_outcomes(config, sol, 10_000, seed=21)
+    _, sol = uniform_3_3
+    out = _hybrid_outcomes(sol, 10_000, seed=21)
     assert np.allclose(out["payment"] + out["surplus"], out["winner_value"],
                        atol=1e-12)
     # integrated winners never pay more than they bid
@@ -144,9 +143,9 @@ KERNEL_SHAPES = [(0, 3), (1, 1), (3, 1), (3, 3), (8, 8)]
 
 
 def _kernel_case(n_int, n_neu, fa, fb):
-    """A config and a coarse solution: the kernel reads only the bid schedule."""
-    config = HybridAuctionConfig(n_int, n_neu, fa, fb)
-    return config, solve_fixed_point(config, grid_size=128, tol=1e-4)
+    """A coarse solution: the kernel reads only the bid schedule and the laws."""
+    return solve_fixed_point(HybridAuctionConfig(n_int, n_neu, fa, fb),
+                             grid_size=128, tol=1e-4)
 
 
 def _edge_blocks(width, rng, m=256):
@@ -166,11 +165,12 @@ def _edge_blocks(width, rng, m=256):
     return blocks
 
 
-def _nondecreasing_rows(config, sol, u):
+def _nondecreasing_rows(sol, u):
     """Rows whose computed values, and neutral bids, do not decrease as the
     uniforms of a class rise: the kernel's assumption. The Beta quantile
     breaks it at the last bit for about 1% of adjacent doubles (Beta(2,2):
     1,939 of 200,000 pairs, against 3,045 for scipy's betaincinv)."""
+    config = sol.config
     n_int, n_neu = config.n_integrated, config.n_neutral
     ok = np.ones(len(u), dtype=bool)
     for law, cols, maps in ((config.integrated_values, u[:, :n_int], []),
@@ -182,11 +182,11 @@ def _nondecreasing_rows(config, sol, u):
     return ok
 
 
-def _assert_kernel_matches(config, sol, u, monkeypatch):
+def _assert_kernel_matches(sol, u, monkeypatch):
     """On every row where the quantiles do not decrease, the kernel's outputs
     equal the full row's bit for bit. Returns the number of rows the kernel
     sent to the full row (the only caller of pick_winners)."""
-    expected = _hybrid_full_rows(config, sol, u)
+    expected = _hybrid_full_rows(sol, u)
     fallback_rows = []
 
     def recording(bids, tie_u):
@@ -194,9 +194,9 @@ def _assert_kernel_matches(config, sol, u, monkeypatch):
         return pick_winners(bids, tie_u)
 
     monkeypatch.setattr(simulator, "pick_winners", recording)
-    got = _hybrid_block(config, sol, u)
+    got = _hybrid_block(sol, u)
     monkeypatch.undo()
-    rows = _nondecreasing_rows(config, sol, u)
+    rows = _nondecreasing_rows(sol, u)
     assert rows.mean() > 0.9
     assert got.keys() == expected.keys()
     for key in expected:
@@ -210,10 +210,10 @@ def _assert_kernel_matches(config, sol, u, monkeypatch):
 def test_kernel_equals_full_rows_on_ties(law, shape, monkeypatch):
     n_int, n_neu = shape
     fb = KERNEL_LAWS[law]
-    config, sol = _kernel_case(n_int, n_neu, fb, fb)
+    sol = _kernel_case(n_int, n_neu, fb, fb)
     rng = np.random.default_rng(sum(shape))
     for name, u in _edge_blocks(n_int + n_neu + 1, rng).items():
-        fallback = _assert_kernel_matches(config, sol, u, monkeypatch)
+        fallback = _assert_kernel_matches(sol, u, monkeypatch)
         if name == "random":
             assert fallback == 0
         elif name == "equal" and n_int + n_neu > 2:  # a tie in the winning class
@@ -222,12 +222,12 @@ def test_kernel_equals_full_rows_on_ties(law, shape, monkeypatch):
     if n_int:
         # an exact cross-class tie: a uniform(0,16) value is 16 times its
         # uniform, exactly, and 16 lies above every bid here
-        config, sol = _kernel_case(n_int, n_neu, Uniform(0.0, 16.0), fb)
+        sol = _kernel_case(n_int, n_neu, Uniform(0.0, 16.0), fb)
         u = rng.random((256, n_int + n_neu + 1))
         top_bid = sol.bid_function(fb.quantile(u[:, n_int:n_int + n_neu].max(axis=1)))
         u[:, :n_int] *= top_bid[:, None] / 16.0
         u[:, 0] = top_bid / 16.0
-        assert _assert_kernel_matches(config, sol, u, monkeypatch) == len(u)
+        assert _assert_kernel_matches(sol, u, monkeypatch) == len(u)
 
 
 class _CountingLaw:
@@ -247,9 +247,10 @@ class _CountingLaw:
 @pytest.mark.parametrize("n", [3, 8])
 def test_kernel_draws_at_most_three_quantiles_per_replication(n):
     law = _CountingLaw(Beta(2, 2))
-    config = HybridAuctionConfig(n, n, law, law)
     sol = solve_fixed_point(HybridAuctionConfig(n, n, law.law, law.law))
-    _hybrid_outcomes(config, sol, 20_000, seed=4)
+    # the kernel draws from the laws of the solution's config
+    counted = dataclasses.replace(sol, config=HybridAuctionConfig(n, n, law, law))
+    _hybrid_outcomes(counted, 20_000, seed=4)
     assert law.values <= 3 * 20_000
 
 
@@ -257,8 +258,8 @@ def test_kernel_draws_at_most_three_quantiles_per_replication(n):
 
 
 def test_hybrid_agreement_closed_form(uniform_3_1):
-    config, sol = uniform_3_1
-    report = simulate_hybrid(config, sol, 200_000, seed=42)
+    _, sol = uniform_3_1
+    report = simulate_hybrid(sol, 200_000, seed=42)
     assert report.agreement_ok
     assert report.analytic["surplus_neutral_per_bidder"] == \
         pytest.approx(27 / 1280, abs=1e-6)
@@ -270,13 +271,13 @@ def test_hybrid_agreement_closed_form(uniform_3_1):
 
 
 def test_hybrid_agreement_beta(beta_3_3):
-    config, sol = beta_3_3
-    assert simulate_hybrid(config, sol, 100_000, seed=5).agreement_ok
+    _, sol = beta_3_3
+    assert simulate_hybrid(sol, 100_000, seed=5).agreement_ok
 
 
 def test_error_shrinks_like_sqrt_reps(uniform_3_1):
-    config, sol = uniform_3_1
-    widths = [simulate_hybrid(config, sol, n, seed=9)
+    _, sol = uniform_3_1
+    widths = [simulate_hybrid(sol, n, seed=9)
               .stats["surplus_neutral_per_bidder"].half_width
               for n in (10_000, 100_000, 1_000_000)]
     for a, b in zip(widths, widths[1:]):
@@ -284,8 +285,8 @@ def test_error_shrinks_like_sqrt_reps(uniform_3_1):
 
 
 def test_candlestick_agreement(candlestick_half):
-    config, sol = candlestick_half
-    report = simulate_candlestick(config, sol, 2, 200_000, seed=42)
+    _, sol = candlestick_half
+    report = simulate_candlestick(sol, 2, 200_000, seed=42)
     assert report.agreement_ok
     slow = report.stats["slow_profit"]
     assert abs(slow.mean) <= 3 * slow.half_width  # zero-profit straddle
@@ -296,7 +297,7 @@ def test_candlestick_agreement(candlestick_half):
 def test_candlestick_no_revision_is_exact():
     config = CandlestickConfig(PriceProcess(1.0, 0.2, 1.0), 0.0)
     sol = solve_candlestick(config)
-    report = simulate_candlestick(config, sol, 3, 10_000, seed=1)
+    report = simulate_candlestick(sol, 3, 10_000, seed=1)
     assert report.stats["win_rate_slow"].mean == 1.0
     assert report.stats["slow_profit"].mean == 0.0
     assert report.stats["slow_profit"].half_width == 0.0
@@ -305,7 +306,7 @@ def test_candlestick_no_revision_is_exact():
 def test_candlestick_always_revises_unravels():
     config = CandlestickConfig(PriceProcess(1.0, 0.2, 1.0), 1.0)
     sol = solve_candlestick(config)
-    report = simulate_candlestick(config, sol, 2, 10_000, seed=1)
+    report = simulate_candlestick(sol, 2, 10_000, seed=1)
     assert report.stats["win_rate_fast"].mean == 1.0  # v_delta > 0 = b0s always
     assert report.stats["slow_profit"].mean == 0.0
     fast = report.stats["fast_profit"]
@@ -313,8 +314,8 @@ def test_candlestick_always_revises_unravels():
 
 
 def test_candlestick_outcome_values(candlestick_half):
-    config, sol = candlestick_half
-    out = _candlestick_outcomes(config, sol, 2, 10_000, seed=4)
+    _, sol = candlestick_half
+    out = _candlestick_outcomes(sol, 2, 10_000, seed=4)
     assert np.all(out["revenue"] == sol.b0s)
     assert np.all((out["slow_winner"] >= 0) & (out["slow_winner"] < 2))
     # fast profit only when fast wins, and then strictly positive
@@ -323,43 +324,34 @@ def test_candlestick_outcome_values(candlestick_half):
 
 
 def test_replication_floor_and_n_slow(uniform_3_1, candlestick_half):
-    config, sol = uniform_3_1
+    _, sol = uniform_3_1
     with pytest.raises(ValueError):
-        simulate_hybrid(config, sol, 100, seed=0)
-    ccfg, csol = candlestick_half
+        simulate_hybrid(sol, 100, seed=0)
+    _, csol = candlestick_half
     with pytest.raises(ValueError):
-        simulate_candlestick(ccfg, csol, 1, 10_000, seed=0)
+        simulate_candlestick(csol, 1, 10_000, seed=0)
 
 
 # ----------------------------------- sweeps ------------------------------------
 
 
-def _candlestick_point(axis, v0=1.0, vol=0.2, delta=1.0, p=0.5):
-    """A ``solve_point`` for ``sweep``: the candlestick model with ``axis`` at x."""
-    def solve_point(x):
-        params = {"v0": v0, "vol": vol, "delta": delta, "p": p, axis: x}
-        config = CandlestickConfig(
-            PriceProcess(params["v0"], params["vol"], params["delta"]), params["p"])
-        solution = solve_candlestick(config)
-        return ({"b0s": solution.b0s},
-                lambda reps, seed: simulate_candlestick(config, solution, 2, reps, seed))
-    return solve_point
+def _sweep(*flags):
+    """The rows ``cli.sweep`` returns for ``pbslab sweep`` with ``flags``."""
+    return sweep(build_parser().parse_args(["sweep", *flags, "--out", "unused.csv"]))
 
 
-def _hybrid_point(axis, na=1, nb=1):
-    """A ``solve_point`` for ``sweep``: the uniform hybrid model with ``axis`` at x."""
-    def solve_point(x):
-        counts = {"na": na, "nb": nb, axis: x}
-        solution = solve_fixed_point(
-            HybridAuctionConfig(counts["na"], counts["nb"], UNIT, UNIT))
-        v, b = solution.values, solution.bids
-        return {"slope_fit": float(np.dot(b, v) / np.dot(v, v))}, None
-    return solve_point
+def _sweep_csv(tmp_path, *flags):
+    """The CSV that ``pbslab sweep`` with ``flags`` writes: header and rows."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
 
 
 def test_sweep_over_revision_probability():
-    rows = sweep("p", [0.0, 0.25, 0.5, 0.75, 1.0],
-                 _candlestick_point("p", v0=1.0, vol=0.2, delta=1.0))
+    rows = _sweep("--axis", "p", "--grid", "0,0.25,0.5,0.75,1",
+                  "--v0", "1", "--vol", "0.2", "--delta", "1")
     assert [r["status"] for r in rows] == ["ok"] * 5
     assert rows[0]["b0s"] == 1.0
     assert rows[-1]["b0s"] == 0.0
@@ -368,42 +360,36 @@ def test_sweep_over_revision_probability():
 
 
 def test_sweep_over_integrated_count():
-    rows = sweep("na", [1, 2, 3, 5], _hybrid_point("na", nb=1))
+    rows = _sweep("--axis", "na", "--grid", "1,2,3,5", "--nb", "1")
     slopes = [r["slope_fit"] for r in rows]
     assert slopes == pytest.approx([1 / 2, 2 / 3, 3 / 4, 5 / 6], abs=1e-6)
 
 
 def test_sweep_nb_axis():
-    rows = sweep("nb", [2, 3], _hybrid_point("nb", na=0))
+    rows = _sweep("--axis", "nb", "--grid", "2,3", "--na", "0")
     assert [r["slope_fit"] for r in rows] == pytest.approx([0.5, 2 / 3], abs=1e-3)
 
 
-def test_sweep_empty_grid():
-    assert sweep("p", [], _candlestick_point("p")) == []
-    assert sweep_header("p") == ["axis_value", "b0s", "slow_win_prob",
-                                 "fast_profit", "status"]
-    assert sweep_header("na") == ["axis_value", "slope_fit", "residual", "status"]
+def test_sweep_empty_grid(tmp_path):
+    assert _sweep("--axis", "p", "--grid", "") == []
+    assert _sweep_csv(tmp_path, "--axis", "p", "--grid", "") == \
+        (["axis_value", "b0s", "slow_win_prob", "fast_profit", "status"], [])
+    assert _sweep_csv(tmp_path, "--axis", "na", "--grid", "") == \
+        (["axis_value", "slope_fit", "residual", "status"], [])
 
 
-def test_sweep_records_per_point_failures():
-    rows = sweep("p", [0.5, 1.5], _candlestick_point("p"))  # 1.5 is out of range
+def test_sweep_records_per_point_failures(tmp_path):
+    _, rows = _sweep_csv(tmp_path, "--axis", "p", "--grid", "0.5,1.5")  # 1.5 is out of range
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["b0s"] == ""
 
 
-def _sweep_statuses(tmp_path, *flags):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", *flags, "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        return [row["status"] for row in csv.DictReader(fh)]
-
-
 def test_sweep_error_status_names_the_exception(tmp_path):
-    rows = sweep("p", [1.5], _candlestick_point("p"))
+    [row] = _sweep("--axis", "p", "--grid", "1.5")
+    assert row["status"].startswith("error: ValueError: ")
+    _, rows = _sweep_csv(tmp_path, "--axis", "na", "--grid", "1.5", "--nb", "1")
     assert rows[0]["status"].startswith("error: ValueError: ")
-    statuses = _sweep_statuses(tmp_path, "--axis", "na", "--grid", "1.5", "--nb", "1")
-    assert statuses[0].startswith("error: ValueError: ")
 
 
 def test_sweep_propagates_programming_errors(monkeypatch, tmp_path):
@@ -417,12 +403,14 @@ def test_sweep_propagates_programming_errors(monkeypatch, tmp_path):
               "--out", str(tmp_path / "sweep.csv")])
 
 
-def test_sweep_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        sweep("volatility", [0.1], _candlestick_point("vol"))
+def test_sweep_rejects_unknown_axis(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--axis", "volatility", "--grid", "0.1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_sweep_with_verification():
-    rows = sweep("p", [0.5], _candlestick_point("p", v0=1.0, vol=0.2, delta=1.0),
-                 verify_reps=20_000, seed=2)
+    rows = _sweep("--axis", "p", "--grid", "0.5", "--v0", "1", "--vol", "0.2",
+                  "--delta", "1", "--verify-reps", "20000", "--seed", "2")
     assert rows[0]["status"] == "ok"

@@ -35,6 +35,11 @@ def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
     return np.arange(first, hi + 0.5 * step, step)
 
 
+def _escape(text: str) -> str:
+    """XML character data; xml.sax.saxutils.escape would import urllib.request."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -71,7 +76,7 @@ def line_chart_svg(series: list[Series], xlabel: str, ylabel: str,
     ]
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="14">{title}</text>')
+                   f'font-family="sans-serif" font-size="14">{_escape(title)}</text>')
 
     # gridlines and tick labels
     for t in _ticks(x_lo, x_hi):
@@ -96,11 +101,11 @@ def line_chart_svg(series: list[Series], xlabel: str, ylabel: str,
                f'stroke="#404040"/>')
     out.append(f'<text x="{_MARGIN["left"] + plot_w / 2:.1f}" '
                f'y="{height - 14:.1f}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="13">{xlabel}</text>')
+               f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>')
     out.append(f'<text x="16" y="{_MARGIN["top"] + plot_h / 2:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 16 {_MARGIN["top"] + plot_h / 2:.1f})">'
-               f'{ylabel}</text>')
+               f'{_escape(ylabel)}</text>')
 
     # data
     for i, s in enumerate(series):
@@ -124,7 +129,7 @@ def line_chart_svg(series: list[Series], xlabel: str, ylabel: str,
         out.append(f'<line x1="{lx:.1f}" y1="{yy - 4:.1f}" x2="{lx + 24:.1f}" '
                    f'y2="{yy - 4:.1f}" stroke="{color}" stroke-width="1.8"{dash}/>')
         out.append(f'<text x="{lx + 30:.1f}" y="{yy:.1f}" '
-                   f'font-family="sans-serif" font-size="11">{s.label}</text>')
+                   f'font-family="sans-serif" font-size="11">{_escape(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

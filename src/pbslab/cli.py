@@ -37,8 +37,7 @@ import scipy
 
 from . import __version__
 from .charts import Series, line_chart_svg
-from .common_values import (CandlestickConfig, PriceProcess, RootNotFoundError,
-                            solve_candlestick)
+from .common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
                                   solve_fixed_point, solve_ode, verify_envelope)
@@ -99,15 +98,16 @@ _CANDLESTICK_OPTS = (
     _Opt("vol", float, 0.2, help="volatility per sqrt-second"),
     _Opt("delta", float, 1.0, help="fast bidder's lead time in seconds"),
     _Opt("p", float, required=True, help="fast-bidder revision probability in [0,1]"),
-    _Opt("tol", float, help="root bracket width (default 1e-12)"),
     _Opt("out", str, required=True, help="output JSON path"),
 )
+
+_HYBRID_TOL_HELP = "hybrid fixed-point tolerance (default 1e-6); none for the candlestick"
 
 _SIMULATE_OPTS = (
     _Opt("model", str, required=True, choices=("hybrid", "candlestick")),
     _Opt("na", int, 3), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
-    _Opt("grid", int, 512), _Opt("tol", float, None),
+    _Opt("grid", int, 512), _Opt("tol", float, None, help=_HYBRID_TOL_HELP),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
     _Opt("p", float, 0.5), _Opt("n-slow", int, 2),
     _Opt("reps", int, 100_000, help="replications (>= 10000)"),
@@ -124,7 +124,7 @@ _SWEEP_OPTS = (
     _Opt("na", int, 1), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
     _Opt("grid-size", int, 512, help="value-grid points (--grid elsewhere)"),
-    _Opt("tol", float, None), _Opt("n-slow", int, 2),
+    _Opt("tol", float, None, help=_HYBRID_TOL_HELP), _Opt("n-slow", int, 2),
     _Opt("verify-reps", int, 0, help="Monte Carlo replications per point (0 = off)"),
     _Opt("seed", int, 42),
     _Opt("out", str, required=True, help="output CSV path"),
@@ -259,7 +259,7 @@ def _laws(ns) -> tuple:
 def _candlestick(ns):
     """Build and solve the candlestick model of ``ns``."""
     config = CandlestickConfig(PriceProcess(ns.v0, ns.vol, ns.delta), ns.p)
-    return solve_candlestick(config, **_tol(ns))
+    return solve_candlestick(config)
 
 
 def _hybrid(ns, laws):
@@ -309,7 +309,6 @@ def cmd_solve_candlestick(ns) -> int:
     """solve the candlestick break-even slow bid"""
     solution = _candlestick(ns)
     payload = solution.to_dict()
-    payload["bracket"] = list(solution.bracket) if solution.bracket else None
     payload["iterations"] = solution.iterations
     _write_atomic(ns.out, _json_text(payload, ns.argv))
     print(f"b0s={solution.b0s:.12g} slow_win_prob={solution.slow_win_prob:.6g} "
@@ -369,7 +368,7 @@ def sweep(ns) -> list[dict]:
             row["status"] = "ok"
             if ns.verify_reps and not verify(ns.verify_reps, ns.seed).agreement_ok:
                 row["status"] = "verify-failed"
-        except (SolverError, RootNotFoundError, ValueError) as exc:
+        except (SolverError, ValueError) as exc:
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # argparse --help (0) and usage errors (2)
         return int(exc.code or 0)
-    except (SolverError, RootNotFoundError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

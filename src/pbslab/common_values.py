@@ -8,14 +8,14 @@ with log-sd ``vol * sqrt(delta)`` and mean exactly ``v0``.
 The fast bidder outbids a standing slow bid ``b`` iff the realized value
 exceeds ``b``, leaving slow bidders exposed to adverse selection. With
 ``p = 1`` the auction unravels (slow bidders can only lose money by bidding
-above zero). For ``p < 1`` competition drives slow bidders to the largest
-zero of the expected-profit condition
+above zero). For ``p < 1`` competition drives slow bidders to the zero of
+the expected-profit condition
 
     (1 - p) * (v0 - b) + p * P(V < b) * (E[V | V < b] - b) = 0,
 
 whose second term is the negative expected shortfall ``-p * E[(b - V)+]``.
-:func:`solve_candlestick` locates that largest root by a downward grid scan
-followed by bisection and a secant polish.
+The condition falls strictly in ``b``, so that zero is unique;
+:func:`solve_candlestick` finds it by bisection to adjacent doubles.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "PriceProcess",
     "CandlestickConfig",
     "CandlestickSolution",
-    "RootNotFoundError",
     "law_of_v_delta",
     "candlestick_residual",
     "solve_candlestick",
@@ -39,17 +38,6 @@ __all__ = [
     "unraveling_slow_profit",
     "fast_expected_profit",
 ]
-
-_SCAN_POINTS = 1024
-
-
-class RootNotFoundError(RuntimeError):
-    """No sign change found on the scan grid; carries the residual trace."""
-
-    def __init__(self, message: str, trace: np.ndarray):
-        super().__init__(message)
-        self.trace = trace
-
 
 @dataclass(frozen=True)
 class PriceProcess:
@@ -117,7 +105,6 @@ class CandlestickSolution:
     fast_win_prob: float
     fast_expected_profit: float
     residual: float
-    bracket: tuple[float, float] | None = None
     iterations: int = 0
 
     def __post_init__(self):
@@ -160,79 +147,41 @@ def candlestick_residual(config: CandlestickConfig, b: float) -> float:
     return float(_residual_vec(config, b))
 
 
-def solve_candlestick(config: CandlestickConfig, tol: float = 1e-12) -> CandlestickSolution:
-    """Find the largest break-even slow bid in [0, v0].
+def solve_candlestick(config: CandlestickConfig) -> CandlestickSolution:
+    """Find the break-even slow bid in [0, v0].
 
-    Scans downward from v0 on a dense grid for the first sign change of the
-    profit condition (negative above the root, positive below), brackets it,
-    bisects to width ``tol`` and polishes with secant steps. The endpoints
-    are exact: p=0 gives v0, p=1 gives 0, and a degenerate (motionless)
-    process gives v0 at any p since there is no adverse selection.
+    For p < 1 the condition falls strictly in b (slope -(1-p) - p P(V<b)), so
+    its root is unique. Bisection keeps residual(lo) > 0 >= residual(hi) from
+    lo, hi = 0, v0 (in floats too: the put is exactly 0 at b=0, and
+    v0 (Phi(s/2) - Phi(-s/2)) >= 0 at b=v0) until the ends are adjacent
+    doubles, and returns hi. p=1 gives 0; p=0 gives v0, and so does a
+    motionless process at any p, since there is no adverse selection.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"need tol >= 0, got {tol}")
     process, p = config.process, config.p
-    v0 = process.v0
     if process.is_degenerate or p == 0.0:
-        return _build_solution(config, v0, residual=0.0, bracket=None, iterations=0)
+        return _build_solution(config, process.v0, residual=0.0, iterations=0)
     if p == 1.0:
-        return _build_solution(config, 0.0, residual=0.0, bracket=None, iterations=0)
+        return _build_solution(config, 0.0, residual=0.0, iterations=0)
 
-    grid = np.linspace(v0, 0.0, _SCAN_POINTS)
-    res = _residual_vec(config, grid)
-    positive = res > 0.0
-    if not positive.any():
-        raise RootNotFoundError(
-            "no sign change on the scan grid (residual never turns positive)",
-            trace=res)
-    k = int(np.argmax(positive))  # first positive point scanning downward
-    if k == 0:
-        raise RootNotFoundError(
-            "profit condition already positive at b=v0; no interior root",
-            trace=res)
-
-    lo_b, hi_b = float(grid[k]), float(grid[k - 1])  # res(lo_b) > 0 >= res(hi_b)
-    bracket = (lo_b, hi_b)
-    f_lo, f_hi = float(res[k]), float(res[k - 1])
+    lo, hi = 0.0, process.v0
     iterations = 0
-    while hi_b - lo_b > tol:
-        mid = 0.5 * (lo_b + hi_b)
-        f_mid = float(_residual_vec(config, mid))
-        if f_mid > 0.0:
-            lo_b, f_lo = mid, f_mid
+    # lo + hi could overflow; the midpoint hits an end once lo, hi are adjacent
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        if _residual_vec(config, mid) > 0.0:
+            lo = mid
         else:
-            hi_b, f_hi = mid, f_mid
+            hi = mid
         iterations += 1
-        if iterations > 200:
-            break
-
-    # secant polish inside the final bracket
-    x0, f0, x1, f1 = lo_b, f_lo, hi_b, f_hi
-    root = 0.5 * (lo_b + hi_b)
-    for _ in range(4):
-        if f1 == f0:
-            break
-        step = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not lo_b <= step <= hi_b:
-            break
-        x0, f0 = x1, f1
-        x1, f1 = step, float(_residual_vec(config, step))
-        root = step
-        iterations += 1
-        if f1 == 0.0:
-            break
-
-    residual = float(_residual_vec(config, root))
-    return _build_solution(config, root, residual=residual, bracket=bracket,
+    return _build_solution(config, hi, residual=float(_residual_vec(config, hi)),
                            iterations=iterations)
 
 
-def _build_solution(config, b0s, residual, bracket, iterations) -> CandlestickSolution:
+def _build_solution(config, b0s, residual, iterations) -> CandlestickSolution:
     slow = slow_win_probability(config, b0s)
     return CandlestickSolution(
         config=config, b0s=b0s, slow_win_prob=slow, fast_win_prob=1.0 - slow,
         fast_expected_profit=fast_expected_profit(config, b0s),
-        residual=residual, bracket=bracket, iterations=iterations)
+        residual=residual, iterations=iterations)
 
 
 def slow_win_probability(config: CandlestickConfig, b0s: float) -> float:

@@ -132,9 +132,9 @@ class Beta(ValueDistribution):
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"beta shape parameters must be positive, got "
-                             f"({self.alpha}, {self.beta})")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError(f"beta shape parameters must be positive and finite, "
+                             f"got ({self.alpha}, {self.beta})")
         object.__setattr__(self, "_log_norm", betaln(self.alpha, self.beta))
 
     @property
@@ -243,7 +243,14 @@ class _BetaHalf:
     def __init__(self, a: float, b: float, log_norm: float, y_top: float):
         self.a, self.b, self.log_norm = a, b, log_norm
         self.log_ab = math.log(a) + log_norm
-        self.cells_per_p = _CELLS / math.exp((math.log(y_top) + self.log_ab) / a)
+        try:
+            top = math.exp((math.log(y_top) + self.log_ab) / a)  # p at y_top
+        except OverflowError:
+            top = math.inf
+        if not 0.0 < top < math.inf:
+            raise ValueError(f"beta shapes {a} and {b} are too extreme for the "
+                             f"quantile table: its top p is {top}")
+        self.cells_per_p = _CELLS / top
         p = np.arange(1, _CELLS + 1) / self.cells_per_p
         with np.errstate(all="ignore"):
             y = np.minimum(np.exp(a * np.log(p) - self.log_ab), y_top)

@@ -179,7 +179,6 @@ class EquilibriumSolution:
     method: str
     iterations: int
     tol: float
-    converged: bool = True
     restarts: int = 0
     residual_history: tuple = field(default=(), repr=False)
 
@@ -207,7 +206,6 @@ class EquilibriumSolution:
             "iterations": int(self.iterations),
             "residual": float(self.residual),
             "tol": float(self.tol),
-            "converged": bool(self.converged),
             "restarts": int(self.restarts),
             "residual_history": [float(history[i]) for i in keep],
         }

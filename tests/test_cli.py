@@ -42,7 +42,7 @@ def test_solve_private_closed_form(tmp_path, capsys):
 
     envelope = json.loads(out.with_suffix(".json").read_text())
     assert envelope["schema_version"] == 1
-    assert envelope["solver"]["converged"] is True
+    assert envelope["solver"]["residual"] <= envelope["solver"]["tol"]
     assert envelope["residuals"]["equation"] <= 1e-6
     assert "created_utc" in envelope["meta"]
 
@@ -117,6 +117,17 @@ def test_solve_private_bad_distribution_spec(tmp_path):
                "--fa", "cauchy(0,1)", "--fb", "uniform(0,1)",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("fb", ["beta(1e-300,2)", "beta(2,1e-300)", "beta(1e-20,3)",
+                                "beta(inf,2)", "beta(1e-200,1e-200)"])
+def test_solve_private_extreme_beta_shapes_are_usage_errors(tmp_path, capsys, fb):
+    out = tmp_path / "x.csv"
+    rc = main(["solve-private", "--na", "2", "--nb", "2", "--fa", "uniform(0,1)",
+               "--fb", fb, "--out", str(out)])
+    assert rc == 2
+    assert "beta shape" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_private_ode_method(tmp_path):
@@ -325,6 +336,11 @@ def test_sweep_overflowing_vol_is_an_error_row(tmp_path):
     assert rows[1]["status"].startswith("error: ValueError: ")
 
 
+def test_sweep_extreme_beta_shape_is_an_error_row(tmp_path):
+    [row] = _sweep_rows(tmp_path, "--axis", "na", "--grid", "1", "--fb", "beta(1e-20,3)")
+    assert row["status"].startswith("error: ValueError: beta shapes")
+
+
 # ----------------------------------- figure ------------------------------------
 
 
@@ -354,6 +370,18 @@ def test_figure_uniform_single_neutral_is_straight_line(tmp_path):
     assert rc == 0
     _, data = _read_csv_columns(out.with_suffix(".csv"))
     assert np.max(np.abs(data[:, 1] - 0.75 * data[:, 0])) < 1e-3
+
+
+def test_figure_escapes_markup_in_the_law_spec(tmp_path):
+    """A law spec is free text; its '&' and '<' reach the title escaped."""
+    law = tmp_path / "a&b<c" / "e.csv"
+    law.parent.mkdir()
+    law.write_text("x,cdf\n0,0\n1,1\n")
+    spec = f"empirical({law})"
+    out = tmp_path / "fig.svg"
+    assert main(["figure", "--fb", spec, "--na", "2", "--nb", "2", "--out", str(out)]) == 0
+    texts = [t.text for t in ET.fromstring(out.read_text()).iter(f"{SVG_NS}text")]
+    assert any(t and t.endswith(f"fb={spec}") for t in texts)
 
 
 def test_figure_unwritable_path_leaves_nothing(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from pbslab.common_values import (CandlestickConfig, PriceProcess,
+from pbslab.common_values import (CandlestickConfig, PriceProcess, _residual_vec,
                                   candlestick_residual, fast_expected_profit,
                                   law_of_v_delta, slow_win_probability,
                                   solve_candlestick, unraveling_slow_profit)
@@ -132,7 +132,6 @@ def test_root_validity(candlestick_half):
     assert abs(sol.residual) <= 1e-10 * v0
     # largest-root property: strictly negative all the way up to v0
     above = sol.b0s + (v0 - sol.b0s) * np.linspace(1e-6, 1.0, 1024)
-    from pbslab.common_values import _residual_vec
     assert np.all(_residual_vec(config, above) < 0.0)
 
 
@@ -166,17 +165,24 @@ def test_solver_matches_dense_grid_quadrature_oracle(candlestick_half):
     assert abs(sol.b0s - _oracle_root(config)) < 1e-8
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
-@pytest.mark.parametrize("p", [0.0, 0.5])
-def test_negative_or_nan_tolerance_rejected(tol, p):
-    with pytest.raises(ValueError, match="tol"):
-        solve_candlestick(CandlestickConfig(_process(), p), tol=tol)
+@given(v0=st.floats(1e-300, 1e300), vol=st.floats(0.01, 2.0),
+       delta=st.floats(0.01, 10.0),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_root_is_the_sign_change_between_adjacent_doubles(v0, vol, delta, p):
+    config = CandlestickConfig(PriceProcess(v0, vol, delta), p)
+    b0s = solve_candlestick(config).b0s
+    assert _residual_vec(config, b0s) <= 0.0 < _residual_vec(config, np.nextafter(b0s, 0.0))
 
 
-def test_zero_tolerance_stays_legal(candlestick_half):
-    """The bisection stops at its iteration cap, so tol=0 still solves."""
-    config, sol = candlestick_half
-    assert solve_candlestick(config, tol=0.0).b0s == pytest.approx(sol.b0s, abs=1e-12)
+@pytest.mark.parametrize("v0", [1e-300, 1.7e308])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_root_scales_with_v0_across_the_double_range(v0, p):
+    """The profit condition is homogeneous in (v0, b), so b0s/v0 does not
+    depend on v0, down to tiny values and up to the largest doubles."""
+    unit = solve_candlestick(CandlestickConfig(_process(), p)).b0s
+    sol = solve_candlestick(CandlestickConfig(_process(v0=v0), p))
+    assert abs(sol.b0s / v0 - unit) <= 1e-15
 
 
 def test_b0s_nonincreasing_in_p():

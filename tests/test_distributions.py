@@ -232,6 +232,15 @@ def test_beta_quantile_fallback_converges_from_poor_starts(alpha, beta):
     assert np.all(np.abs(below._refine(y, start, False) - want) <= 1e-12 * want)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e-300, 2.0), (2.0, 1e-300), (1e-20, 3.0),
+                                         (1e-200, 1e-200)])
+def test_beta_quantile_table_out_of_range_is_a_value_error(alpha, beta):
+    """Shapes whose table top p = (a B(a, b) y)^(1/a) underflows to 0 or
+    overflows cannot be tabled; they are rejected, not divided by."""
+    with pytest.raises(ValueError, match="too extreme"):
+        Beta(alpha, beta).quantile(0.3)
+
+
 @pytest.mark.parametrize("bad_q", [-0.1, 1.5, math.nan])
 def test_quantile_rejects_bad_probability(bad_q):
     with pytest.raises(ValueError):
@@ -402,6 +411,8 @@ def test_put_identity_property(s, b):
     lambda: Uniform(-0.5, 1.0),
     lambda: Beta(0.0, 2.0),
     lambda: Beta(2.0, -1.0),
+    lambda: Beta(math.inf, 2.0),
+    lambda: Beta(2.0, math.inf),
     lambda: Lognormal(0.0, 0.0),
     lambda: EmpiricalGrid(np.array([0.0, 0.5, 0.4]), np.array([0.0, 0.5, 1.0])),
     lambda: EmpiricalGrid(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.6, 0.6])),

@@ -40,7 +40,8 @@ from .charts import Series, line_chart_svg
 from .common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
-                                  solve_fixed_point, solve_ode, verify_envelope)
+                                  solve_fixed_point, verify_best_response,
+                                  verify_envelope)
 from .simulator import _MIN_REPS, simulate_candlestick, simulate_hybrid
 
 __all__ = ["main"]
@@ -83,13 +84,14 @@ _PRIVATE_OPTS = (
     _Opt("fa", str, required=True, help="integrated value law, e.g. 'uniform(0,1)'"),
     _Opt("fb", str, required=True, help="neutral value law, e.g. 'beta(2,2)'"),
     _Opt("grid", int, 512, help="value-grid points (default 512)"),
-    _Opt("tol", float, None, help="solver tolerance (default 1e-6 fixed-point, 1e-9 ode)"),
+    _Opt("tol", float, None, help="fixed-point tolerance (default 1e-6)"),
     _Opt("max-iter", int, 10_000, help="fixed-point sweep cap"),
     _Opt("damping", float, 0.5,
          help="mixing weight in (0,1] of the Anderson-accelerated fixed point, "
               "safeguarded by the isotonic projection and the anchor clamp"),
-    _Opt("method", str, "auto", choices=("fixed-point", "ode", "auto"),
-         help="solver; auto cross-checks fixed-point with ode when nb >= 2"),
+    _Opt("method", str, "auto", choices=("fixed-point", "auto"),
+         help="auto solves by fixed point and certifies the schedule by best "
+              "response (exit 4 above its bound); fixed-point only solves"),
     _Opt("out", str, required=True, help="output CSV path (JSON envelope written alongside)"),
 )
 
@@ -272,19 +274,9 @@ def cmd_solve_private(ns) -> int:
     """solve the private-value hybrid auction bid schedule"""
     # the one command with --method, --max-iter and --damping
     config = HybridAuctionConfig(ns.na, ns.nb, *_laws(ns))
-    if ns.method == "ode":
-        solution = solve_ode(config, ns.grid, **_tol(ns))
-    else:
-        solution = solve_fixed_point(config, ns.grid, max_iter=ns.max_iter,
-                                     damping=ns.damping, **_tol(ns))
-    disagreement = None
-    cross_note = None
-    if ns.method == "auto" and ns.nb >= 2:
-        try:
-            ode_solution = solve_ode(config, ns.grid)
-            disagreement = float(np.max(np.abs(solution.bids - ode_solution.bids)))
-        except SolverError as exc:
-            cross_note = f"ode cross-check unavailable: {exc}"
+    solution = solve_fixed_point(config, ns.grid, max_iter=ns.max_iter,
+                                 damping=ns.damping, **_tol(ns))
+    report = verify_best_response(solution) if ns.method == "auto" else None
 
     out = Path(ns.out)
     _write_atomic(out, _solution_csv(solution))
@@ -294,14 +286,22 @@ def cmd_solve_private(ns) -> int:
         "residuals": {
             "equation": solution.residual,
             "envelope_defect": verify_envelope(solution).max_defect,
-            "cross_method_max_disagreement": disagreement,
-            "cross_method_note": cross_note,
+            "cross_method_max_disagreement": None if report is None else report.bid_gap,
+            "best_response": None if report is None else {
+                "max_gain": report.max_gain, "at_value": report.at_value,
+                "bound": report.bound, "top_gain": report.top_gain},
         },
     }, ns.argv))
     msg = f"solved: residual={solution.residual:.3g} ({solution.method})"
-    if disagreement is not None:
-        msg += f", fixed-point vs ode max disagreement={disagreement:.3g}"
+    if report is not None:
+        msg += (f", best-response max gain={report.max_gain:.3g} "
+                f"(bound {report.bound:.3g})")
     print(msg)
+    if report is not None and report.max_gain > report.bound:
+        print(f"verification failure: a deviation gains {report.max_gain:.3g} "
+              f"at v={report.at_value:.6g}, above the bound {report.bound:.3g}",
+              file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -12,24 +12,23 @@ symmetric equilibrium bid schedule solves the shading identity
 which equates pay-your-bid surplus ``(v - bid(v)) * G(v)`` with the surplus
 pinned down by the win-probability envelope ``integral of G``.
 
-Two independent solvers are provided and cross-checked by the test suite:
+The schedule is solved by :func:`solve_fixed_point`, an Anderson-accelerated
+fixed point of the damped shading identity on a quantile-spaced value grid,
+safeguarded by the isotonic projection and the anchor clamp. The identity is
+0/0 at the bottom of the support; the solver anchors that region with the
+local power-law asymptote ``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)``
+and ``k`` is the combined lower-tail exponent of G.
 
-- :func:`solve_fixed_point`: Anderson-accelerated fixed point of the damped
-  shading identity on a quantile-spaced value grid, safeguarded by the
-  isotonic projection and the anchor clamp.
-- :func:`solve_ode`: adaptive Runge-Kutta integration of the differentiated
-  identity (requires at least two neutral bidders).
-
-The identity is 0/0 at the bottom of the support; both solvers anchor that
-region with the local power-law asymptote ``bid ~ lo + c * (v - lo)`` where
-``c = k / (k + 1)`` and ``k`` is the combined lower-tail exponent of G.
+:func:`verify_best_response` certifies a solved schedule by the equilibrium
+property itself: no neutral builder gains by deviating from it. It checks
+values on the solver's grid against a fine grid of bids, and gates the
+largest gain below the top grid cell (see ``_GAIN_BOUND``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -40,11 +39,9 @@ __all__ = [
     "BidFunction",
     "EquilibriumSolution",
     "SolverError",
-    "OdeSingularityError",
     "EnvelopeReport",
     "BestResponseReport",
     "solve_fixed_point",
-    "solve_ode",
     "closed_form_single_neutral",
     "surplus_single_neutral",
     "winning_probability",
@@ -58,14 +55,21 @@ _G_FLOOR = 1e-300
 # quantile cap for laws with unbounded upper support
 _TOP_Q = 1.0 - 1e-6
 
-# rhs calls before solve_ode gives up; the most a tested input used is 30,817
-_MAX_NFEV = 40_000
-
 # differences of map images the fixed point extrapolates from
 _ANDERSON_DEPTH = 3
 
 # sweeps without a new best residual before the fixed point drops its history
 _STALL_SWEEPS = 4
+
+# grid values and bids the best-response certificate scores: at most 2 MB of
+# payoffs at any grid size
+_CERT_VALUES = 64
+_CERT_BIDS = 4000
+
+# largest deviation gain, as a share of the value range, that certifies a
+# schedule: correct schedules of the tested configs stay below 1.3e-6 (grids
+# 512 and 4096), the same schedules with every bid 2% lower exceed 5e-5
+_GAIN_BOUND = 1e-5
 
 
 class SolverError(RuntimeError):
@@ -74,14 +78,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class OdeSingularityError(SolverError):
-    """The bid-schedule ODE left its admissible domain (denominator <= 0)."""
-
-    def __init__(self, location: float):
-        super().__init__(f"ODE singularity at v={location:.6g}")
-        self.location = location
 
 
 @dataclass(frozen=True)
@@ -430,74 +426,6 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         f"(last residual {residual:.3g})", residual=residual)
 
 
-def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
-              tol: float = 1e-9) -> EquilibriumSolution:
-    """Integrate the differentiated shading identity with adaptive RK45.
-
-    Valid for two or more neutral bidders (with a single one the identity
-    does not differentiate into an ODE; use :func:`solve_fixed_point` or the
-    closed form). The admissible region is where the reserve CDF term minus
-    its density correction is positive. Starting outside it or stepping
-    across its edge (a terminal event) raises :class:`OdeSingularityError`,
-    more than ``_MAX_NFEV`` right-hand-side evaluations :class:`SolverError`;
-    ``solve-private --method auto`` then skips the cross-check.
-    """
-    from scipy.integrate import solve_ivp  # only this solver needs it
-    if config.n_neutral < 2:
-        raise ValueError("ODE route needs at least two neutral bidders")
-    if not tol > 0.0:
-        raise ValueError("ODE tolerance must be positive")
-    problem = _Problem(config, grid_size)
-    grid, lo, eps_v = problem.values, problem.lo, problem.eps_v
-    v_start = lo + eps_v
-    top = float(grid[-1])
-    n_int, n_neu = config.n_integrated, config.n_neutral
-    f_neu, big_f_neu = config.neutral_values.pdf, config.neutral_values.cdf
-    f_int, big_f_int = config.integrated_values.pdf, config.integrated_values.cdf
-    evaluations = count(1)
-
-    def reserve_terms(v, b):
-        reserve = np.float64(big_f_int(b))  # 0/0 is a nan that RK45 rejects
-        return reserve, reserve - n_int * (v - b) * float(f_int(b))
-
-    def rhs(v, y):
-        if next(evaluations) > _MAX_NFEV:
-            raise SolverError(f"ODE gave up after {_MAX_NFEV} right-hand-side "
-                              f"evaluations at v={v:.6g}")
-        b = min(float(y[0]), v)  # the schedule never crosses the diagonal
-        hazard = float(f_neu(v)) / max(float(big_f_neu(v)), _G_FLOOR)
-        base = (n_neu - 1) * hazard * (v - b)
-        if n_int == 0:
-            return [base]
-        reserve, den = reserve_terms(v, b)
-        return [base * reserve / den]
-
-    def domain_edge(v, y):
-        return reserve_terms(v, min(float(y[0]), v))[1]
-
-    domain_edge.terminal = True
-    start = [lo + problem.slope * eps_v]
-    if n_int and domain_edge(v_start, start) <= 0.0:
-        raise OdeSingularityError(v_start)
-
-    solved = grid >= v_start - 1e-15
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (v_start, top), start,
-                        method="RK45", rtol=tol, atol=tol * max(top - lo, 1.0),
-                        t_eval=grid[solved],
-                        events=None if n_int == 0 else domain_edge,
-                        first_step=eps_v / 2.0, max_step=(top - lo) / 16.0)
-    if sol.status == 1 and sol.t_events and sol.t_events[0].size:
-        raise OdeSingularityError(float(sol.t_events[0][0]))
-    if not sol.success:
-        raise SolverError(f"ODE integration failed: {sol.message}")
-
-    bids = problem.line.copy()
-    bids[solved] = sol.y[0]
-    bids = np.minimum(bids, grid)
-    return problem.finish(bids, problem.defect(bids)[2], "ode", int(sol.nfev), tol)
-
-
 # ------------------------------- closed forms ---------------------------------
 
 
@@ -549,39 +477,49 @@ def verify_envelope(solution: EquilibriumSolution) -> EnvelopeReport:
 
 @dataclass(frozen=True)
 class BestResponseReport:
+    """Deviation gains at the certified values: ``max_gain`` (at ``at_value``)
+    is what ``bound`` gates; ``top_gain`` at the top grid value is reported
+    only; ``bid_gap`` is the largest distance between a scheduled bid and the
+    best bid of the bid grid, at least half its step. ``gains`` holds the
+    certified values' gains in grid order, then the top value's."""
+
     max_gain: float
     at_value: float
-    gains: np.ndarray = field(repr=False, default=None)
+    bound: float
+    top_gain: float
+    bid_gap: float
+    gains: np.ndarray = field(repr=False)
 
 
-def verify_best_response(solution: EquilibriumSolution,
-                         value_grid: np.ndarray | None = None,
-                         bid_grid: np.ndarray | None = None) -> BestResponseReport:
-    """Grid-search for profitable deviations from the solved schedule.
+def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
+    """Best-response certificate: what a neutral builder gains by deviating
+    from the solved schedule while its rivals play it.
 
-    For each candidate value the payoff of every candidate bid is evaluated
-    against rivals playing the schedule (bids below the schedule range beat
-    rivals with the bottom-grid probability, bids above it win the rival
-    contest outright); at an equilibrium the best gain over the scheduled bid
-    is nonpositive up to discretization.
+    The values are every k-th grid value from the bottom, below the top cell,
+    with the least k that keeps at most ``_CERT_VALUES`` of them, plus the top
+    value. They lie on the grid because between grid points the interpolated
+    schedule is not the solved one and shows false gains. Each is scored
+    against ``_CERT_BIDS`` bids evenly spaced over the value range (a bid
+    below it never wins, a bid above the schedule wins the rival contest
+    outright). At an equilibrium the gains vanish up to the schedule's error;
+    the bound is ``_GAIN_BOUND`` times the value range. The top cell is left
+    out of the gate: its gain carries the grid's tail bias, which can exceed
+    that of a mis-shaded schedule.
     """
-    config, v_grid = solution.config, solution.values
-    if value_grid is None:
-        value_grid = np.linspace(v_grid[0], v_grid[-1], 21)
-    if bid_grid is None:
-        bid_grid = np.linspace(0.0, v_grid[-1], 200)
-    value_grid = np.asarray(value_grid, dtype=float)
-    bid_grid = np.asarray(bid_grid, dtype=float)
-
-    inv = solution.bid_function.inverse(bid_grid)
-    rival_at_bid = np.asarray(config.rival_cdf(inv), dtype=float)
-    rival_at_bid = np.where(bid_grid > solution.bids[-1], 1.0, rival_at_bid)
-    win_at_bid = rival_at_bid * config.reserve_cdf(bid_grid)
-
-    payoff = (value_grid[:, None] - bid_grid[None, :]) * win_at_bid[None, :]
-    sched_bids = solution.bid_function(value_grid)
-    sched_payoff = (value_grid - sched_bids) * np.asarray(
-        config.rival_cdf(value_grid), dtype=float) * config.reserve_cdf(sched_bids)
-    gains = payoff.max(axis=1) - sched_payoff
-    i = int(np.argmax(gains))
-    return BestResponseReport(float(gains[i]), float(value_grid[i]), gains)
+    config, values, bids = solution.config, solution.values, solution.bids
+    n, lo, top = values.size, float(values[0]), float(values[-1])
+    points = np.append(np.arange(0, n - 1, -(-(n - 1) // _CERT_VALUES)), n - 1)
+    bid_grid = np.linspace(lo, top, _CERT_BIDS)
+    rival = config.rival_cdf(solution.bid_function.inverse(bid_grid))
+    win = np.where(bid_grid > bids[-1], 1.0, rival) * config.reserve_cdf(bid_grid)
+    v = values[points]
+    payoff = (v[:, None] - bid_grid) * win
+    best = np.argmax(payoff, axis=1)
+    gains = (payoff[np.arange(v.size), best]
+             - (v - bids[points]) * solution.win_prob[points])
+    i = int(np.argmax(gains[:-1]))
+    return BestResponseReport(
+        max_gain=float(gains[i]), at_value=float(v[i]),
+        bound=_GAIN_BOUND * (top - lo), top_gain=float(gains[-1]),
+        bid_gap=float(np.max(np.abs(bid_grid[best] - bids[points])[:-1])),
+        gains=gains)

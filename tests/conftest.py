@@ -1,11 +1,14 @@
+import dataclasses
 import signal
 
 import pytest
 
 from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from pbslab.distributions import Beta, Uniform
-from pbslab.private_equilibrium import (HybridAuctionConfig, solve_fixed_point,
-                                        solve_ode)
+from pbslab.private_equilibrium import (BidFunction, HybridAuctionConfig,
+                                        _strictly_increasing, solve_fixed_point)
+
+from ode_oracle import solve_ode
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -28,6 +31,19 @@ def deadline():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def mis_shade():
+    """A function that lowers every bid of a solution by 2%, with the win
+    probabilities of the lowered schedule."""
+    def shade(solution):
+        config, v = solution.config, solution.values
+        bids = _strictly_increasing(0.98 * solution.bids)
+        return dataclasses.replace(
+            solution, bid_function=BidFunction(v, bids),
+            win_prob=config.rival_cdf(v) * config.reserve_cdf(bids))
+    return shade
 
 
 @pytest.fixture(scope="session")

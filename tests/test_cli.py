@@ -47,18 +47,47 @@ def test_solve_private_closed_form(tmp_path, capsys):
     assert "created_utc" in envelope["meta"]
 
 
-def test_solve_private_auto_cross_checks(tmp_path):
+def test_solve_private_auto_cross_checks(tmp_path, capsys):
+    """auto certifies the schedule by best response: the JSON holds the gain,
+    where it occurs, its bound and the ungated top-value gain; the bid gap
+    stays a number; stdout names the gain."""
     out = tmp_path / "beta.csv"
     rc = main(["solve-private", "--na", "3", "--nb", "3",
                "--fa", "beta(2,2)", "--fb", "beta(2,2)", "--out", str(out)])
     assert rc == 0
-    envelope = json.loads(out.with_suffix(".json").read_text())
-    disagreement = envelope["residuals"]["cross_method_max_disagreement"]
+    residuals = json.loads(out.with_suffix(".json").read_text())["residuals"]
+    disagreement = residuals["cross_method_max_disagreement"]
     assert disagreement is not None and disagreement < 2e-3
+    assert "cross_method_note" not in residuals
+    best = residuals["best_response"]
+    assert set(best) == {"max_gain", "at_value", "bound", "top_gain"}
+    assert best["max_gain"] <= best["bound"] == 1e-5
+    assert 0.0 <= best["at_value"] < 1.0
+    assert capsys.readouterr().out.endswith(
+        f"best-response max gain={best['max_gain']:.3g} (bound 1e-05)\n")
     _, data = _read_csv_columns(out)
     v, sigma = data[:, 0], data[:, 1]
     assert np.all(np.diff(sigma) > 0)
     assert np.all(sigma <= v + 1e-12)
+
+
+def test_solve_private_auto_rejects_a_mis_shaded_schedule(tmp_path, capsys,
+                                                          monkeypatch, mis_shade):
+    """A schedule 2% below the solved one fails the certificate: exit 4 with
+    the reason on stderr, and both outputs still written."""
+    import pbslab.cli as cli
+
+    real = cli.solve_fixed_point
+    monkeypatch.setattr(cli, "solve_fixed_point",
+                        lambda *args, **kwargs: mis_shade(real(*args, **kwargs)))
+    out = tmp_path / "beta.csv"
+    rc = cli.main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+                   "--fb", "beta(2,2)", "--out", str(out)])
+    assert rc == 4
+    assert "verification failure" in capsys.readouterr().err
+    best = json.loads(out.with_suffix(".json").read_text())["residuals"]["best_response"]
+    assert best["max_gain"] > best["bound"]
+    assert out.exists()
 
 
 def test_solve_private_json_reports_solver_path(tmp_path, capsys):
@@ -78,32 +107,20 @@ def test_solve_private_json_reports_solver_path(tmp_path, capsys):
 
 
 def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):
+    """Beta(0.7,3) 3+3, where the ODE form is singular near v = 1: auto ends
+    well within the deadline, the certificate passes and the schedule is the
+    fixed point's, byte for byte."""
     flags = ["solve-private", "--na", "3", "--nb", "3",
              "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)"]
     auto, fixed = tmp_path / "auto.csv", tmp_path / "fixed.csv"
     assert main(flags + ["--out", str(auto)]) == 0
     residuals = json.loads(auto.with_suffix(".json").read_text())["residuals"]
-    assert residuals["cross_method_max_disagreement"] is None
-    assert "ODE singularity at v=0.999" in residuals["cross_method_note"]
+    assert residuals["best_response"]["max_gain"] <= residuals["best_response"]["bound"]
+    assert residuals["cross_method_max_disagreement"] < 2e-3
     assert main(flags + ["--method", "fixed-point", "--out", str(fixed)]) == 0
     assert auto.read_text() == fixed.read_text()
-
-
-@pytest.mark.parametrize("law, na, nb, cap, reason", [
-    ("beta(0.7,3)", 3, 3, None, "ODE singularity at v=0.999"),
-    ("lognormal(0,0.5)", 2, 4, 1_000,
-     "gave up after 1000 right-hand-side evaluations"),
-])
-def test_solve_private_ode_failure_exits_3(tmp_path, capsys, monkeypatch,
-                                           deadline, law, na, nb, cap, reason):
-    if cap is not None:
-        monkeypatch.setattr("pbslab.private_equilibrium._MAX_NFEV", cap)
-    out = tmp_path / "ode.csv"
-    rc = main(["solve-private", "--na", str(na), "--nb", str(nb),
-               "--fa", law, "--fb", law, "--method", "ode", "--out", str(out)])
-    assert rc == 3
-    assert reason in capsys.readouterr().err
-    assert not out.exists()
+    assert json.loads(fixed.with_suffix(".json").read_text())["residuals"][
+        "best_response"] is None
 
 
 def test_solve_private_missing_flag_is_usage_error(tmp_path):
@@ -130,19 +147,21 @@ def test_solve_private_extreme_beta_shapes_are_usage_errors(tmp_path, capsys, fb
     assert not out.exists()
 
 
-def test_solve_private_ode_method(tmp_path):
+def test_solve_private_ode_method(tmp_path, capsys):
+    """The ODE left the program: --method ode is an invalid choice."""
     out = tmp_path / "ode.csv"
     rc = main(["solve-private", "--na", "3", "--nb", "3",
                "--fa", "uniform(0,1)", "--fb", "uniform(0,1)",
                "--method", "ode", "--out", str(out)])
-    assert rc == 0
-    assert json.loads(out.with_suffix(".json").read_text())["solver"]["method"] == "ode"
+    assert rc == 2
+    assert "invalid choice: 'ode'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
     ("--max-iter", "-5", "--method", "fixed-point"),
     ("--tol", "-1", "--method", "fixed-point"),
-    ("--tol", "-1", "--method", "ode"),
+    ("--tol", "-1", "--method", "auto"),
 ])
 def test_solve_private_unmeetable_limits_are_usage_errors(tmp_path, capsys, recwarn,
                                                          deadline, flags):
@@ -512,14 +531,18 @@ def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
 
-def test_cli_import_loads_no_ode_or_root_finder_modules():
-    """Only ``solve_ode`` needs scipy.integrate (which pulls in
-    scipy.optimize), so a command that never runs it does not import it."""
+def test_cli_import_loads_no_ode_or_root_finder_modules(tmp_path):
+    """No code path needs scipy.integrate or scipy.optimize, so neither the
+    import nor a default (auto) solve loads them."""
     src = str(Path(pbslab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, pbslab.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys, pbslab.cli; "
+            "assert pbslab.cli.main(['solve-private', '--na', '3', '--nb', '3', "
+            "'--fa', 'beta(2,2)', '--fb', 'beta(2,2)', '--out', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=60,
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "auto.csv")],
+                          capture_output=True, text=True, check=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "auto.json").exists()

@@ -12,12 +12,14 @@ from scipy.integrate import quad
 from pbslab import private_equilibrium as pe
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
-                                        HybridAuctionConfig, OdeSingularityError,
-                                        SolverError, closed_form_single_neutral,
-                                        solve_fixed_point, solve_ode,
-                                        surplus_single_neutral,
+                                        HybridAuctionConfig, SolverError,
+                                        closed_form_single_neutral,
+                                        solve_fixed_point, surplus_single_neutral,
                                         verify_best_response, verify_envelope,
                                         winning_probability)
+
+import ode_oracle
+from ode_oracle import OdeSingularityError, solve_ode
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -306,7 +308,7 @@ def test_config_validation():
         HybridAuctionConfig(0, 1, UNIT, UNIT)
 
 
-# ---------------------------------- ODE route ----------------------------------
+# ---------------------------------- ODE oracle ---------------------------------
 
 
 def test_ode_agrees_with_fixed_point_uniform(uniform_3_3, uniform_3_3_ode):
@@ -358,7 +360,7 @@ def test_ode_solves_lognormal_without_warnings(deadline):
 
 
 def test_ode_gives_up_after_evaluation_cap(monkeypatch, deadline):
-    monkeypatch.setattr("pbslab.private_equilibrium._MAX_NFEV", 1_000)
+    monkeypatch.setattr(ode_oracle, "_MAX_NFEV", 1_000)
     with pytest.raises(SolverError,
                        match="gave up after 1000 right-hand-side evaluations"):
         solve_ode(LOGNORMAL_2_4)
@@ -441,14 +443,13 @@ def test_strictly_increasing_matches_reference_loop(runs, ascending):
 
 def test_best_response_closed_form_case(uniform_3_1):
     _, sol = uniform_3_1
-    report = verify_best_response(sol)
-    assert report.max_gain <= 1e-6
+    assert verify_best_response(sol).gains.max() <= 1e-6
 
 
 def test_best_response_three_by_three(uniform_3_3):
     _, sol = uniform_3_3
     report = verify_best_response(sol)
-    assert report.max_gain <= 1e-3
+    assert report.gains.max() <= 1e-3
     # a zero-value bidder cannot profit from any bid
     gains_at_zero = report.gains[0]
     assert gains_at_zero <= 1e-12
@@ -456,7 +457,50 @@ def test_best_response_three_by_three(uniform_3_3):
 
 def test_best_response_beta(beta_3_3):
     _, sol = beta_3_3
-    assert verify_best_response(sol).max_gain <= 1e-3
+    assert verify_best_response(sol).gains.max() <= 1e-3
+
+
+# the configs the certificate's bound was set on, each at grids 512 and 4096
+CERTIFICATE_MATRIX = {
+    "beta(2,2) 3+3": (3, 3, Beta(2, 2), Beta(2, 2)),
+    "beta(2,2) 8+8": (8, 8, Beta(2, 2), Beta(2, 2)),
+    "lognormal 2+4": (2, 4, LOGNORMAL, LOGNORMAL),
+    "uniform 3+3": (3, 3, UNIT, UNIT),
+    "uniform 3+1": (3, 1, UNIT, UNIT),
+    "uniform 1+2": (1, 2, UNIT, UNIT),
+    "uniform 0+3": (0, 3, UNIT, UNIT),
+    "beta(0.7,3) 3+3": (3, 3, Beta(0.7, 3), Beta(0.7, 3)),
+    "beta(0.5,5) 3+3": (3, 3, Beta(0.5, 5), Beta(0.5, 5)),
+    "uniform/beta(2,5) 3+2": (3, 2, UNIT, Beta(2, 5)),
+    "beta(5,2)/beta(2,2) 2+4": (2, 4, Beta(5, 2), Beta(2, 2)),
+}
+CERTIFICATE_CASES = [(name, grid) for name in CERTIFICATE_MATRIX for grid in (512, 4096)]
+
+
+@pytest.fixture(scope="module")
+def certificate_solutions():
+    return {(name, grid): solve_fixed_point(
+                HybridAuctionConfig(*CERTIFICATE_MATRIX[name]), grid)
+            for name, grid in CERTIFICATE_CASES}
+
+
+@pytest.mark.parametrize("name, grid", CERTIFICATE_CASES)
+def test_certificate_passes_solved_schedules_with_headroom(certificate_solutions,
+                                                           name, grid):
+    sol = certificate_solutions[(name, grid)]
+    report = verify_best_response(sol)
+    assert report.bound == pytest.approx(1e-5 * (sol.values[-1] - sol.values[0]))
+    assert 3.0 * report.max_gain <= report.bound
+    assert report.at_value < sol.values[-1]
+    assert report.gains.size == min(64, sol.values.size - 1) + 1
+
+
+@pytest.mark.parametrize("name, grid", CERTIFICATE_CASES)
+def test_certificate_fails_schedules_shaded_2_percent_more(certificate_solutions,
+                                                           mis_shade, name, grid):
+    sol = certificate_solutions[(name, grid)]
+    report = verify_best_response(mis_shade(sol))
+    assert report.max_gain > report.bound
 
 
 def test_surplus_below_truthful_counterfactual(uniform_3_3, beta_3_3):

@@ -24,11 +24,20 @@ def spans():
     return module
 
 
+# spans whose functions left the program on purpose (``solve_ode`` became a
+# test oracle); their metrics read 0 until the benchmark drops them
+RETIRED = {"private_equilibrium.ode"}
+
+
 def test_every_span_resolves_a_name(spans):
+    assert RETIRED <= set(spans._FUNCTIONS)
     for span, targets in spans._FUNCTIONS.items():
         found = [(module, name) for module, name in targets
                  if hasattr(importlib.import_module(module), name)]
-        assert found, f"span {span!r} resolves none of {targets}"
+        if span in RETIRED:
+            assert not found, f"retired span {span!r} resolves {found}"
+        else:
+            assert found, f"span {span!r} resolves none of {targets}"
 
 
 def test_sweep_span_counts_the_rows_of_cli_sweep(spans, tmp_path):

@@ -67,9 +67,13 @@ _CERT_VALUES = 64
 _CERT_BIDS = 4000
 
 # largest deviation gain, as a share of the value range, that certifies a
-# schedule: correct schedules of the tested configs stay below 1.3e-6 (grids
-# 512 and 4096), the same schedules with every bid 2% lower exceed 5e-5
+# schedule of n grid values: _GAIN_BOUND, or _GAIN_CELLS / n**2 where that is
+# larger, since a coarse grid's own error shows as gains falling like 1/n**2.
+# Correct schedules of the tested configs stay below 2.7 / n**2 at grids 64
+# to 4096 (1.3e-6 at 512); the same schedules with every bid 2% lower exceed
+# 5e-5 from grid 128 up, so they fail the bound from about grid 450 up
 _GAIN_BOUND = 1e-5
+_GAIN_CELLS = 10.0
 
 
 class SolverError(RuntimeError):
@@ -502,7 +506,8 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     against ``_CERT_BIDS`` bids evenly spaced over the value range (a bid
     below it never wins, a bid above the schedule wins the rival contest
     outright). At an equilibrium the gains vanish up to the schedule's error;
-    the bound is ``_GAIN_BOUND`` times the value range. The top cell is left
+    the bound is the value range times ``_GAIN_BOUND`` or, on a grid of n
+    values, ``_GAIN_CELLS / n**2`` if that is larger. The top cell is left
     out of the gate: its gain carries the grid's tail bias, which can exceed
     that of a mis-shaded schedule.
     """
@@ -520,6 +525,7 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     i = int(np.argmax(gains[:-1]))
     return BestResponseReport(
         max_gain=float(gains[i]), at_value=float(v[i]),
-        bound=_GAIN_BOUND * (top - lo), top_gain=float(gains[-1]),
+        bound=(top - lo) * max(_GAIN_BOUND, _GAIN_CELLS / n**2),
+        top_gain=float(gains[-1]),
         bid_gap=float(np.max(np.abs(bid_grid[best] - bids[points])[:-1])),
         gains=gains)

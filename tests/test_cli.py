@@ -61,10 +61,10 @@ def test_solve_private_auto_cross_checks(tmp_path, capsys):
     assert "cross_method_note" not in residuals
     best = residuals["best_response"]
     assert set(best) == {"max_gain", "at_value", "bound", "top_gain"}
-    assert best["max_gain"] <= best["bound"] == 1e-5
+    assert best["max_gain"] <= best["bound"] == 10.0 / 512**2
     assert 0.0 <= best["at_value"] < 1.0
     assert capsys.readouterr().out.endswith(
-        f"best-response max gain={best['max_gain']:.3g} (bound 1e-05)\n")
+        f"best-response max gain={best['max_gain']:.3g} (bound 3.81e-05)\n")
     _, data = _read_csv_columns(out)
     v, sigma = data[:, 0], data[:, 1]
     assert np.all(np.diff(sigma) > 0)
@@ -121,6 +121,33 @@ def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):
     assert auto.read_text() == fixed.read_text()
     assert json.loads(fixed.with_suffix(".json").read_text())["residuals"][
         "best_response"] is None
+
+
+@pytest.mark.parametrize("grid", ["64", "128", "256"])
+def test_solve_private_auto_certifies_coarse_grids(tmp_path, grid):
+    """A coarse grid's correct schedule passes: the bound widens with the
+    grid's own error, which at grid 64 is far above 1e-5 of the range."""
+    out = tmp_path / "beta.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+                 "--fb", "beta(2,2)", "--grid", grid, "--out", str(out)]) == 0
+    best = json.loads(out.with_suffix(".json").read_text())["residuals"]["best_response"]
+    assert best["max_gain"] <= best["bound"] == 10.0 / int(grid) ** 2
+
+
+@pytest.mark.parametrize("law, na, nb", [
+    ("beta(0.7,3)", 3, 3),
+    ("lognormal(0,0.5)", 2, 4),
+])
+def test_solve_private_solver_failure_exits_3(tmp_path, capsys, deadline, law, na, nb):
+    """auto's fixed point stopped short of its tolerance: exit 3 with the
+    reason on stderr, and neither the CSV nor the JSON is written."""
+    out = tmp_path / "fp.csv"
+    rc = main(["solve-private", "--na", str(na), "--nb", str(nb), "--fa", law,
+               "--fb", law, "--max-iter", "2", "--out", str(out)])
+    assert rc == 3
+    assert "fixed point did not reach tol=1e-06 after 2 sweeps" in capsys.readouterr().err
+    assert not out.exists()
+    assert not out.with_suffix(".json").exists()
 
 
 def test_solve_private_missing_flag_is_usage_error(tmp_path):

@@ -344,8 +344,8 @@ class Lognormal(ValueDistribution):
     def __post_init__(self):
         if not math.isfinite(self.log_mean):
             raise ValueError("log_mean must be finite")
-        if not (self.log_sd > 0.0):
-            raise ValueError(f"log_sd must be positive, got {self.log_sd}")
+        if not (0.0 < self.log_sd < math.inf):
+            raise ValueError(f"log_sd must be positive and finite, got {self.log_sd}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -414,15 +414,20 @@ class EmpiricalGrid(ValueDistribution):
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalGrid":
-        """Load from a CSV with header ``x,cdf``, rows sorted ascending."""
+        """Load from a CSV with header ``x,cdf`` (spaces around the names
+        allowed) and two fields on every row, rows sorted ascending."""
         xs, cs = [], []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "cdf"]:
-                raise ValueError(f"{path}: expected header 'x,cdf', got {reader.fieldnames}")
-            for row in reader:
-                xs.append(float(row["x"]))
-                cs.append(float(row["cdf"]))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [f.strip() for f in header] != ["x", "cdf"]:
+                raise ValueError(f"{path}: expected header 'x,cdf', got {header}")
+            for row in filter(None, reader):  # blank lines hold no row
+                if len(row) != 2:
+                    raise ValueError(f"{path}, line {reader.line_num}: "
+                                     f"expected 2 fields 'x,cdf', got {row}")
+                xs.append(float(row[0]))
+                cs.append(float(row[1]))
         return cls(np.array(xs), np.array(cs))
 
     @property

@@ -32,7 +32,6 @@ __all__ = [
     "ReplicationRng",
     "Stat",
     "SimReport",
-    "pick_winners",
     "simulate_hybrid",
     "simulate_candlestick",
 ]
@@ -40,6 +39,7 @@ __all__ = [
 BLOCK_SIZE = 8192
 _MIN_REPS = 10_000  # below this the normal-approximation intervals get shaky
 _Z95 = 1.959963984540054
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest uniform a Philox draw gives
 
 
 @dataclass(frozen=True)
@@ -154,109 +154,48 @@ def _check(name: str, stat: Stat, target: float) -> dict:
 # --------------------------------- hybrid -------------------------------------
 
 
-def pick_winners(bids: np.ndarray, tie_u: np.ndarray) -> np.ndarray:
-    """Row-wise argmax with uniform random tie-breaking among top bids."""
-    winners = np.argmax(bids, axis=1)
-    top = bids[np.arange(bids.shape[0]), winners]
-    tie_rows = np.flatnonzero((bids == top[:, None]).sum(axis=1) > 1)
-    for r in tie_rows:
-        tied = np.flatnonzero(bids[r] == top[r])
-        winners[r] = tied[min(int(tie_u[r] * tied.size), tied.size - 1)]
-    return winners
-
-
-def _top_two(u: np.ndarray):
-    """Column and value of each row's largest entry, and the second largest
-    entry (``None`` for a single column)."""
-    col = np.argmax(u, axis=1)
-    top = u[np.arange(u.shape[0]), col]
-    second = np.partition(u, -2, axis=1)[:, -2] if u.shape[1] > 1 else None
-    return col, top, second
+def _top_uniform(u: np.ndarray, n: int) -> np.ndarray:
+    """The largest of ``n`` uniforms, sampled from one: ``u**(1/n)``, kept
+    below 1 like a drawn uniform where the power rounds up to 1."""
+    return np.minimum(u ** (1 / n), _BELOW_ONE)
 
 
 def _hybrid_block(solution: EquilibriumSolution, u: np.ndarray) -> dict[str, np.ndarray]:
-    """Play one batch of auctions from a matrix of uniforms (one row per rep).
+    """Play one batch of auctions from a ``(m, 4)`` matrix of uniforms.
 
-    The quantile functions and the bid schedule are nondecreasing, so each
-    class's largest uniform gives its top value. A row evaluates the top
-    integrated value, the top neutral value and its bid, and the second
-    value of the winning class: at most three quantiles. Rows where that
-    second ties or passes its top, or the two tops tie, are replayed by
-    :func:`_hybrid_full_rows`, which breaks ties uniformly at random. So the
-    outputs equal the full row's bit for bit wherever the computed values
-    do not decrease as a row's uniforms rise (the Beta quantile can drop by
-    one ulp between adjacent doubles, where ``betainc`` rounds).
+    Integrated builders bid their values and neutral builders a
+    nondecreasing shade of theirs, so three order statistics decide a row,
+    each sampled directly (Devroye 1986, ch. V): column 0 gives the top
+    neutral uniform, U^(1/n), column 1 the top integrated one, column 2 the
+    integrated second, the top times U^(1/(n-1)), drawn only where the
+    integrated class wins, and column 3 < 1/2 gives an exact tie between the
+    top integrated value and the top neutral bid to the integrated builder.
+    A row evaluates at most three quantiles and never compares two values
+    of one class.
     """
     config = solution.config
     n_int, n_neu = config.n_integrated, config.n_neutral
-    m = u.shape[0]
-    neu_col, neu_u, neu_u2 = _top_two(u[:, n_int:n_int + n_neu])
-    neu_value = np.asarray(config.neutral_values.quantile(neu_u), dtype=float)
+    neu_value = np.asarray(config.neutral_values.quantile(_top_uniform(u[:, 0], n_neu)),
+                           dtype=float)
     neu_bid = solution.bid_function(neu_value)
     if n_int:
-        int_col, int_u, int_u2 = _top_two(u[:, :n_int])
-        int_value = np.asarray(config.integrated_values.quantile(int_u), dtype=float)
+        int_top = _top_uniform(u[:, 1], n_int)
+        int_value = np.asarray(config.integrated_values.quantile(int_top), dtype=float)
     else:  # no reserve: every row goes to the top neutral bid
-        int_col, int_value = np.zeros(m, dtype=np.intp), np.full(m, -np.inf)
-    integrated_won = int_value > neu_bid
-    ambiguous = int_value == neu_bid
+        int_value = np.full(u.shape[0], -np.inf)
+    integrated_won = (int_value > neu_bid) | ((int_value == neu_bid) & (u[:, 3] < 0.5))
 
     # integrated winners pay the next-highest bid, neutral winners their own
     payment = neu_bid.copy()
-    won = np.flatnonzero(integrated_won)
     if n_int > 1:
-        second = np.asarray(config.integrated_values.quantile(int_u2[won]), dtype=float)
+        won = np.flatnonzero(integrated_won)
+        second_top = int_top[won] * u[won, 2] ** (1 / (n_int - 1))
+        second = np.asarray(config.integrated_values.quantile(second_top), dtype=float)
         payment[won] = np.maximum(second, neu_bid[won])
-        ambiguous[won] |= second >= int_value[won]
-    lost = np.flatnonzero(~integrated_won)
-    if n_neu > 1:
-        second = np.asarray(config.neutral_values.quantile(neu_u2[lost]), dtype=float)
-        ambiguous[lost] |= solution.bid_function(second) >= neu_bid[lost]
-
     winner_value = np.where(integrated_won, int_value, neu_value)
-    out = {
-        "winner": np.where(integrated_won, int_col, n_int + neu_col),
+    return {
         "integrated_won": integrated_won,
         "winning_bid": np.where(integrated_won, int_value, neu_bid),
-        "payment": payment,
-        "winner_value": winner_value,
-        "surplus": winner_value - payment,
-    }
-    tied = np.flatnonzero(ambiguous)
-    if tied.size:
-        for key, values in _hybrid_full_rows(solution, u[tied]).items():
-            out[key][tied] = values
-    return out
-
-
-def _hybrid_full_rows(solution: EquilibriumSolution,
-                      u: np.ndarray) -> dict[str, np.ndarray]:
-    """:func:`_hybrid_block` drawing every bidder's value; ties go to
-    :func:`pick_winners`."""
-    config = solution.config
-    n_int, n_neu = config.n_integrated, config.n_neutral
-    m = u.shape[0]
-    vals_int = np.asarray(config.integrated_values.quantile(u[:, :n_int]),
-                          dtype=float).reshape(m, n_int)
-    vals_neu = np.asarray(config.neutral_values.quantile(u[:, n_int:n_int + n_neu]),
-                          dtype=float).reshape(m, n_neu)
-    bids_neu = solution.bid_function(vals_neu)
-
-    values = np.concatenate([vals_int, vals_neu], axis=1)
-    bids = np.concatenate([vals_int, bids_neu], axis=1)  # integrated bid truthfully
-    winner = pick_winners(bids, u[:, -1])
-    rows = np.arange(m)
-    winning_bid = bids[rows, winner]
-    runner_up = np.partition(bids, -2, axis=1)[:, -2]
-    integrated_won = winner < n_int
-
-    # integrated winners pay the next-highest bid, neutral winners their own
-    payment = np.where(integrated_won, runner_up, winning_bid)
-    winner_value = values[rows, winner]
-    return {
-        "winner": winner,
-        "integrated_won": integrated_won,
-        "winning_bid": winning_bid,
         "payment": payment,
         "winner_value": winner_value,
         "surplus": winner_value - payment,
@@ -296,8 +235,7 @@ def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimR
                 np.where(~won_int, out["surplus"], 0.0) / config.n_neutral,
         }
 
-    width = config.n_integrated + config.n_neutral + 1  # values + tie-break
-    stats = _run_stats(seed, reps, width, series)
+    stats = _run_stats(seed, reps, 4, series)
     analytic = _hybrid_analytic(solution)
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
     return SimReport(model="hybrid", reps=reps, seed=seed,

@@ -163,6 +163,26 @@ def test_solve_private_bad_distribution_spec(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["solve-private", "simulate", "sweep"])
+@pytest.mark.parametrize("law", ["x,cdf\n0,0\n1\n", "lognormal(0,inf)"],
+                         ids=["empirical-short-row", "lognormal-infinite-sd"])
+def test_malformed_law_is_a_usage_error(tmp_path, capsys, recwarn, command, law):
+    """Rejected with exit 2 before any work: no traceback, no warning."""
+    if law.startswith("x,cdf"):
+        path = tmp_path / "law.csv"
+        path.write_text(law)
+        law = f"empirical({path})"
+    out = tmp_path / "x.csv"
+    flags = {"solve-private": [], "simulate": ["--model", "hybrid"],
+             "sweep": ["--axis", "na", "--grid", "1,2"]}[command]
+    rc = main([command, *flags, "--na", "2", "--nb", "2", "--fa", law,
+               "--fb", "uniform(0,1)", "--out", str(out)])
+    assert rc == 2
+    assert "invalid arguments" in capsys.readouterr().err
+    assert not recwarn.list
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fb", ["beta(1e-300,2)", "beta(2,1e-300)", "beta(1e-20,3)",
                                 "beta(inf,2)", "beta(1e-200,1e-200)"])
 def test_solve_private_extreme_beta_shapes_are_usage_errors(tmp_path, capsys, fb):

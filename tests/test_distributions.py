@@ -424,6 +424,15 @@ def test_invalid_parameters_rejected(ctor):
         ctor()
 
 
+@pytest.mark.parametrize("log_sd", [math.inf, -math.inf, math.nan])
+def test_lognormal_rejects_non_finite_log_sd(log_sd):
+    """lognormal(0,inf) would put half its mass at 0 and half at infinity."""
+    with pytest.raises(ValueError, match="log_sd"):
+        Lognormal(0.0, log_sd)
+    with pytest.raises(ValueError, match="log_sd"):
+        parse_distribution(f"lognormal(0,{log_sd})")
+
+
 def test_lower_tail_exponents():
     assert lower_tail_exponent(Uniform(0, 1), 0.0, 1e-3) == 1.0
     assert lower_tail_exponent(Beta(2, 2), 0.0, 1e-3) == 2.0
@@ -457,3 +466,20 @@ def test_empirical_csv_header_checked(tmp_path):
     bad.write_text("value,prob\n0,0\n1,1\n")
     with pytest.raises(ValueError, match="header"):
         parse_distribution(f"empirical({bad})")
+
+
+@pytest.mark.parametrize("body", ["x,cdf\n0,0\n1\n", "x,cdf\n0,0\n1,1,1\n"],
+                         ids=["short-row", "extra-field"])
+def test_empirical_csv_malformed_row_rejected(tmp_path, body):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    with pytest.raises(ValueError, match="line 3: expected 2 fields"):
+        parse_distribution(f"empirical({bad})")
+
+
+def test_empirical_csv_header_may_hold_spaces(tmp_path):
+    law = tmp_path / "law.csv"
+    law.write_text("x, cdf\n0.0, 0.0\n0.5, 0.4\n\n1.0, 1.0\n")
+    emp = parse_distribution(f"empirical({law})")
+    assert np.array_equal(emp.points, [0.0, 0.5, 1.0])
+    assert np.array_equal(emp.cdf_values, [0.0, 0.4, 1.0])

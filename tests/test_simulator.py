@@ -5,17 +5,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from pbslab import simulator
 from pbslab.cli import build_parser, main, sweep
 from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
 from pbslab.simulator import (ReplicationRng, _candlestick_block, _hybrid_block,
-                              _hybrid_full_rows, _replications, pick_winners,
-                              simulate_candlestick, simulate_hybrid)
+                              _replications, simulate_candlestick, simulate_hybrid)
+
+from full_row_oracle import full_rows, full_uniforms
 
 UNIT = Uniform(0.0, 1.0)
+# a hybrid row: top neutral, top integrated, second integrated, tie-break
+HYBRID_WIDTH = 4
 
 
 def _outcomes(seed, reps, width, block_fn):
@@ -25,8 +28,7 @@ def _outcomes(seed, reps, width, block_fn):
 
 
 def _hybrid_outcomes(sol, reps, seed):
-    width = sol.config.n_integrated + sol.config.n_neutral + 1  # values + tie-break
-    return _outcomes(seed, reps, width, lambda u: _hybrid_block(sol, u))
+    return _outcomes(seed, reps, HYBRID_WIDTH, lambda u: _hybrid_block(sol, u))
 
 
 def _candlestick_outcomes(sol, n_slow, reps, seed):
@@ -76,8 +78,9 @@ def test_reports_are_bit_identical(uniform_3_1):
 def test_integrated_winner_pays_next_highest(uniform_3_1):
     """Integrated bids (0.9, 0.5, 0.2) against a neutral bid of 0.6."""
     _, sol = uniform_3_1
-    # uniform values: quantiles are identities; sigma(0.8) = 0.6 exactly
-    u = np.array([[0.9, 0.5, 0.2, 0.8, 0.123]])
+    # uniform values: quantiles are identities; sigma(0.8) = 0.6 exactly; the
+    # top of three integrated uniforms is u1**(1/3), the second top·u2**(1/2)
+    u = np.array([[0.8, 0.9 ** 3, (0.5 / 0.9) ** 2, 0.123]])
     out = _hybrid_block(sol, u)
     assert bool(out["integrated_won"][0]) is True
     assert out["payment"][0] == pytest.approx(0.6, abs=1e-9)
@@ -88,7 +91,7 @@ def test_integrated_winner_pays_next_highest(uniform_3_1):
 def test_neutral_winner_pays_own_bid():
     config = HybridAuctionConfig(1, 1, UNIT, UNIT)
     sol = solve_fixed_point(config)  # sigma(v) = v/2
-    u = np.array([[0.3, 0.8, 0.99]])
+    u = np.array([[0.8, 0.3, 0.5, 0.99]])  # neutral 0.8, integrated 0.3
     out = _hybrid_block(sol, u)
     assert bool(out["integrated_won"][0]) is False
     assert out["payment"][0] == pytest.approx(0.4, abs=1e-9)
@@ -96,27 +99,26 @@ def test_neutral_winner_pays_own_bid():
 
 
 def test_run_once_returns_outcome(uniform_3_1):
-    """One replication through a one-row block: one winner among the four
-    bidders, the only one holding surplus, and revenue is its payment."""
-    config, sol = uniform_3_1
-    out = _hybrid_block(sol, np.random.default_rng(0).random((1, 5)))
-    winner = int(out["winner"][0])
-    assert bool(out["integrated_won"][0]) == (winner < config.n_integrated)
+    """One replication through a one-row block: one winner, the only one
+    holding surplus, and revenue is its payment."""
+    _, sol = uniform_3_1
+    out = _hybrid_block(sol, np.random.default_rng(0).random((1, HYBRID_WIDTH)))
     assert out["surplus"][0] == out["winner_value"][0] - out["payment"][0]
     assert out["surplus"].shape == (1,)
-    assert 0 <= winner < 4
     report = simulate_hybrid(sol, 10_000, seed=0)
     payment = _hybrid_outcomes(sol, 10_000, seed=0)["payment"]
     assert report.stats["revenue"].mean == pytest.approx(payment.mean(), rel=1e-12)
 
 
 def test_tie_break_is_uniform():
-    bids = np.full((40_000, 4), 0.5)
-    tie_u = np.random.default_rng(8).random(40_000)
-    winners = pick_winners(bids, tie_u)
-    counts = np.bincount(winners, minlength=4)
-    # multinomial(1/4): 4-sigma band around 10_000
-    assert np.all(np.abs(counts - 10_000) < 4 * np.sqrt(40_000 * 0.25 * 0.75))
+    """An exact tie between the top integrated value and the top neutral bid
+    goes to either class with probability 1/2."""
+    sol = _kernel_case(3, 1, Uniform(0.0, 16.0), UNIT)
+    u, _ = _cross_tie_rows(sol, np.random.default_rng(8), 41_000)
+    won = _hybrid_block(sol, u[:40_000])["integrated_won"]
+    assert won.size == 40_000
+    # binomial(1/2): 4-sigma band around 20_000
+    assert abs(int(won.sum()) - 20_000) < 4 * np.sqrt(40_000 * 0.25)
 
 
 def test_accounting_identity(uniform_3_3):
@@ -148,28 +150,54 @@ def _kernel_case(n_int, n_neu, fa, fb):
                              grid_size=128, tol=1e-4)
 
 
-def _edge_blocks(width, rng, m=256):
-    """Blocks of uniforms whose rows tie or nearly tie; the last column is the
-    tie-break uniform."""
+def _edge_blocks(rng, m=256):
+    """Blocks of kernel rows whose uniforms tie or nearly tie; the last
+    column is the tie-break uniform."""
     base = rng.random((m, 1))
+    shape = (m, HYBRID_WIDTH)
     blocks = {
-        "random": rng.random((m, width)),
-        "equal": np.repeat(base, width, axis=1),
+        "random": rng.random(shape),
+        "equal": np.repeat(base, HYBRID_WIDTH, axis=1),
         # 0 to 2 representable doubles above a common base
-        "adjacent": (base.view(np.int64) + rng.integers(0, 3, (m, width))).view(float),
+        "adjacent": (base.view(np.int64) + rng.integers(0, 3, shape)).view(float),
         # past the bid grid's top, where np.interp clamps and bids tie
-        "saturated": 1.0 - rng.integers(1, 4, (m, width)) * 2.0 ** -53,
+        "saturated": 1.0 - rng.integers(1, 4, shape) * 2.0 ** -53,
     }
     for u in blocks.values():
         u[:, -1] = rng.random(m)
     return blocks
 
 
+def _cross_tie_rows(sol, rng, m):
+    """Kernel rows whose top integrated value equals the top neutral bid
+    exactly, and that bid. The integrated law is Uniform(0,16): a value is 16
+    times its uniform, exactly, and 16 lies above every bid here."""
+    config = sol.config
+    n_int, n_neu = config.n_integrated, config.n_neutral
+    u = rng.random((m, HYBRID_WIDTH))
+    neu_value = np.asarray(config.neutral_values.quantile(u[:, 0] ** (1 / n_neu)))
+    top_bid = sol.bid_function(neu_value)
+    target = top_bid / 16.0
+    # the n-th power of the tying top uniform, stepped by ulps until its
+    # n-th root gives that uniform back
+    u1 = target ** n_int
+    for _ in range(4 * n_int):
+        root = u1 ** (1 / n_int)
+        u1 = np.where(root < target, np.nextafter(u1, 1.0),
+                      np.where(root > target, np.nextafter(u1, 0.0), u1))
+    u[:, 1] = u1
+    # pow is not correctly rounded: a few targets are no double's n-th root
+    tied = 16.0 * u1 ** (1 / n_int) == top_bid
+    assert tied.mean() > 0.99
+    return u[tied], top_bid[tied]
+
+
 def _nondecreasing_rows(sol, u):
-    """Rows whose computed values, and neutral bids, do not decrease as the
-    uniforms of a class rise: the kernel's assumption. The Beta quantile
-    breaks it at the last bit for about 1% of adjacent doubles (Beta(2,2):
-    1,939 of 200,000 pairs, against 3,045 for scipy's betaincinv)."""
+    """Full rows whose computed values, and neutral bids, do not decrease as
+    the uniforms of a class rise, as the quantile of an order statistic
+    presumes. The Beta quantile breaks it at the last bit for about 1% of
+    adjacent doubles (Beta(2,2): 1,939 of 200,000 pairs, against 3,045 for
+    scipy's betaincinv)."""
     config = sol.config
     n_int, n_neu = config.n_integrated, config.n_neutral
     ok = np.ones(len(u), dtype=bool)
@@ -182,62 +210,52 @@ def _nondecreasing_rows(sol, u):
     return ok
 
 
-def _assert_kernel_matches(sol, u, monkeypatch):
+def _assert_kernel_matches(sol, u, rng):
     """On every row where the quantiles do not decrease, the kernel's outputs
-    equal the full row's bit for bit. Returns the number of rows the kernel
-    sent to the full row (the only caller of pick_winners)."""
-    expected = _hybrid_full_rows(sol, u)
-    fallback_rows = []
-
-    def recording(bids, tie_u):
-        fallback_rows.append(len(bids))
-        return pick_winners(bids, tie_u)
-
-    monkeypatch.setattr(simulator, "pick_winners", recording)
+    equal, bit for bit, the full-row oracle's on full rows with the same
+    order statistics. Returns the kernel's outputs."""
+    full = full_uniforms(sol, u, rng)
+    expected = full_rows(sol, full)
     got = _hybrid_block(sol, u)
-    monkeypatch.undo()
-    rows = _nondecreasing_rows(sol, u)
+    rows = _nondecreasing_rows(sol, full)
     assert rows.mean() > 0.9
-    assert got.keys() == expected.keys()
-    for key in expected:
+    assert got.keys() == expected.keys() - {"winner"}  # a class, not a bidder, wins
+    for key in got:
         assert got[key].dtype == expected[key].dtype, key
         assert np.array_equal(got[key][rows], expected[key][rows]), key
-    return sum(fallback_rows)
+    return got
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "%d+%d" % s)
 @pytest.mark.parametrize("law", KERNEL_LAWS)
-def test_kernel_equals_full_rows_on_ties(law, shape, monkeypatch):
+def test_kernel_equals_full_rows_on_ties(law, shape):
     n_int, n_neu = shape
     fb = KERNEL_LAWS[law]
     sol = _kernel_case(n_int, n_neu, fb, fb)
     rng = np.random.default_rng(sum(shape))
-    for name, u in _edge_blocks(n_int + n_neu + 1, rng).items():
-        fallback = _assert_kernel_matches(sol, u, monkeypatch)
-        if name == "random":
-            assert fallback == 0
-        elif name == "equal" and n_int + n_neu > 2:  # a tie in the winning class
-            assert fallback == len(u)
+    for u in _edge_blocks(rng).values():
+        _assert_kernel_matches(sol, u, rng)
 
     if n_int:
-        # an exact cross-class tie: a uniform(0,16) value is 16 times its
-        # uniform, exactly, and 16 lies above every bid here
         sol = _kernel_case(n_int, n_neu, Uniform(0.0, 16.0), fb)
-        u = rng.random((256, n_int + n_neu + 1))
-        top_bid = sol.bid_function(fb.quantile(u[:, n_int:n_int + n_neu].max(axis=1)))
-        u[:, :n_int] *= top_bid[:, None] / 16.0
-        u[:, 0] = top_bid / 16.0
-        assert _assert_kernel_matches(sol, u, monkeypatch) == len(u)
+        u, top_bid = _cross_tie_rows(sol, rng, 256)
+        got = _assert_kernel_matches(sol, u, rng)
+        assert np.array_equal(got["winning_bid"], top_bid)
+        assert 0 < got["integrated_won"].sum() < len(u)  # the tie-break decides
 
 
 class _CountingLaw:
-    """A value law that counts the values passed to its ``quantile``."""
+    """A value law that records the probabilities passed to its ``quantile``."""
 
     def __init__(self, law):
-        self.law, self.values = law, 0
+        self.law, self.calls = law, []
+
+    @property
+    def values(self):
+        return sum(q.size for q in self.calls)
 
     def quantile(self, q):
-        self.values += np.size(q)
+        self.calls.append(np.asarray(q, dtype=float))
         return self.law.quantile(q)
 
     def __getattr__(self, name):
@@ -252,6 +270,31 @@ def test_kernel_draws_at_most_three_quantiles_per_replication(n):
     counted = dataclasses.replace(sol, config=HybridAuctionConfig(n, n, law, law))
     _hybrid_outcomes(counted, 20_000, seed=4)
     assert law.values <= 3 * 20_000
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_kernel_samples_order_statistics_of_uniforms(n):
+    """The top of n uniforms has CDF x^n, the second n·x^(n−1) − (n−1)·x^n.
+    Integrated values in [2, 3] lie above every bid, so the integrated class
+    wins every row and its second is drawn on all of them."""
+    integrated, neutral = _CountingLaw(Uniform(2.0, 3.0)), _CountingLaw(UNIT)
+    sol = _kernel_case(n, n, UNIT, UNIT)
+    counted = dataclasses.replace(
+        sol, config=HybridAuctionConfig(n, n, integrated, neutral))
+    assert _hybrid_outcomes(counted, 100_000, seed=12)["integrated_won"].all()
+
+    def top_cdf(x):
+        return x ** n
+
+    def second_cdf(x):
+        return n * x ** (n - 1) - (n - 1) * x ** n
+
+    # per block: the integrated top, then its second
+    for calls, cdf in ((neutral.calls, top_cdf), (integrated.calls[0::2], top_cdf),
+                       (integrated.calls[1::2], second_cdf)):
+        q = np.concatenate(calls)
+        assert q.size == 100_000
+        assert stats.kstest(q, cdf).pvalue > 1e-3
 
 
 # --------------------------- statistical verification --------------------------

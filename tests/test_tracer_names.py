@@ -24,9 +24,10 @@ def spans():
     return module
 
 
-# spans whose functions left the program on purpose (``solve_ode`` became a
-# test oracle); their metrics read 0 until the benchmark drops them
-RETIRED = {"private_equilibrium.ode"}
+# spans whose functions left the program on purpose (``solve_ode`` and
+# ``pick_winners`` became test oracles); their metrics read 0 until the
+# benchmark drops them
+RETIRED = {"private_equilibrium.ode", "simulator.pick_winners"}
 
 
 def test_every_span_resolves_a_name(spans):

@@ -32,10 +32,8 @@ __all__ = [
     "CandlestickConfig",
     "CandlestickSolution",
     "law_of_v_delta",
-    "candlestick_residual",
     "solve_candlestick",
     "slow_win_probability",
-    "unraveling_slow_profit",
     "fast_expected_profit",
 ]
 
@@ -131,22 +129,6 @@ def _residual_vec(config: CandlestickConfig, b) -> np.ndarray:
         process.v0, b, process.log_sd)
 
 
-def candlestick_residual(config: CandlestickConfig, b: float) -> float:
-    """Expected slow-bidder profit from winning at bid b (the root condition).
-
-    The adverse-selection term P(V<b)*(E[V|V<b] - b) is evaluated in its
-    shortfall form -E[(b-V)+], which stays finite where the truncation mass
-    underflows and the truncated-mean form turns 0/0.
-    """
-    process, p = config.process, config.p
-    v0 = process.v0
-    if not 0.0 <= b <= v0 * (1.0 + 1e-12):
-        raise ValueError(f"bid must lie in [0, v0], got {b}")
-    if process.is_degenerate:
-        return (1.0 - p) * (v0 - b)
-    return float(_residual_vec(config, b))
-
-
 def solve_candlestick(config: CandlestickConfig) -> CandlestickSolution:
     """Find the break-even slow bid in [0, v0].
 
@@ -190,17 +172,6 @@ def slow_win_probability(config: CandlestickConfig, b0s: float) -> float:
     if config.process.is_degenerate:
         return 1.0  # revision sees exactly v0 = b0s and strictly-greater fails
     return config.p * float(law_of_v_delta(config.process).cdf(b0s)) + (1.0 - config.p)
-
-
-def unraveling_slow_profit(process: PriceProcess, b: float) -> float:
-    """Expected profit of a slow bid b when the fast bidder always revises.
-
-    Equals P(V <= b) * (E[V | V <= b] - b) = -E[(b - V)+]; strictly negative
-    for every positive bid, which is what forces slow bids to zero.
-    """
-    if not b > 0.0:
-        raise ValueError(f"bid must be positive, got {b}")
-    return -lognormal_put_value(process.v0, b, process.log_sd)
 
 
 def fast_expected_profit(config: CandlestickConfig, b0s: float) -> float:

@@ -13,19 +13,21 @@ All distributions are immutable after construction and safe to share across
 workers; sampling takes an externally owned ``numpy.random.Generator`` so no
 object holds mutable state.
 
-The lognormal helpers at the bottom (truncated conditional mean, expected
-shortfall) are the analytic backbone of the common-value auction module.
+The lognormal expected shortfall at the bottom is the analytic backbone of
+the common-value auction module. The normal CDF and its inverse that the
+lognormal needs are here too, so that only a Beta law imports
+``scipy.special``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
 
 __all__ = [
     "ValueDistribution",
@@ -33,17 +35,21 @@ __all__ = [
     "Beta",
     "Lognormal",
     "EmpiricalGrid",
-    "NegligibleMassError",
-    "lognormal_truncated_mean",
+    "ndtr",
+    "ndtri",
     "lognormal_put_value",
     "lower_tail_exponent",
     "parse_distribution",
 ]
 
 
-class NegligibleMassError(ValueError):
-    """Truncation event has probability below machine tiny; the conditional
-    mean is numerically undefined."""
+@functools.cache
+def _special():
+    """``scipy.special``, imported when the first Beta law is built: no other
+    law needs it, and its import (about 0.3 s) would double a fresh
+    ``solve-candlestick``."""
+    import scipy.special
+    return scipy.special
 
 
 def _check_prob(q) -> np.ndarray:
@@ -135,7 +141,7 @@ class Beta(ValueDistribution):
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ValueError(f"beta shape parameters must be positive and finite, "
                              f"got ({self.alpha}, {self.beta})")
-        object.__setattr__(self, "_log_norm", betaln(self.alpha, self.beta))
+        object.__setattr__(self, "_log_norm", _special().betaln(self.alpha, self.beta))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -143,7 +149,7 @@ class Beta(ValueDistribution):
 
     def cdf(self, x):
         x = np.minimum(np.maximum(np.asarray(x, dtype=float), 0.0), 1.0)
-        return betainc(self.alpha, self.beta, x)
+        return _special().betainc(self.alpha, self.beta, x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,8 +190,8 @@ class Beta(ValueDistribution):
         if self._tables is None:
             a, b = self.alpha, self.beta
             split = 0.5
-            if betainc(a, b, 0.5) > 0.5:
-                split = float(betainc(a, b, self._where_density_falls()))
+            if _special().betainc(a, b, 0.5) > 0.5:
+                split = float(_special().betainc(a, b, self._where_density_falls()))
             split = min(max(split, 0.5), 1.0 - 2.0 ** -53)
             below = _BetaHalf(a, b, self._log_norm, split)
             above = below if a == b else _BetaHalf(b, a, self._log_norm, 1.0 - split)
@@ -254,7 +260,7 @@ class _BetaHalf:
         p = np.arange(1, _CELLS + 1) / self.cells_per_p
         with np.errstate(all="ignore"):
             y = np.minimum(np.exp(a * np.log(p) - self.log_ab), y_top)
-            z = betaincinv(a, b, y)
+            z = _special().betaincinv(a, b, y)
             c = np.concatenate([[1.0], z / p])
             # dc/dp from dz/dy = 1/f and dy/dp = a y / p; (b-1)/(a+1) at p = 0
             dc = (a * y / (p * self._density(z)[0]) - c[1:]) / p
@@ -284,7 +290,7 @@ class _BetaHalf:
             c0, m, c2, c3 = self.coef.take(i, axis=1)
             z = p * (c0 + t * (m + t * (c2 + t * c3)))
             f, g, g1 = self._density(z)
-            d = (betainc(self.a, self.b, z) - y) / f
+            d = (_special().betainc(self.a, self.b, z) - y) / f
             step = -d / (1.0 - 0.5 * d * g)
             size, near_end = np.abs(step), np.minimum(z, 1.0 - z)
             err = np.abs(g1 / 6.0 - g * g / 12.0) * size * size * size
@@ -311,7 +317,7 @@ class _BetaHalf:
         log_y = np.log(y)
         for _ in range(_MAX_REFINE):
             with np.errstate(all="ignore"):
-                big_f = betainc(self.a, self.b, z)
+                big_f = _special().betainc(self.a, self.b, z)
                 below = big_f < y
                 lo, hi = np.where(below, z, lo), np.where(below, hi, z)
                 newton = z * np.exp((log_y - np.log(big_f)) * big_f
@@ -368,10 +374,8 @@ class Lognormal(ValueDistribution):
         return np.where(pos & (kernel > 0.0), dens, 0.0)
 
     def quantile(self, q):
-        q = _check_prob(q)
-        with np.errstate(divide="ignore"):
-            out = np.exp(self.log_mean + self.log_sd * ndtri(q))
-        return np.where(q == 0.0, 0.0, out) if out.ndim else (0.0 if q == 0.0 else float(out))
+        out = np.exp(self.log_mean + self.log_sd * ndtri(_check_prob(q)))  # 0 at q = 0
+        return out if out.ndim else float(out)
 
     def mean(self) -> float:
         return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
@@ -459,25 +463,80 @@ class EmpiricalGrid(ValueDistribution):
         return float(second - self.mean() ** 2)
 
 
-# ----------------------------- lognormal calculus ----------------------------
+# ------------------------- normal and lognormal calculus ----------------------
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def lognormal_truncated_mean(law: Lognormal, b: float) -> float:
-    """Conditional mean E[V | V < b] for a lognormal V.
+def ndtr(z):
+    """Standard normal CDF, 0.5 erfc(-z/sqrt(2)) with libm's ``erfc`` value
+    by value. Rounding z/sqrt(2) costs about z^2/2 ulps, no more than in
+    ``scipy.special.ndtr`` down to z = -37.5. A float or 0-d input gives a
+    scalar; a float, as the candlestick bisection passes, takes under 0.5 us."""
+    if isinstance(z, float):  # numpy's float64 too
+        return np.float64(0.5 * math.erfc(z * -_SQRT_HALF))
+    z = np.asarray(z, dtype=float)
+    x = (z * -_SQRT_HALF).ravel().tolist()
+    out = 0.5 * np.fromiter(map(math.erfc, x), float, len(x)).reshape(z.shape)
+    return out if out.ndim else out[()]
 
-    Closed form: exp(a + s^2/2) * Phi((ln b - a - s^2)/s) / Phi((ln b - a)/s).
-    Raises :class:`NegligibleMassError` when P(V < b) underflows below machine
-    tiny, since the ratio is then 0/0.
-    """
-    if not b > 0.0:
-        raise ValueError(f"truncation point must be positive, got {b}")
-    a, s = law.log_mean, law.log_sd
-    z = (math.log(b) - a) / s
-    mass = float(ndtr(z))
-    if mass < np.finfo(float).tiny:
-        raise NegligibleMassError(
-            f"P(V < {b}) underflows; truncated mean undefined at this point")
-    return law.mean() * float(ndtr(z - s)) / mass
+
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988) rounded to doubles:
+# numerator and denominator per region, constant term first
+_NDTRI_CENTRAL = (
+    [3.3871328727963665, 133.14166789178438, 1971.5909503065513, 13731.69376550946,
+     45921.95393154987, 67265.7709270087, 33430.57558358813, 2509.0809287301227],
+    [1.0, 42.31333070160091, 687.1870074920579, 5394.196021424751,
+     21213.794301586597, 39307.89580009271, 28729.085735721943, 5226.495278852854])
+_NDTRI_NEAR = (
+    [1.4234371107496835, 4.630337846156546, 5.769497221460691, 3.6478483247632045,
+     1.2704582524523684, 0.2417807251774506, 0.022723844989269184, 7.745450142783414e-4],
+    [1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851, 0.14810397642748008,
+     0.015198666563616457, 5.475938084995345e-4, 1.0507500716444169e-09])
+_NDTRI_FAR = (
+    [6.657904643501103, 5.463784911164114, 1.7848265399172913, 0.29656057182850487,
+     0.026532189526576124, 0.0012426609473880784, 2.7115555687434876e-05,
+     2.0103343992922881e-07],
+    [1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615,
+     7.868691311456133e-4, 1.8463183175100548e-05, 1.421511758316446e-07,
+     2.0442631033899397e-15])
+
+
+def _ratio(num: list, den: list, x: np.ndarray) -> np.ndarray:
+    """num(x)/den(x) by Horner, coefficients listed constant term first."""
+    top, bottom = num[-1] * x, den[-1] * x
+    for a, b in zip(num[-2:0:-1], den[-2:0:-1]):
+        top += a
+        top *= x
+        bottom += b
+        bottom *= x
+    return (top + num[0]) / (bottom + den[0])
+
+
+def ndtri(p):
+    """Inverse of :func:`ndtr` on [0, 1] by AS241: a rational function of
+    q = p - 1/2 where |q| <= 0.425, else of r = sqrt(-log(min(p, 1 - p))),
+    one for r <= 5 and one beyond. Relative error under 3 * 2^-52 from
+    p = 5e-324 to 1 - 2^-53; exactly -inf, 0 and inf at p = 0, 1/2 and 1.
+    A 0-d input gives a scalar."""
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    q = flat - 0.5
+    out = q * _ratio(*_NDTRI_CENTRAL, 0.180625 - q * q)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        p_t = flat[tail]
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = inf at p = 0, 1
+            r = np.sqrt(-np.log(np.minimum(p_t, 1.0 - p_t)))  # 1 - p is exact here
+            z = _ratio(*_NDTRI_NEAR, r - 1.6)
+            far = np.flatnonzero(r > 5.0)
+            if far.size:
+                r_far = r[far]
+                z[far] = np.where(r_far < math.inf, _ratio(*_NDTRI_FAR, r_far - 5.0),
+                                  math.inf)
+        out[tail] = np.copysign(z, p_t - 0.5)
+    out = out.reshape(p.shape)
+    return out if out.ndim else out[()]
 
 
 def lognormal_put_value(v0: float, b, s: float):

@@ -42,9 +42,6 @@ __all__ = [
     "EnvelopeReport",
     "BestResponseReport",
     "solve_fixed_point",
-    "closed_form_single_neutral",
-    "surplus_single_neutral",
-    "winning_probability",
     "verify_envelope",
     "verify_best_response",
 ]
@@ -430,35 +427,7 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         f"(last residual {residual:.3g})", residual=residual)
 
 
-# ------------------------------- closed forms ---------------------------------
-
-
-def closed_form_single_neutral(n_integrated: int, v):
-    """Equilibrium bid of the single neutral builder against ``n_integrated``
-    truthful uniform-[0,1] rivals: a constant shading factor n/(n+1)."""
-    if n_integrated < 1:
-        raise ValueError("need at least one integrated builder")
-    return n_integrated * np.asarray(v, dtype=float) / (n_integrated + 1)
-
-
-def surplus_single_neutral(n_integrated: int, v) -> tuple:
-    """Interim surplus of the single neutral builder, its counterfactual
-    surplus were it integrated, and the ratio of the two."""
-    if n_integrated < 1:
-        raise ValueError("need at least one integrated builder")
-    v = np.asarray(v, dtype=float)
-    ratio = (n_integrated / (n_integrated + 1)) ** n_integrated
-    integrated = v ** (n_integrated + 1) / (n_integrated + 1)
-    return ratio * integrated, integrated, ratio
-
-
 # ------------------------------ verification ----------------------------------
-
-
-def winning_probability(solution: EquilibriumSolution, v):
-    """Win probability of a neutral builder with value v under the solution."""
-    bids = solution.bid_function(v)
-    return solution.config.rival_cdf(v) * solution.config.reserve_cdf(bids)
 
 
 @dataclass(frozen=True)

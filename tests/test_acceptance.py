@@ -12,16 +12,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pbslab.common_values import (CandlestickConfig, PriceProcess,
-                                  law_of_v_delta, solve_candlestick,
-                                  unraveling_slow_profit)
-from pbslab.distributions import (Beta, Uniform, lognormal_put_value,
-                                  lognormal_truncated_mean)
+                                  law_of_v_delta, solve_candlestick)
+from pbslab.distributions import Beta, Uniform, lognormal_put_value
 from pbslab.private_equilibrium import (HybridAuctionConfig, solve_fixed_point,
                                         verify_best_response, verify_envelope)
 from pbslab.simulator import simulate_candlestick, simulate_hybrid
 from pbslab.cli import main
 
 from ode_oracle import solve_ode
+from reference_oracle import lognormal_truncated_mean, unraveling_slow_profit
 
 UNIT = Uniform(0.0, 1.0)
 

@@ -578,11 +578,14 @@ def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
 
+def _src_pythonpath() -> str:
+    src = str(Path(pbslab.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def test_cli_import_loads_no_ode_or_root_finder_modules(tmp_path):
     """No code path needs scipy.integrate or scipy.optimize, so neither the
     import nor a default (auto) solve loads them."""
-    src = str(Path(pbslab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, pbslab.cli; "
             "assert pbslab.cli.main(['solve-private', '--na', '3', '--nb', '3', "
             "'--fa', 'beta(2,2)', '--fb', 'beta(2,2)', '--out', sys.argv[1]]) == 0; "
@@ -590,6 +593,42 @@ def test_cli_import_loads_no_ode_or_root_finder_modules(tmp_path):
             "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "auto.csv")],
                           capture_output=True, text=True, check=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": _src_pythonpath()})
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "auto.json").exists()
+
+
+def _private(na, nb, law, out):
+    return ["solve-private", "--na", na, "--nb", nb, "--fa", law, "--fb", law,
+            "--out", out]
+
+
+_SCIPY_SPECIAL_STEPS = [
+    ("solve-candlestick", ["solve-candlestick", "--p", "0.5", "--out", "candle.json"]),
+    ("simulate candlestick", ["simulate", "--model", "candlestick", "--p", "0.5",
+                              "--reps", "10000", "--seed", "7", "--out", "mc.json"]),
+    ("uniform 3+1", _private("3", "1", "uniform(0,1)", "uniform.csv")),
+    ("lognormal 2+4", _private("2", "4", "lognormal(0,0.5)", "lognormal.csv")),
+    ("beta 3+3", _private("3", "3", "beta(2,2)", "beta.csv")),
+]
+
+
+def test_only_beta_laws_load_scipy_special(tmp_path):
+    """In a fresh interpreter, importing the CLI and running candlestick,
+    uniform and lognormal commands leaves scipy.special unloaded; the first
+    Beta law loads it. Every JSON output still names scipy's version."""
+    code = ("import json, sys, pbslab.cli\n"
+            "loaded = {'import': 'scipy.special' in sys.modules}\n"
+            "for name, argv in json.loads(sys.argv[1]):\n"
+            "    assert pbslab.cli.main(argv) == 0, name\n"
+            "    loaded[name] = 'scipy.special' in sys.modules\n"
+            "print(json.dumps(loaded))\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(_SCIPY_SPECIAL_STEPS)],
+                          capture_output=True, text=True, check=True, timeout=120,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": _src_pythonpath()})
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": False, "solve-candlestick": False, "simulate candlestick": False,
+        "uniform 3+1": False, "lognormal 2+4": False, "beta 3+3": True}
+    for out in ("candle", "mc", "uniform", "lognormal", "beta"):
+        meta = json.loads((tmp_path / f"{out}.json").read_text())["meta"]
+        assert meta["versions"]["scipy"] == scipy.__version__

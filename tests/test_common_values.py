@@ -10,11 +10,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pbslab.common_values import (CandlestickConfig, PriceProcess, _residual_vec,
-                                  candlestick_residual, fast_expected_profit,
-                                  law_of_v_delta, slow_win_probability,
-                                  solve_candlestick, unraveling_slow_profit)
+                                  fast_expected_profit, law_of_v_delta,
+                                  slow_win_probability, solve_candlestick)
 from pbslab.distributions import lognormal_put_value
 from pbslab.simulator import _candlestick_block
+
+from reference_oracle import (candlestick_residual, lognormal_truncated_mean,
+                              unraveling_slow_profit)
 
 
 def _process(v0=1.0, vol=0.2, delta=1.0) -> PriceProcess:
@@ -273,7 +275,6 @@ def test_zero_profit_identity(candlestick_half):
     """The solved bid makes the win-and-lose decomposition balance exactly."""
     config, sol = candlestick_half
     law = law_of_v_delta(config.process)
-    from pbslab.distributions import lognormal_truncated_mean
     mass = float(law.cdf(sol.b0s))
     adverse = mass * (lognormal_truncated_mean(law, sol.b0s) - sol.b0s)
     total = (1 - config.p) * (1.0 - sol.b0s) + config.p * adverse

@@ -2,18 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, betaincinv, betaln, ndtr
+from scipy.special import betainc, betaincinv, betaln
+from scipy.special import ndtr as special_ndtr
+from scipy.special import ndtri as special_ndtri
 
-from pbslab.distributions import (Beta, EmpiricalGrid, Lognormal,
-                                  NegligibleMassError, Uniform,
-                                  lognormal_put_value, lognormal_truncated_mean,
-                                  lower_tail_exponent, parse_distribution)
+from pbslab.distributions import (Beta, EmpiricalGrid, Lognormal, Uniform,
+                                  lognormal_put_value, lower_tail_exponent, ndtr,
+                                  ndtri, parse_distribution)
+
+from reference_oracle import NegligibleMassError, lognormal_truncated_mean
 
 
 def _empirical_example() -> EmpiricalGrid:
@@ -105,6 +109,8 @@ def _reference_beta_pdf(d, x):
 
 
 def _reference_lognormal_cdf(d, x):
+    """On the package's normal CDF, which the ndtr tests below hold to
+    mpmath and to ``scipy.special.ndtr``."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         z = (np.log(np.maximum(x, 0.0)) - d.log_mean) / d.log_sd
@@ -295,6 +301,79 @@ def test_sampling_is_reproducible():
     a = dist.sample(np.random.default_rng(5), size=100)
     b = dist.sample(np.random.default_rng(5), size=100)
     assert np.array_equal(a, b)
+
+
+# ------------------------- normal CDF and its inverse --------------------------
+
+_EPS = 2.0 ** -52
+
+
+def _normal_root(p: float):
+    """The exact x with Phi(x) = p, as an mpmath number: Newton from scipy's
+    value, on the lower tail probability min(p, 1 - p) (exact in doubles)."""
+    upper = p > 0.5
+    tail = 1 - mpmath.mpf(p) if upper else mpmath.mpf(p)
+    x = mpmath.mpf(-abs(float(special_ndtri(float(tail)))))
+    for _ in range(3):
+        x -= (mpmath.ncdf(x) - tail) / mpmath.npdf(x)
+    return -x if upper else x
+
+
+@pytest.mark.filterwarnings("error")
+def test_ndtri_within_4_ulps_of_the_exact_root():
+    """A dense sweep of the centre and of both tails, from the smallest
+    subnormal to 1 - 2^-53."""
+    ps = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1],
+                         np.logspace(-323.3, -0.3, 500),
+                         1.0 - np.logspace(-15.95, -0.3, 300),
+                         [5e-324, 2.0 ** -1074 * 3, 1e-300, 2.0 ** -53, 0.075,
+                          np.nextafter(0.075, 1.0), 0.925, np.nextafter(0.5, 0.0),
+                          np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53]])
+    ps = ps[ps != 0.5]  # the root 0 is checked exactly below
+    got = ndtri(ps)
+    with mpmath.workdps(40):
+        worst = max(abs((mpmath.mpf(float(g)) - r) / r) for g, r in
+                    zip(got, map(_normal_root, ps.tolist())))
+    assert worst <= 4 * _EPS
+
+
+@pytest.mark.filterwarnings("error")
+def test_ndtri_ends_and_centre_are_exact():
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf and ndtri(0.5) == 0.0
+    got = ndtri(np.array([0.0, 0.5, 1.0, 1e-300, 1.0 - 2.0 ** -53]))
+    assert got[0] == -math.inf and got[1] == 0.0 and got[2] == math.inf
+    assert np.all(np.isfinite(got[3:]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi, points", [(-8.0, 8.0, 2001), (-20.0, -8.0, 1001),
+                                            (-37.5, -20.0, 1001)])
+def test_ndtr_no_less_accurate_than_scipy(lo, hi, points):
+    """Largest relative error against mpmath in each band, on the same
+    points: the error of both grows as z^2/2 ulps, from rounding z/sqrt(2)."""
+    z = np.linspace(lo, hi, points)
+    with mpmath.workdps(30):
+        exact = [mpmath.ncdf(v) for v in z.tolist()]
+
+        def worst(values):
+            return max(abs((mpmath.mpf(float(v)) - e) / e) for v, e in zip(values, exact))
+
+        assert worst(ndtr(z)) <= worst(special_ndtr(z))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("func, reference", [(ndtr, special_ndtr), (ndtri, special_ndtri)],
+                         ids=["ndtr", "ndtri"])
+def test_normal_functions_keep_scipy_types_and_shapes(func, reference):
+    """A Python float or 0-d input gives a numpy scalar, as scipy's did, so
+    ``float(...)`` and ``np.where`` callers keep working; arrays keep their
+    shape, empty ones too."""
+    for x in (0.3, np.float64(0.3), np.asarray(0.3)):
+        assert type(func(x)) is type(reference(x)) is np.float64
+    for x in (np.full((2, 3), 0.3), np.array([])):
+        got = func(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.isnan(func(math.nan)) and np.isnan(func(np.array([math.nan]))[0])
 
 
 # ----------------------------- lognormal calculus -----------------------------

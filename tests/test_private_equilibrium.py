@@ -13,13 +13,13 @@ from pbslab import private_equilibrium as pe
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
                                         HybridAuctionConfig, SolverError,
-                                        closed_form_single_neutral,
-                                        solve_fixed_point, surplus_single_neutral,
-                                        verify_best_response, verify_envelope,
-                                        winning_probability)
+                                        solve_fixed_point, verify_best_response,
+                                        verify_envelope)
 
 import ode_oracle
 from ode_oracle import OdeSingularityError, solve_ode
+from reference_oracle import (closed_form_single_neutral, surplus_single_neutral,
+                              winning_probability)
 
 UNIT = Uniform(0.0, 1.0)
 

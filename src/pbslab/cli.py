@@ -29,7 +29,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -231,10 +231,9 @@ def _json_text(payload: dict, argv: list[str]) -> str:
 
 def _solution_csv(solution) -> str:
     cols = solution.table()
-    lines = ["v,sigma,x,S"]
-    for v, s, x, big_s in zip(cols["v"], cols["sigma"], cols["x"], cols["S"]):
-        lines.append(f"{v:.12g},{s:.12g},{x:.12g},{big_s:.12g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(*(col.tolist() for col in cols.values()))
+    return ",".join(cols) + "\n" + "".join(
+        ["%.12g,%.12g,%.12g,%.12g\n" % row for row in rows])
 
 
 def _rows_csv(header: list[str], rows: list[dict]) -> str:
@@ -410,7 +409,10 @@ _COMMANDS = {"solve-private": (_PRIVATE_OPTS, cmd_solve_private),
 # ----------------------------------- main --------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and every parse starts from fresh defaults."""
     parser = argparse.ArgumentParser(
         prog="pbslab",
         description="Equilibria of the hybrid and candlestick block-builder "

@@ -1,7 +1,7 @@
 """Value distributions for auction models, plus lognormal tail calculus.
 
 Four families of private-value laws share one interface (CDF, density,
-quantile, inverse-transform sampling):
+quantile; sampling is inverse transform, ``quantile`` of uniforms):
 
 - ``Uniform(lo, hi)``       closed forms
 - ``Beta(alpha, beta)``     regularized incomplete beta on [0, 1]; the quantile
@@ -10,8 +10,7 @@ quantile, inverse-transform sampling):
 - ``EmpiricalGrid(x, cdf)`` monotone piecewise-linear CDF from tabulated points
 
 All distributions are immutable after construction and safe to share across
-workers; sampling takes an externally owned ``numpy.random.Generator`` so no
-object holds mutable state.
+workers: no object holds mutable state.
 
 The lognormal expected shortfall at the bottom is the analytic backbone of
 the common-value auction module. The normal CDF and its inverse that the
@@ -63,8 +62,8 @@ class ValueDistribution:
     """Common interface of all private-value laws.
 
     Subclasses provide ``cdf``, ``pdf`` and ``quantile`` as vectorized
-    functions; ``sample`` is inverse-transform sampling through ``quantile``
-    so a given uniform draw always maps to the same value.
+    functions; a value is drawn as ``quantile`` of a uniform, so a given
+    uniform draw always maps to the same value.
     """
 
     kind: str
@@ -84,10 +83,6 @@ class ValueDistribution:
 
     def variance(self) -> float:
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw values via inverse transform; reproducible given the rng state."""
-        return self.quantile(rng.random(size))
 
 
 @dataclass(frozen=True)

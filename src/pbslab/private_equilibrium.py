@@ -27,6 +27,7 @@ largest gain below the top grid cell (see ``_GAIN_BOUND``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +72,14 @@ _CERT_BIDS = 4000
 # 5e-5 from grid 128 up, so they fail the bound from about grid 450 up
 _GAIN_BOUND = 1e-5
 _GAIN_CELLS = 10.0
+
+# the bid schedule's cell lookup: arrays shorter than _LOOKUP_MIN_SIZE keep
+# np.interp, whose binary search is cheap next to building the table; the
+# table has _BUCKETS_PER_CELL buckets per grid cell, and a value advances at
+# most _MAX_ADVANCES cells from its bucket's start before a binary search
+_LOOKUP_MIN_SIZE = 256
+_BUCKETS_PER_CELL = 4
+_MAX_ADVANCES = 4
 
 
 class SolverError(RuntimeError):
@@ -137,9 +146,54 @@ def _describe_dist(d: ValueDistribution) -> dict:
     return out
 
 
+class _CellLookup:
+    """The cell of ``values`` each value lies in, mostly without a binary
+    search: uniform buckets over the value range (``_BUCKETS_PER_CELL`` per
+    grid cell) give each value a lower-bound cell, and a forward step moves
+    it to the last grid value at or below it, the cell ``np.interp`` picks.
+
+    Bucket ``k`` holds the values that ``(x - lo) * scale`` floors to ``k``.
+    That map does not decrease, so a grid value whose bucket is below ``k``
+    lies below every value of bucket ``k``: ``start[k]``, the last such grid
+    value, is a lower bound. The step advances at most ``_MAX_ADVANCES``
+    times, so it ends; the few values a crowded bucket leaves further
+    behind are placed by binary search.
+    """
+
+    def __init__(self, values: np.ndarray, scale: float):
+        self.values = values
+        self.lo, self.hi, self.scale = float(values[0]), float(values[-1]), scale
+        knot_bucket = self.bucket(values)
+        buckets = np.arange(knot_bucket[-1] + 1)
+        self.start = np.maximum(np.searchsorted(knot_bucket, buckets) - 1, 0)
+        self.next_value = np.append(values[1:], np.inf)  # values[j + 1]
+
+    def bucket(self, x: np.ndarray) -> np.ndarray:
+        return ((x - self.lo) * self.scale).astype(np.intp)
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """Index of the last grid value at or below each of ``x``, which
+        must lie in ``[lo, hi]``."""
+        j = self.start[self.bucket(x)]
+        ahead = np.flatnonzero(self.next_value[j] <= x)
+        for _ in range(_MAX_ADVANCES):
+            if not ahead.size:
+                return j
+            j[ahead] += 1
+            ahead = ahead[self.next_value[j[ahead]] <= x[ahead]]
+        j[ahead] = np.searchsorted(self.values, x[ahead], "right") - 1
+        return j
+
+
 @dataclass(frozen=True, eq=False)
 class BidFunction:
-    """Monotone bid schedule on a value grid, piecewise-linear in between."""
+    """Monotone bid schedule on a value grid, piecewise-linear in between.
+
+    Calling it returns exactly what ``np.interp(v, values, bids)`` returns,
+    bit for bit; arrays of at least ``_LOOKUP_MIN_SIZE`` values find their
+    cells through a bucket table (:class:`_CellLookup`) built on first use
+    instead of a binary search per value.
+    """
 
     values: np.ndarray
     bids: np.ndarray
@@ -158,8 +212,38 @@ class BidFunction:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "bids", b)
 
+    @functools.cached_property
+    def _table(self):
+        """Cell lookup plus per-cell slopes (the top value gets slope 0), or
+        None where the lookup's arithmetic could differ from np.interp's: an
+        infinite slope or bucket scale, or a bid of -0.0, which
+        ``slope * 0.0 + bid`` turns into +0.0."""
+        v, b = self.values, self.bids
+        with np.errstate(over="ignore"):
+            slopes = np.append(np.diff(b) / np.diff(v), 0.0)
+        scale = _BUCKETS_PER_CELL * (v.size - 1) / float(v[-1] - v[0])
+        if (not (np.all(np.isfinite(slopes)) and math.isfinite(scale))
+                or np.any((b == 0.0) & np.signbit(b))):
+            return None
+        return _CellLookup(v, scale), slopes
+
     def __call__(self, v):
-        return np.interp(v, self.values, self.bids)
+        x = np.asarray(v, dtype=float)
+        if x.size < _LOOKUP_MIN_SIZE or self._table is None:
+            return np.interp(v, self.values, self.bids)
+        lookup, slopes = self._table
+        # clamping sends values beyond the ends to the end cells' bids, as
+        # np.interp does; NaN is np.interp's to answer
+        nan = np.isnan(x)
+        has_nan = bool(nan.any())
+        clamped = np.clip(x, lookup.lo, lookup.hi)
+        if has_nan:
+            clamped[nan] = lookup.lo
+        j = lookup.cells(clamped.ravel()).reshape(x.shape)
+        out = slopes[j] * (clamped - self.values[j]) + self.bids[j]
+        if has_nan:
+            out[nan] = np.interp(x[nan], self.values, self.bids)
+        return out
 
     def inverse(self, b):
         """Value whose bid is b; clamps to the grid ends outside the range."""

@@ -66,9 +66,14 @@ class _RunningStat:
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add_block(self, arr: np.ndarray):
+        """Merge a float block. Its mean and M2 are ``arr.mean()`` and
+        ``arr.var() * m`` bit for bit: the same sums and divisions, without
+        the second sum ``var`` takes for its own mean."""
         m = arr.size
-        b_mean = float(arr.mean())
-        b_m2 = float(arr.var()) * m
+        b_mean = float(np.add.reduce(arr) / m)
+        dev = arr - b_mean
+        np.multiply(dev, dev, out=dev)
+        b_m2 = float(np.add.reduce(dev) / m) * m
         delta = b_mean - self.mean
         total = self.n + m
         self.mean += delta * m / total

@@ -632,3 +632,69 @@ def test_only_beta_laws_load_scipy_special(tmp_path):
     for out in ("candle", "mc", "uniform", "lognormal", "beta"):
         meta = json.loads((tmp_path / f"{out}.json").read_text())["meta"]
         assert meta["versions"]["scipy"] == scipy.__version__
+
+
+# (argv, config file contents or None); each command's defaults would show
+# the values its predecessor parsed, had they leaked
+_BACK_TO_BACK = [
+    (["simulate", "--model", "candlestick", "--p", "0.3", "--reps", "10000",
+      "--seed", "7", "--out", "mc_p03.json"], None),
+    (["simulate", "--model", "candlestick", "--reps", "10000", "--out", "mc.json"], None),
+    (["solve-candlestick", "--out", "candle_cfg.json"], {"p": 0.25, "vol": 0.3}),
+    (["solve-candlestick", "--p", "0.25", "--out", "candle.json"], None),
+    (["sweep", "--axis", "p", "--grid", "0.2,0.8", "--out", "sweep_cfg.csv"],
+     {"delta": 2.0, "v0": 1.5}),
+    (["sweep", "--axis", "p", "--grid", "0.2,0.8", "--out", "sweep.csv"], None),
+    (_private("3", "1", "uniform(0,1)", "grid128.csv") + ["--grid", "128"], None),
+    (_private("3", "1", "uniform(0,1)", "grid.csv"), None),
+    (["figure", "--out", "fig.svg"], {"na": 2, "fb": "uniform(0,1)"}),
+    (["figure", "--na", "2", "--out", "fig_default.svg"], None),
+]
+
+
+def _outputs(directory: Path) -> dict:
+    """Every output file's content, JSON without its ``meta`` block."""
+    out = {}
+    for path in sorted(directory.iterdir()):
+        if path.name.startswith("cfg"):
+            continue
+        text = path.read_text()
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            doc.pop("meta")
+            text = doc
+        out[path.name] = text
+    return out
+
+
+def _with_config_file(directory: Path, i: int, argv: list, cfg) -> list:
+    if cfg is None:
+        return argv
+    path = directory / f"cfg{i}.json"
+    path.write_text(json.dumps(cfg))
+    return argv + ["--config", str(path)]
+
+
+def test_back_to_back_commands_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """One process shares one parser across commands; every command's exit
+    code, stdout and files equal those of the same command in a fresh
+    process, which builds no parser on import."""
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    code = ("import sys, pbslab.cli as cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    monkeypatch.chdir(shared)
+    in_process = []
+    for i, (argv, cfg) in enumerate(_BACK_TO_BACK):
+        rc = main(_with_config_file(shared, i, argv, cfg))
+        in_process.append((rc, capsys.readouterr().out))
+    for i, (argv, cfg) in enumerate(_BACK_TO_BACK):
+        done = subprocess.run([sys.executable, "-c", code,
+                               *_with_config_file(fresh, i, argv, cfg)],
+                              capture_output=True, text=True, timeout=120, cwd=fresh,
+                              env={**os.environ, "PYTHONPATH": _src_pythonpath()})
+        assert in_process[i] == (done.returncode, done.stdout), argv
+        assert in_process[i][0] == 0
+    assert _outputs(shared) == _outputs(fresh)

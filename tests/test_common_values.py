@@ -44,7 +44,7 @@ def test_law_sampling_oracle():
     law = law_of_v_delta(process)
     assert law.log_sd == pytest.approx(0.6)
     assert law.log_mean == pytest.approx(math.log(2.0) - 0.18)
-    draws = law.sample(np.random.default_rng(31), size=1_000_000)
+    draws = law.quantile(np.random.default_rng(31).random(1_000_000))
     se = math.sqrt(law.variance() / draws.size)
     assert abs(float(np.mean(draws)) - 2.0) < 4.0 * se
 
@@ -265,7 +265,7 @@ def test_fast_profit_sampling_oracle(candlestick_half):
     config, sol = candlestick_half
     law = law_of_v_delta(config.process)
     rng = np.random.default_rng(77)
-    draws = law.sample(rng, size=1_000_000)
+    draws = law.quantile(rng.random(1_000_000))
     gains = config.p * np.maximum(draws - sol.b0s, 0.0)
     se = float(np.std(gains, ddof=1)) / math.sqrt(draws.size)
     assert abs(float(np.mean(gains)) - sol.fast_expected_profit) < 3.0 * se

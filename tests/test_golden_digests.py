@@ -1,0 +1,63 @@
+"""Golden digests of seeded outputs.
+
+The Monte Carlo estimates and the solved schedules are pure functions of
+their inputs, so a change that only makes them faster must leave every bit
+in place. These tests pin SHA-256 digests of the exact ``stats`` of
+``simulate`` (every mean and half-width as ``float.hex``) and of the
+``solve-private`` CSV bytes. A digest that moves means an output moved; a
+change that means to move one must say why and record the new digest.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pbslab.cli import main
+from pbslab.distributions import Lognormal
+from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
+from pbslab.simulator import simulate_candlestick, simulate_hybrid
+
+LOGNORMAL = Lognormal(0.0, 0.5)
+
+
+def _stats_digest(report) -> str:
+    exact = {name: [s.mean.hex(), s.half_width.hex()]
+             for name, s in report.stats.items()}
+    return hashlib.sha256(json.dumps(exact, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lognormal_2_4():
+    config = HybridAuctionConfig(2, 4, LOGNORMAL, LOGNORMAL)
+    return config, solve_fixed_point(config)
+
+
+# reps cover a full-block run and partial last blocks of 3,616, 5,424 and 848 rows
+@pytest.mark.parametrize("case, reps, seed, digest", [
+    ("beta_3_3", 20_000, 7,
+     "3d00e117b1dbb825411bd6b2f50663aa4f0ee7bfd3c5d32c14224bdf653cf537"),
+    ("uniform_3_1", 30_000, 11,
+     "9d8daea6fb04aa13f8131dff426d4ec4a46db6c18d8320ff50d3bb6d0da12d61"),
+    ("lognormal_2_4", 40_960, 23,
+     "4d4db3ff97553ef53dfb418ffa216125bbf379ffeaaabada79c0ca83faff9853"),
+])
+def test_hybrid_stats_digest(request, case, reps, seed, digest):
+    _, solution = request.getfixturevalue(case)
+    assert _stats_digest(simulate_hybrid(solution, reps, seed)) == digest
+
+
+def test_candlestick_stats_digest(candlestick_half):
+    _, solution = candlestick_half
+    report = simulate_candlestick(solution, 2, 50_000, 42)
+    assert _stats_digest(report) == (
+        "1dca9770c013f5a6e344a92e53e1a645cbad1911be65d6e4663aea1992cee22e")
+
+
+def test_solve_private_csv_digest(tmp_path):
+    out = tmp_path / "beta_07_3.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "3",
+                 "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)",
+                 "--grid", "512", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b5e1710e7ff7b5e6fdf32951010e1d76bd8ee0463f044ead825c6d47170726f2")

@@ -552,6 +552,116 @@ def test_bid_function_validation():
     assert bf.inverse(0.25) == pytest.approx(0.5)
 
 
+# ----------------------------- bid-schedule lookup -----------------------------
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+_SKEWED = EmpiricalGrid(np.array([0.0, 0.1, 0.15, 0.6, 1.0]),
+                        np.array([0.0, 0.4, 0.7, 0.9, 1.0]))
+
+# (n_integrated, n_neutral, law of both classes, grid size)
+_SCHEDULES = {
+    "uniform-3+1-64": (3, 1, UNIT, 64),
+    "uniform-3+3-8192": (3, 3, UNIT, 8192),
+    "beta(2,2)-3+3-512": (3, 3, Beta(2, 2), 512),
+    "beta(0.7,3)-3+3-8192": (3, 3, Beta(0.7, 3), 8192),
+    "lognormal-2+4-512": (2, 4, LOGNORMAL, 512),
+    "lognormal-3+3-8192": (3, 3, LOGNORMAL, 8192),
+    "empirical-2+2-1024": (2, 2, _SKEWED, 1024),
+    # a range of 450 ulps: np.unique keeps 451 of the 1024 grid values
+    "collapsed-3+3-1024": (3, 3, Uniform(1.0, 1.0 + 1e-13), 1024),
+    # thousands of grid values crowd the first buckets
+    "crowded-3+3-8192": (3, 3, Beta(0.002, 1.0), 8192),
+}
+
+
+@pytest.fixture(scope="module", params=list(_SCHEDULES), ids=list(_SCHEDULES))
+def schedule(request):
+    n_int, n_neu, law, grid = _SCHEDULES[request.param]
+    solution = solve_fixed_point(HybridAuctionConfig(n_int, n_neu, law, law), grid)
+    return law, solution.bid_function
+
+
+def test_schedule_cases_exercise_the_lookup(schedule):
+    """Each case goes through the bucket table, not the np.interp fallback."""
+    assert schedule[1]._table is not None
+
+
+def test_collapsed_case_lost_grid_values():
+    n_int, n_neu, law, grid = _SCHEDULES["collapsed-3+3-1024"]
+    solution = solve_fixed_point(HybridAuctionConfig(n_int, n_neu, law, law), grid)
+    assert solution.values.size == 451
+
+
+def test_bid_lookup_matches_interp_at_knots_and_ends(schedule):
+    """Every grid value, its neighbours one ulp away, values beyond both ends,
+    infinities, NaN and signed zeros, in grid order and shuffled."""
+    _, bf = schedule
+    v = bf.values
+    probes = np.concatenate([
+        v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf),
+        [v[0] - 1.0, -np.inf, np.inf, 2.0 * v[-1] + 1.0, np.nan, -0.0, 0.0]])
+    probes = np.tile(probes, 2)  # above the lookup's minimum size at grid 64
+    for x in (probes, np.random.default_rng(3).permutation(probes)):
+        assert _same_bits(bf(x), np.interp(x, v, bf.bids))
+
+
+def test_bid_lookup_matches_interp_on_random_draws(schedule):
+    """2**17 draws per schedule from its law and from a range reaching past
+    both grid ends, called as 8,192-value blocks and as one 2-d array."""
+    law, bf = schedule
+    v = bf.values
+    rng = np.random.default_rng(17)
+    pad = 0.01 * (v[-1] - v[0])
+    x = np.concatenate([np.asarray(law.quantile(rng.random(2 ** 16)), dtype=float),
+                        rng.uniform(v[0] - pad, v[-1] + pad, 2 ** 16)])
+    rng.shuffle(x)
+    want = np.interp(x, v, bf.bids)
+    blocks = np.concatenate([bf(block) for block in np.split(x, 16)])
+    assert _same_bits(blocks, want)
+    assert _same_bits(bf(x.reshape(16, -1)), want.reshape(16, -1))
+
+
+def test_cell_lookup_is_the_binary_search_cell(schedule):
+    _, bf = schedule
+    v = bf.values
+    lookup, _ = bf._table
+    x = np.concatenate([v, np.nextafter(v[1:], -np.inf), np.nextafter(v[:-1], np.inf),
+                        np.random.default_rng(5).uniform(v[0], v[-1], 50_000)])
+    assert np.array_equal(lookup.cells(x), np.searchsorted(v, x, "right") - 1)
+
+
+def test_bid_lookup_keeps_interp_types(beta_3_3):
+    """Scalars, 0-d arrays, lists and small arrays go through np.interp; the
+    return type and bits are np.interp's for every kind of input."""
+    bf = beta_3_3[1].bid_function
+    inputs = [0.5, np.float64(0.25), np.array(0.75), np.nan, [0.2, 0.5],
+              np.linspace(-1.0, 2.0, 1000).tolist(), np.array([]),
+              np.arange(300), np.linspace(0.0, 1.0, 600).reshape(20, 30)]
+    for x in inputs:
+        got, want = bf(x), np.interp(x, bf.values, bf.bids)
+        assert type(got) is type(want)
+        assert _same_bits(got, want)
+
+
+def test_bid_lookup_steps_aside_where_its_arithmetic_differs():
+    """A bid of -0.0, which ``slope * 0.0 + bid`` would turn into +0.0, and a
+    slope that overflows leave the schedule to np.interp."""
+    v = np.linspace(0.0, 1.0, 300)
+    signed_zero = BidFunction(v, np.concatenate([[-0.0], 0.5 * v[1:]]))
+    steep = BidFunction(np.concatenate([[0.0, 5e-324], v[1:]]),
+                        np.concatenate([[0.0, 1e-13], 0.5 * v[1:]]))
+    for bf in (signed_zero, steep):
+        assert bf._table is None
+        x = np.tile(bf.values, 2)
+        assert _same_bits(bf(x), np.interp(x, bf.values, bf.bids))
+
+
 # ----------------------------- property-based sweep ----------------------------
 
 

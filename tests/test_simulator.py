@@ -12,7 +12,8 @@ from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlest
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
 from pbslab.simulator import (ReplicationRng, _candlestick_block, _hybrid_block,
-                              _replications, simulate_candlestick, simulate_hybrid)
+                              _replications, _RunningStat, simulate_candlestick,
+                              simulate_hybrid)
 
 from full_row_oracle import full_rows, full_uniforms
 
@@ -295,6 +296,36 @@ def test_kernel_samples_order_statistics_of_uniforms(n):
         q = np.concatenate(calls)
         assert q.size == 100_000
         assert stats.kstest(q, cdf).pvalue > 1e-3
+
+
+# ------------------------------- block statistics ------------------------------
+
+
+def _merge_with_numpy(n, mean, m2, block):
+    """The Welford merge with the block's mean and M2 from ``ndarray.mean``
+    and ``ndarray.var``, the form the accumulator must equal bit for bit."""
+    m = block.size
+    b_mean, b_m2 = float(block.mean()), float(block.var()) * m
+    delta, total = b_mean - mean, n + m
+    return total, mean + delta * m / total, m2 + (b_m2 + delta * delta * n * m / total)
+
+
+@pytest.mark.parametrize("m", [1, 2, 848, 1808, 8192])
+def test_running_stat_blocks_match_numpy_mean_and_var(m):
+    """Blocks of the sizes a run meets (1,808 rows end a 10,000-rep run), of
+    the kinds the series hold: fractions, 0/1 indicators, heavy tails and
+    constants, merged one after another."""
+    rng = np.random.default_rng(m)
+    blocks = [np.full(m, 0.1)]
+    for _ in range(4):
+        blocks += [rng.random(m), (rng.random(m) < 0.3).astype(float),
+                   rng.lognormal(0.0, 2.0, m), rng.normal(-5.0, 1e-3, m)]
+    stat, want = _RunningStat(), (0, 0.0, 0.0)
+    for block in blocks:
+        stat.add_block(block)
+        want = _merge_with_numpy(*want, block)
+        assert (stat.n, stat.mean.hex(), stat.m2.hex()) == \
+            (want[0], want[1].hex(), want[2].hex())
 
 
 # --------------------------- statistical verification --------------------------

@@ -73,11 +73,9 @@ _CERT_BIDS = 4000
 _GAIN_BOUND = 1e-5
 _GAIN_CELLS = 10.0
 
-# the bid schedule's cell lookup: arrays shorter than _LOOKUP_MIN_SIZE keep
-# np.interp, whose binary search is cheap next to building the table; the
-# table has _BUCKETS_PER_CELL buckets per grid cell, and a value advances at
-# most _MAX_ADVANCES cells from its bucket's start before a binary search
-_LOOKUP_MIN_SIZE = 256
+# the bid schedule's cell lookup has _BUCKETS_PER_CELL buckets per grid cell,
+# and a value advances at most _MAX_ADVANCES cells from its bucket's start
+# before a binary search
 _BUCKETS_PER_CELL = 4
 _MAX_ADVANCES = 4
 
@@ -190,9 +188,9 @@ class BidFunction:
     """Monotone bid schedule on a value grid, piecewise-linear in between.
 
     Calling it returns exactly what ``np.interp(v, values, bids)`` returns,
-    bit for bit; arrays of at least ``_LOOKUP_MIN_SIZE`` values find their
-    cells through a bucket table (:class:`_CellLookup`) built on first use
-    instead of a binary search per value.
+    bit for bit; arrays find their cells through a bucket table
+    (:class:`_CellLookup`) built on first use instead of a binary search per
+    value, and scalars keep ``np.interp`` and its scalar return type.
     """
 
     values: np.ndarray
@@ -216,20 +214,21 @@ class BidFunction:
     def _table(self):
         """Cell lookup plus per-cell slopes (the top value gets slope 0), or
         None where the lookup's arithmetic could differ from np.interp's: an
-        infinite slope or bucket scale, or a bid of -0.0, which
-        ``slope * 0.0 + bid`` turns into +0.0."""
+        infinite slope, a bucket scale that is infinite or zero (an infinite
+        top value), or a bid of -0.0, which ``slope * 0.0 + bid`` turns into
+        +0.0."""
         v, b = self.values, self.bids
         with np.errstate(over="ignore"):
             slopes = np.append(np.diff(b) / np.diff(v), 0.0)
         scale = _BUCKETS_PER_CELL * (v.size - 1) / float(v[-1] - v[0])
-        if (not (np.all(np.isfinite(slopes)) and math.isfinite(scale))
+        if (not (np.all(np.isfinite(slopes)) and 0.0 < scale < math.inf)
                 or np.any((b == 0.0) & np.signbit(b))):
             return None
         return _CellLookup(v, scale), slopes
 
     def __call__(self, v):
         x = np.asarray(v, dtype=float)
-        if x.size < _LOOKUP_MIN_SIZE or self._table is None:
+        if x.ndim == 0 or self._table is None:
             return np.interp(v, self.values, self.bids)
         lookup, slopes = self._table
         # clamping sends values beyond the ends to the end cells' bids, as

@@ -606,7 +606,6 @@ def test_bid_lookup_matches_interp_at_knots_and_ends(schedule):
     probes = np.concatenate([
         v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf),
         [v[0] - 1.0, -np.inf, np.inf, 2.0 * v[-1] + 1.0, np.nan, -0.0, 0.0]])
-    probes = np.tile(probes, 2)  # above the lookup's minimum size at grid 64
     for x in (probes, np.random.default_rng(3).permutation(probes)):
         assert _same_bits(bf(x), np.interp(x, v, bf.bids))
 
@@ -637,8 +636,9 @@ def test_cell_lookup_is_the_binary_search_cell(schedule):
 
 
 def test_bid_lookup_keeps_interp_types(beta_3_3):
-    """Scalars, 0-d arrays, lists and small arrays go through np.interp; the
-    return type and bits are np.interp's for every kind of input."""
+    """Scalars and 0-d arrays go through np.interp, lists and arrays of any
+    size through the lookup; the return type and bits are np.interp's for
+    every kind of input."""
     bf = beta_3_3[1].bid_function
     inputs = [0.5, np.float64(0.25), np.array(0.75), np.nan, [0.2, 0.5],
               np.linspace(-1.0, 2.0, 1000).tolist(), np.array([]),
@@ -650,13 +650,15 @@ def test_bid_lookup_keeps_interp_types(beta_3_3):
 
 
 def test_bid_lookup_steps_aside_where_its_arithmetic_differs():
-    """A bid of -0.0, which ``slope * 0.0 + bid`` would turn into +0.0, and a
-    slope that overflows leave the schedule to np.interp."""
+    """A bid of -0.0, which ``slope * 0.0 + bid`` would turn into +0.0, a
+    slope that overflows and an infinite top value, whose bucket scale is
+    zero, leave the schedule to np.interp."""
     v = np.linspace(0.0, 1.0, 300)
     signed_zero = BidFunction(v, np.concatenate([[-0.0], 0.5 * v[1:]]))
     steep = BidFunction(np.concatenate([[0.0, 5e-324], v[1:]]),
                         np.concatenate([[0.0, 1e-13], 0.5 * v[1:]]))
-    for bf in (signed_zero, steep):
+    infinite_top = BidFunction(np.append(v[:-1], np.inf), 0.5 * v)
+    for bf in (signed_zero, steep, infinite_top):
         assert bf._table is None
         x = np.tile(bf.values, 2)
         assert _same_bits(bf(x), np.interp(x, bf.values, bf.bids))

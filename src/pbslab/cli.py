@@ -42,7 +42,7 @@ from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
                                   solve_fixed_point, verify_best_response,
                                   verify_envelope)
-from .simulator import _MIN_REPS, simulate_candlestick, simulate_hybrid
+from .simulator import _check_reps, simulate_candlestick, simulate_hybrid
 
 __all__ = ["main"]
 
@@ -217,14 +217,16 @@ def _jsonify(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _json_text(payload: dict, argv: list[str]) -> str:
+def _json_text(payload: dict, argv: list[str], **run) -> str:
     """The JSON document of a run: its payload plus a ``meta`` block naming
-    when, with which versions and from which arguments it was made."""
+    when, with which versions and from which arguments it was made, and
+    the facts ``run`` gives about how it was computed."""
     meta = {"created_utc": datetime.now(timezone.utc).isoformat(),
             "argv": argv,
             "versions": {"pbslab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__,
-                         "python": platform.python_version()}}
+                         "python": platform.python_version()},
+            **run}
     envelope = {"schema_version": 1, **payload, "meta": meta}
     return json.dumps(envelope, sort_keys=True, indent=2, default=_jsonify) + "\n"
 
@@ -317,12 +319,14 @@ def cmd_solve_candlestick(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     """solve, then verify by Monte Carlo (prints PASS/FAIL)"""
+    _check_reps(ns.reps)  # before the solve, which can take seconds
     if ns.model == "hybrid":
         report = simulate_hybrid(_hybrid(ns, _laws(ns)), ns.reps, ns.seed)
     else:
         report = simulate_candlestick(_candlestick(ns), ns.n_slow, ns.reps, ns.seed)
 
-    _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv))
+    _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv,
+                                     processes=report.processes))
     if report.agreement_ok:
         print(f"PASS: {len(report.checks)}/{len(report.checks)} analytic-vs-MC "
               f"checks within 3 half-widths ({ns.model}, reps={ns.reps})")
@@ -342,8 +346,8 @@ def sweep(ns) -> list[dict]:
     instead of aborting the sweep; any other exception propagates.
     """
     laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
-    if ns.verify_reps and ns.verify_reps < _MIN_REPS:
-        raise ValueError(f"need at least {_MIN_REPS} replications")
+    if ns.verify_reps:
+        _check_reps(ns.verify_reps)
     rows = []
     for x in ns.grid:
         # sweep's --grid holds the axis values, --grid-size the value-grid points

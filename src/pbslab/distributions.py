@@ -159,7 +159,17 @@ class Beta(ValueDistribution):
         only. Above a split at or over 1/2 it is one minus the quantile of
         Beta(beta, alpha) at the exact 1 - q, so that upper tails keep their
         relative precision; below it is solved directly (see
-        :meth:`_halves`)."""
+        :meth:`_halves`).
+
+        It is monotone only to the last bits: the final Halley step follows
+        ``betainc``'s rounding, so at adjacent doubles q < q' the value at q'
+        can be a few ulps below the value at q. Of 200,000 such pairs, 1,939
+        drop on Beta(2,2) and 1,806 on Beta(5,0.5), by at most 2 ulps, and
+        4,542 on Beta(0.5,0.5), by at most 5 (``betaincinv`` has none there);
+        skewed shapes drop further (26 ulps on Beta(0.7,3) in 2e6 pairs).
+        The solver sorts its value grid and the Monte Carlo kernel never
+        compares two values of one class, so no caller relies on order at
+        that scale."""
         q = _check_prob(q)
         below, above, split = self._halves()
         flat = q.ravel()

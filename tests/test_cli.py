@@ -308,6 +308,38 @@ def test_simulate_disagreement_exits_4(tmp_path, monkeypatch):
     assert (tmp_path / "r.json").exists()  # the report is still written
 
 
+@pytest.mark.parametrize("cpus, reps, processes", [
+    (2, "100000", 2),   # 13 blocks, split between two processes
+    (2, "20000", 1),    # 3 blocks, below the cutoff
+    (1, "100000", 1),
+])
+def test_simulate_meta_records_processes(tmp_path, monkeypatch, cpus, reps,
+                                         processes):
+    """``meta.processes`` counts the processes that computed blocks; the
+    rest of the document does not depend on it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--model", "candlestick", "--p", "0.5",
+                 "--reps", reps, "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["processes"] == processes
+
+
+@pytest.mark.parametrize("model", ["hybrid", "candlestick"])
+def test_simulate_rejects_too_few_reps_before_solving(tmp_path, monkeypatch, model):
+    import pbslab.cli as cli
+
+    def solver(*args, **kwargs):
+        raise AssertionError("solved before the replication count was checked")
+
+    monkeypatch.setattr(cli, "solve_fixed_point", solver)
+    monkeypatch.setattr(cli, "solve_candlestick", solver)
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--model", model, "--reps", "5000",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_simulate_candlestick_deterministic_output(tmp_path):
     """Identical seeds give byte-identical JSON apart from the meta key."""
     args = ["simulate", "--model", "candlestick", "--p", "0.5",

@@ -2,6 +2,10 @@
 
 import csv
 import dataclasses
+import errno
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +15,9 @@ from pbslab.cli import build_parser, main, sweep
 from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
-from pbslab.simulator import (ReplicationRng, _candlestick_block, _hybrid_block,
-                              _replications, _RunningStat, simulate_candlestick,
+from pbslab.simulator import (BLOCK_SIZE, ReplicationRng, _block_moments,
+                              _candlestick_block, _hybrid_block, _replications,
+                              _run_stats, _RunningStat, simulate_candlestick,
                               simulate_hybrid)
 
 from full_row_oracle import full_rows, full_uniforms
@@ -322,10 +327,165 @@ def test_running_stat_blocks_match_numpy_mean_and_var(m):
                    rng.lognormal(0.0, 2.0, m), rng.normal(-5.0, 1e-3, m)]
     stat, want = _RunningStat(), (0, 0.0, 0.0)
     for block in blocks:
-        stat.add_block(block)
+        stat.merge(*_block_moments(block))
         want = _merge_with_numpy(*want, block)
         assert (stat.n, stat.mean.hex(), stat.m2.hex()) == \
             (want[0], want[1].hex(), want[2].hex())
+
+
+# --------------------------------- two processes --------------------------------
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the simulator sees: 1 keeps every run in one
+    process, 2 lets a long run fork, whatever this machine has."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of ``os.fork`` calls this process makes."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def _hex(stats):
+    return {k: (s.mean.hex(), s.half_width.hex()) for k, s in stats.items()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 4 blocks, the last of one row; exactly 4 full blocks; 13 blocks
+@pytest.mark.parametrize("reps", [24_577, 32_768, 100_000])
+@pytest.mark.parametrize("model", ["hybrid", "candlestick"])
+def test_forked_run_equals_serial_run(model, reps, cpus, forks, uniform_3_1,
+                                      candlestick_half):
+    def run():
+        if model == "hybrid":
+            return simulate_hybrid(uniform_3_1[1], reps, seed=3)
+        return simulate_candlestick(candlestick_half[1], 3, reps, seed=3)
+
+    cpus(1)
+    serial = run()
+    assert forks == []
+    cpus(2)
+    forked = run()
+    assert len(forks) == 1
+    assert (serial.processes, forked.processes) == (1, 2)
+    assert _hex(forked.stats) == _hex(serial.stats)
+    assert forked.to_dict() == serial.to_dict()
+    _assert_no_child_left()
+
+
+def test_short_runs_stay_in_one_process(cpus, monkeypatch, uniform_3_1):
+    """Three blocks (the sweep's verification size) are below the cutoff."""
+    cpus(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert simulate_hybrid(uniform_3_1[1], 3 * BLOCK_SIZE, seed=3).processes == 1
+
+
+def test_no_fork_while_another_thread_runs(cpus, monkeypatch, uniform_3_1):
+    cpus(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = simulate_hybrid(uniform_3_1[1], 100_000, seed=3)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.processes == 1
+
+
+def _series_failing_on(block, seed, width=3):
+    """A series function that raises on ``block``, known by its first row."""
+    first_row = ReplicationRng(seed).block_stream(block).random((1, width))[0]
+
+    def series(u):
+        if np.array_equal(u[0], first_row):
+            raise ValueError(f"no series for block {block}")
+        return {"x": u[:, 0]}
+
+    return series
+
+
+# 13 blocks: this process computes blocks 0-6 and the child 7-12
+@pytest.mark.parametrize("block", [3, 10])
+def test_block_error_is_raised_as_in_a_serial_run(block, cpus, forks):
+    """An error in this process's half kills the child; one in the child's
+    half is raised here with the same type and message. No child is left."""
+    series = _series_failing_on(block, seed=5)
+    errors = []
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(ValueError) as info:
+            _run_stats(5, 100_000, 3, series)
+        errors.append((info.type, str(info.value)))
+        _assert_no_child_left()
+    assert len(forks) == 1
+    assert errors == [(ValueError, f"no series for block {block}")] * 2
+
+
+def test_blocks_of_a_child_that_dies_are_computed_here(cpus, forks):
+    parent = os.getpid()
+
+    def series(u):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {"x": u[:, 0], "y": u[:, 1] * u[:, 2]}
+
+    cpus(1)
+    serial, one = _run_stats(5, 100_000, 3, series)
+    cpus(2)
+    forked, processes = _run_stats(5, 100_000, 3, series)
+    assert (len(forks), one, processes) == (1, 1, 1)
+    assert _hex(forked) == _hex(serial)
+    _assert_no_child_left()
+
+
+def test_run_stays_in_one_process_when_fork_fails(cpus, monkeypatch, uniform_3_1):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    cpus(1)
+    serial = simulate_hybrid(uniform_3_1[1], 100_000, seed=3)
+    cpus(2)
+    monkeypatch.setattr(os, "fork", fork)
+    report = simulate_hybrid(uniform_3_1[1], 100_000, seed=3)
+    assert report.processes == 1
+    assert _hex(report.stats) == _hex(serial.stats)
+
+
+def test_forked_simulate_prints_one_verdict_line(tmp_path, cpus, forks, capfd):
+    """The child writes nothing to the shared stdout and stderr."""
+    cpus(2)
+    assert main(["simulate", "--model", "hybrid", "--na", "3", "--nb", "1",
+                 "--reps", "100000", "--seed", "42",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    out, err = capfd.readouterr()
+    assert len(forks) == 1
+    assert [line.split(":")[0] for line in out.splitlines()] == ["PASS"]
+    assert err == ""
+    _assert_no_child_left()
 
 
 # --------------------------- statistical verification --------------------------

@@ -40,9 +40,8 @@ from .charts import Series, line_chart_svg
 from .common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
-                                  solve_fixed_point, verify_best_response,
-                                  verify_envelope)
-from .simulator import _check_reps, simulate_candlestick, simulate_hybrid
+                                  solve_fixed_point, verify_best_response)
+from .simulator import _check_run, simulate_candlestick, simulate_hybrid
 
 __all__ = ["main"]
 
@@ -274,19 +273,20 @@ def _hybrid(ns, laws):
 def cmd_solve_private(ns) -> int:
     """solve the private-value hybrid auction bid schedule"""
     # the one command with --method, --max-iter and --damping
+    out = Path(ns.out)
+    if out.suffix == ".json":  # the JSON beside it would overwrite it
+        raise ValueError(f"--out {out} is also the path of its companion JSON")
     config = HybridAuctionConfig(ns.na, ns.nb, *_laws(ns))
     solution = solve_fixed_point(config, ns.grid, max_iter=ns.max_iter,
                                  damping=ns.damping, **_tol(ns))
     report = verify_best_response(solution) if ns.method == "auto" else None
 
-    out = Path(ns.out)
     _write_atomic(out, _solution_csv(solution))
     _write_atomic(out.with_suffix(".json"), _json_text({
         "config": config.describe(),
         "solver": solution.metadata(),
         "residuals": {
             "equation": solution.residual,
-            "envelope_defect": verify_envelope(solution).max_defect,
             "cross_method_max_disagreement": None if report is None else report.bid_gap,
             "best_response": None if report is None else {
                 "max_gain": report.max_gain, "at_value": report.at_value,
@@ -319,7 +319,7 @@ def cmd_solve_candlestick(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     """solve, then verify by Monte Carlo (prints PASS/FAIL)"""
-    _check_reps(ns.reps)  # before the solve, which can take seconds
+    _check_run(ns.reps, ns.seed)  # before the solve, which can take seconds
     if ns.model == "hybrid":
         report = simulate_hybrid(_hybrid(ns, _laws(ns)), ns.reps, ns.seed)
     else:
@@ -347,7 +347,7 @@ def sweep(ns) -> list[dict]:
     """
     laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
     if ns.verify_reps:
-        _check_reps(ns.verify_reps)
+        _check_run(ns.verify_reps, ns.seed)
     rows = []
     for x in ns.grid:
         # sweep's --grid holds the axis values, --grid-size the value-grid points
@@ -389,6 +389,9 @@ def cmd_sweep(ns) -> int:
 
 def cmd_figure(ns) -> int:
     """emit an SVG bid-schedule chart plus companion CSV"""
+    out = Path(ns.out)
+    if out.suffix == ".csv":  # the CSV beside it would overwrite it
+        raise ValueError(f"--out {out} is also the path of its companion CSV")
     solution = _hybrid(ns, _laws(ns))
     v = solution.values
     svg = line_chart_svg(
@@ -396,7 +399,6 @@ def cmd_figure(ns) -> int:
          Series(v, v, "truthful bid (45-degree)", dashed=True)],
         xlabel="value v", ylabel="bid",
         title=f"Neutral-builder bid schedule: na={ns.na}, nb={ns.nb}, fb={ns.fb}")
-    out = Path(ns.out)
     _write_atomic(out, svg)
     _write_atomic(out.with_suffix(".csv"), _solution_csv(solution))
     print(f"wrote {out} and {out.with_suffix('.csv')}")

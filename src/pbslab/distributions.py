@@ -78,12 +78,6 @@ class ValueDistribution:
     def quantile(self, q):
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Uniform(ValueDistribution):
@@ -114,12 +108,6 @@ class Uniform(ValueDistribution):
 
     def quantile(self, q):
         return self.lo + _check_prob(q) * (self.hi - self.lo)
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def variance(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
 
 
 @dataclass(frozen=True)
@@ -219,13 +207,6 @@ class Beta(ValueDistribution):
             else:
                 hi = mid
         return math.exp(hi)
-
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    def variance(self) -> float:
-        ab = self.alpha + self.beta
-        return self.alpha * self.beta / (ab * ab * (ab + 1.0))
 
 
 # Beta quantile (Beta.quantile, _BetaHalf)
@@ -382,13 +363,6 @@ class Lognormal(ValueDistribution):
         out = np.exp(self.log_mean + self.log_sd * ndtri(_check_prob(q)))  # 0 at q = 0
         return out if out.ndim else float(out)
 
-    def mean(self) -> float:
-        return math.exp(self.log_mean + 0.5 * self.log_sd ** 2)
-
-    def variance(self) -> float:
-        s2 = self.log_sd ** 2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.log_mean + s2)
-
 
 @dataclass(frozen=True)
 class EmpiricalGrid(ValueDistribution):
@@ -455,17 +429,6 @@ class EmpiricalGrid(ValueDistribution):
 
     def quantile(self, q):
         return np.interp(_check_prob(q), self.cdf_values, self.points)
-
-    def mean(self) -> float:
-        w = np.diff(self.cdf_values)
-        return float(np.sum(w * 0.5 * (self.points[:-1] + self.points[1:])))
-
-    def variance(self) -> float:
-        # each CDF segment is a uniform chunk of mass w on [x0, x1]
-        w = np.diff(self.cdf_values)
-        x0, x1 = self.points[:-1], self.points[1:]
-        second = np.sum(w * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0)
-        return float(second - self.mean() ** 2)
 
 
 # ------------------------- normal and lognormal calculus ----------------------

@@ -40,10 +40,8 @@ __all__ = [
     "BidFunction",
     "EquilibriumSolution",
     "SolverError",
-    "EnvelopeReport",
     "BestResponseReport",
     "solve_fixed_point",
-    "verify_envelope",
     "verify_best_response",
 ]
 
@@ -329,13 +327,6 @@ def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float,
     return out
 
 
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
-    return out
-
-
 def _isotonic(y: np.ndarray) -> np.ndarray:
     """L2 projection onto nondecreasing sequences (pool adjacent violators)."""
     d = np.diff(y)
@@ -511,24 +502,6 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
 
 
 # ------------------------------ verification ----------------------------------
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    max_defect: float
-    at_value: float
-    defects: np.ndarray = field(repr=False, default=None)
-
-
-def verify_envelope(solution: EquilibriumSolution) -> EnvelopeReport:
-    """Check surplus consistency: (v - bid) * x(v) against the trapezoid
-    integral of x up to v. Large defects flag a wrong schedule."""
-    v = solution.values
-    direct = (v - solution.bids) * solution.win_prob
-    accumulated = _cumtrapz(solution.win_prob, v)
-    defects = np.abs(direct - accumulated)
-    i = int(np.argmax(defects))
-    return EnvelopeReport(float(defects[i]), float(v[i]), defects)
 
 
 @dataclass(frozen=True)

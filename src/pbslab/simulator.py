@@ -161,9 +161,10 @@ def _n_blocks(reps: int) -> int:
     return -(-reps // BLOCK_SIZE)
 
 
-def _check_reps(reps: int):
+def _check_run(reps: int, seed: int):
     if reps < _MIN_REPS:
         raise ValueError(f"need at least {_MIN_REPS} replications")
+    ReplicationRng(seed)  # checks the seed
 
 
 def _may_fork(n_blocks: int) -> bool:
@@ -231,7 +232,7 @@ def _run_stats(seed: int, reps: int, width: int, series_fn) -> tuple[dict[str, S
     Blocks it did not deliver (it raised or died) are computed here, so an
     exception in them is raised here, as a serial run raises it.
     """
-    _check_reps(reps)
+    _check_run(reps, seed)
     n_blocks = _n_blocks(reps)
     acc: dict[str, _RunningStat] = {}
 

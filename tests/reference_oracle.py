@@ -5,7 +5,10 @@ calls them.
   (:func:`closed_form_single_neutral`) and surplus split
   (:func:`surplus_single_neutral`);
 - a neutral builder's win probability under a solved schedule
-  (:func:`winning_probability`);
+  (:func:`winning_probability`), and the surplus envelope identity it
+  must meet, integrated by trapezoids (:func:`envelope_defect`);
+- the lognormal mean and variance in closed form
+  (:func:`lognormal_moments`);
 - the candlestick root condition as a checked scalar
   (:func:`candlestick_residual`; the bisection evaluates the same formula
   unchecked, as ``_residual_vec``), and its truncated-mean form through
@@ -51,6 +54,21 @@ def winning_probability(solution: EquilibriumSolution, v):
     return solution.config.rival_cdf(v) * solution.config.reserve_cdf(bids)
 
 
+def envelope_defect(solution: EquilibriumSolution) -> float:
+    """Largest gap between the surplus (v - bid) * x(v) and the trapezoid
+    integral of the win probability x up to v; a wrong schedule shows a
+    large one."""
+    v, x = solution.values, solution.win_prob
+    accumulated = np.concatenate(([0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * np.diff(v))))
+    return float(np.max(np.abs((v - solution.bids) * x - accumulated)))
+
+
+def lognormal_moments(law: Lognormal) -> tuple[float, float]:
+    """Mean exp(a + s^2/2) and variance (exp(s^2) - 1) exp(2a + s^2)."""
+    a, s2 = law.log_mean, law.log_sd ** 2
+    return math.exp(a + 0.5 * s2), (math.exp(s2) - 1.0) * math.exp(2.0 * a + s2)
+
+
 class NegligibleMassError(ValueError):
     """Truncation event has probability below machine tiny; the conditional
     mean is numerically undefined."""
@@ -71,7 +89,7 @@ def lognormal_truncated_mean(law: Lognormal, b: float) -> float:
     if mass < np.finfo(float).tiny:
         raise NegligibleMassError(
             f"P(V < {b}) underflows; truncated mean undefined at this point")
-    return law.mean() * float(ndtr(z - s)) / mass
+    return lognormal_moments(law)[0] * float(ndtr(z - s)) / mass
 
 
 def candlestick_residual(config: CandlestickConfig, b: float) -> float:

@@ -15,12 +15,13 @@ from pbslab.common_values import (CandlestickConfig, PriceProcess,
                                   law_of_v_delta, solve_candlestick)
 from pbslab.distributions import Beta, Uniform, lognormal_put_value
 from pbslab.private_equilibrium import (HybridAuctionConfig, solve_fixed_point,
-                                        verify_best_response, verify_envelope)
+                                        verify_best_response)
 from pbslab.simulator import simulate_candlestick, simulate_hybrid
 from pbslab.cli import main
 
 from ode_oracle import solve_ode
-from reference_oracle import lognormal_truncated_mean, unraveling_slow_profit
+from reference_oracle import (envelope_defect, lognormal_truncated_mean,
+                              unraveling_slow_profit)
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -88,7 +89,7 @@ def test_criterion_03_shading_bounds(matrix_solutions):
 def test_criterion_04_envelope_identity(matrix_solutions):
     worst = 0.0
     for _, sol in matrix_solutions.values():
-        defect = verify_envelope(sol).max_defect / sol.values[-1]
+        defect = envelope_defect(sol) / sol.values[-1]
         worst = max(worst, defect)
     _line("criterion 4 (surplus envelope identity)", worst <= 1e-3,
           f"max relative defect {worst:.2e} over {len(matrix_solutions)} "

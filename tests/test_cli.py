@@ -71,6 +71,40 @@ def test_solve_private_auto_cross_checks(tmp_path, capsys):
     assert np.all(sigma <= v + 1e-12)
 
 
+def test_solve_private_json_residuals_layout(tmp_path, capsys):
+    """The residuals block holds exactly the equation defect, the bid gap and
+    the best-response certificate; the benchmark reads the first two."""
+    out = tmp_path / "u.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "1", "--fa", "uniform(0,1)",
+                 "--fb", "uniform(0,1)", "--out", str(out)]) == 0
+    residuals = json.loads(out.with_suffix(".json").read_text())["residuals"]
+    assert set(residuals) == {"equation", "cross_method_max_disagreement",
+                              "best_response"}
+
+
+def _fail_on_solve(monkeypatch, reason: str):
+    """Make every solver the CLI calls fail the test with ``reason``."""
+    import pbslab.cli as cli
+
+    def solver(*args, **kwargs):
+        raise AssertionError(reason)
+
+    monkeypatch.setattr(cli, "solve_fixed_point", solver)
+    monkeypatch.setattr(cli, "solve_candlestick", solver)
+
+
+def test_solve_private_out_named_like_its_json_is_usage_error(tmp_path, capsys,
+                                                             monkeypatch):
+    """An --out ending in .json would be overwritten by the JSON written
+    beside it: exit 2 before solving, with no file written."""
+    _fail_on_solve(monkeypatch, "solved before --out was checked")
+    out = tmp_path / "x.json"
+    assert main(["solve-private", "--na", "3", "--nb", "1", "--fa", "uniform(0,1)",
+                 "--fb", "uniform(0,1)", "--out", str(out)]) == 2
+    assert "companion JSON" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_private_auto_rejects_a_mis_shaded_schedule(tmp_path, capsys,
                                                           monkeypatch, mis_shade):
     """A schedule 2% below the solved one fails the certificate: exit 4 with
@@ -327,16 +361,22 @@ def test_simulate_meta_records_processes(tmp_path, monkeypatch, cpus, reps,
 
 @pytest.mark.parametrize("model", ["hybrid", "candlestick"])
 def test_simulate_rejects_too_few_reps_before_solving(tmp_path, monkeypatch, model):
-    import pbslab.cli as cli
-
-    def solver(*args, **kwargs):
-        raise AssertionError("solved before the replication count was checked")
-
-    monkeypatch.setattr(cli, "solve_fixed_point", solver)
-    monkeypatch.setattr(cli, "solve_candlestick", solver)
+    _fail_on_solve(monkeypatch, "solved before the replication count was checked")
     out = tmp_path / "r.json"
     assert main(["simulate", "--model", model, "--reps", "5000",
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["hybrid", "candlestick"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_rejects_a_bad_seed_before_solving(tmp_path, capsys, monkeypatch,
+                                                    model, seed):
+    _fail_on_solve(monkeypatch, "solved before the seed was checked")
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--model", model, "--seed", seed,
+                 "--out", str(out)]) == 2
+    assert "seed must be a 64-bit nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -407,6 +447,17 @@ def test_sweep_too_few_verify_reps_is_usage_error(tmp_path, reps):
     rc = main(["sweep", "--axis", "p", "--grid", "0.5", "--verify-reps", reps,
                "--out", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+def test_sweep_bad_seed_is_usage_error(tmp_path, capsys, monkeypatch):
+    """With verification on, a seed out of range exits 2 before any point
+    is solved, instead of turning every row into an error row."""
+    _fail_on_solve(monkeypatch, "solved before the seed was checked")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--axis", "p", "--grid", "0.2,0.5", "--verify-reps", "20000",
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be a 64-bit nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -487,6 +538,16 @@ def test_figure_unwritable_path_leaves_nothing(tmp_path):
     rc = main(["figure", "--out", str(target)])
     assert rc == 5
     assert not target.parent.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_out_named_like_its_csv_is_usage_error(tmp_path, capsys, monkeypatch):
+    """An --out ending in .csv would be overwritten by the CSV written beside
+    it: exit 2 before solving, with no file written."""
+    _fail_on_solve(monkeypatch, "solved before --out was checked")
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--out", str(out)]) == 2
+    assert "companion CSV" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -25,9 +25,10 @@ def spans():
 
 
 # spans whose functions left the program on purpose (``solve_ode`` and
-# ``pick_winners`` became test oracles); their metrics read 0 until the
-# benchmark drops them
-RETIRED = {"private_equilibrium.ode", "simulator.pick_winners"}
+# ``pick_winners`` became test oracles, and the trapezoid envelope check a
+# reference form); their metrics read 0 until the benchmark drops them
+RETIRED = {"private_equilibrium.ode", "private_equilibrium.envelope",
+           "simulator.pick_winners"}
 
 
 def test_every_span_resolves_a_name(spans):

@@ -41,7 +41,8 @@ from .common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from .distributions import parse_distribution
 from .private_equilibrium import (HybridAuctionConfig, SolverError,
                                   solve_fixed_point, verify_best_response)
-from .simulator import _check_run, simulate_candlestick, simulate_hybrid
+from .simulator import (_MIN_FORK_BLOCKS, _check_n_slow, _check_run, _n_blocks,
+                        _split_map, simulate_candlestick, simulate_hybrid)
 
 __all__ = ["main"]
 
@@ -323,6 +324,7 @@ def cmd_simulate(ns) -> int:
     if ns.model == "hybrid":
         report = simulate_hybrid(_hybrid(ns, _laws(ns)), ns.reps, ns.seed)
     else:
+        _check_n_slow(ns.n_slow)
         report = simulate_candlestick(_candlestick(ns), ns.n_slow, ns.reps, ns.seed)
 
     _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv,
@@ -337,19 +339,10 @@ def cmd_simulate(ns) -> int:
     return EXIT_VERIFY
 
 
-def sweep(ns) -> list[dict]:
-    """Solve (and with ``--verify-reps`` verify) one point per value ``x`` of
-    ``--grid`` along ``--axis``; rows come back in grid order.
-
-    A point whose solve or verification fails with a solver or input error
-    keeps that error in its row's ``status`` (``error: <class>: <message>``)
-    instead of aborting the sweep; any other exception propagates.
-    """
-    laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
-    if ns.verify_reps:
-        _check_run(ns.verify_reps, ns.seed)
+def _sweep_rows(ns, laws, grid) -> list[dict]:
+    """The rows of the sweep points at the axis values ``grid``, in order."""
     rows = []
-    for x in ns.grid:
+    for x in grid:
         # sweep's --grid holds the axis values, --grid-size the value-grid points
         point = argparse.Namespace(**{**vars(ns), "grid": ns.grid_size, ns.axis: x})
         row = {"axis_value": x}
@@ -375,6 +368,25 @@ def sweep(ns) -> list[dict]:
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
+
+
+def sweep(ns) -> list[dict]:
+    """Solve (and with ``--verify-reps`` verify) one point per value ``x`` of
+    ``--grid`` along ``--axis``; rows come back in grid order.
+
+    A point whose solve or verification fails with a solver or input error
+    keeps that error in its row's ``status`` (``error: <class>: <message>``)
+    instead of aborting the sweep; any other exception propagates. Where
+    verification runs are too short to split their blocks, the points split.
+    """
+    laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
+    if ns.verify_reps:
+        _check_run(ns.verify_reps, ns.seed)
+        if ns.axis in _CANDLESTICK_AXES:
+            _check_n_slow(ns.n_slow)
+    rows = partial(_sweep_rows, ns, laws)
+    short_runs = ns.verify_reps and _n_blocks(ns.verify_reps) < _MIN_FORK_BLOCKS
+    return _split_map(rows, ns.grid)[0] if short_runs else rows(ns.grid)
 
 
 def cmd_sweep(ns) -> int:

@@ -17,12 +17,11 @@ maps each block's uniforms through a model's block function; the simulate
 functions reduce the per-replication series it yields to each block's
 count, mean and M2, and merge those in block order into running means.
 
-A run of at least ``_MIN_FORK_BLOCKS`` blocks uses two processes where the
-process may run on two CPUs and no other Python thread is alive: after
-block 0, a forked child computes the second half of the blocks and sends
-back only their moments, while this process computes the first half. The
-merge is the same in the same order, so every statistic is bit-identical
-to a serial run's; only ``SimReport.processes`` tells the two apart.
+:func:`_split_map` splits work between two processes where this one may run
+on two CPUs and no other Python thread is alive: a forked child computes the
+second half of the items. A run of ``_MIN_FORK_BLOCKS`` or more blocks splits
+its blocks and merges their moments in block order, bit-identical to a serial
+run; a verified sweep of shorter runs splits its points instead.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest uniform a Philox draw gives
 # Fewest blocks a run splits between two processes. A fork round trip
 # costs about 4 ms, more than the one block a 3-block run would move: forked,
 # the 3-block runs of a verified sweep over p took 112 ms instead of 30 ms.
-# Every run of 7 or more blocks got faster.
+# Every run of 7 or more blocks got faster. Verified sweeps split points instead.
 _MIN_FORK_BLOCKS = 4
 
 
@@ -167,13 +166,17 @@ def _check_run(reps: int, seed: int):
     ReplicationRng(seed)  # checks the seed
 
 
-def _may_fork(n_blocks: int) -> bool:
-    """Whether a run of ``n_blocks`` blocks splits between two processes:
-    it is long enough, this process may run on two CPUs (Linux only), and
-    no other Python thread is alive, which could hold a lock the child
-    would then never see released."""
-    return (n_blocks >= _MIN_FORK_BLOCKS and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+def _check_n_slow(n_slow: int):
+    if n_slow < 2:
+        raise ValueError("the zero-profit condition presumes at least two slow bidders")
+
+
+def _may_fork() -> bool:
+    """Whether work may split between two processes: this process may run
+    on two CPUs (Linux only), and no other Python thread is alive, which
+    could hold a lock the child would then never see released."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
 
 
 class _Child:
@@ -224,38 +227,44 @@ class _Child:
             self.pid = None
 
 
+def _split_map(fn, items) -> tuple[list, int]:
+    """``fn(items)`` and the number of processes that computed it; ``fn`` maps
+    a slice of ``items`` to its results, so a block runner keeps its buffers
+    from block to block (run per block, it took 4x the page faults).
+
+    Item 0 comes first, alone, to build the lazy tables (the Beta quantile's,
+    the bid lookup's) a child inherits. Where :func:`_may_fork` and two or
+    more items are left, a child computes the second half; items it did not
+    deliver (it raised or died) are computed here, so an exception in them
+    is raised here, as in a serial run."""
+    results = fn(items[:1])
+    split, rest = 1, None
+    if len(items) > 2 and _may_fork():
+        split = (len(items) + 1) // 2
+        with _Child(lambda: fn(items[split:])) as child:
+            results += fn(items[1:split])
+            rest = child.result()
+    return results + (fn(items[split:]) if rest is None else rest), 1 if rest is None else 2
+
+
 def _run_stats(seed: int, reps: int, width: int, series_fn) -> tuple[dict[str, Stat], int]:
     """Mean and half-width of every per-replication series ``series_fn`` maps
-    a block's uniforms to, and the number of processes that computed blocks.
-
-    Where :func:`_may_fork`, a child computes the second half of the blocks.
-    Blocks it did not deliver (it raised or died) are computed here, so an
-    exception in them is raised here, as a serial run raises it.
-    """
+    a block's uniforms to, and the number of processes that computed blocks
+    (a run of ``_MIN_FORK_BLOCKS`` or more blocks splits by :func:`_split_map`)."""
     _check_run(reps, seed)
-    n_blocks = _n_blocks(reps)
-    acc: dict[str, _RunningStat] = {}
 
     def moments(blocks):
         return [{name: _block_moments(values) for name, values in series.items()}
                 for series in _replications(seed, reps, width, series_fn, blocks)]
 
-    def merge(blocks):
-        for block in blocks:
-            for name, block_moments in block.items():
-                acc.setdefault(name, _RunningStat()).merge(*block_moments)
-
-    # block 0 comes first, alone: it builds the lazy tables (the Beta
-    # quantile's, the bid lookup's) that a child then inherits
-    merge(moments(range(1)))
-    split, rest = 1, None
-    if _may_fork(n_blocks):
-        split = (n_blocks + 1) // 2
-        with _Child(lambda: moments(range(split, n_blocks))) as child:
-            merge(moments(range(1, split)))
-            rest = child.result()
-    merge(moments(range(split, n_blocks)) if rest is None else rest)
-    return {name: a.stat() for name, a in acc.items()}, 1 if rest is None else 2
+    blocks = range(_n_blocks(reps))
+    per_block, processes = (_split_map(moments, blocks) if len(blocks) >= _MIN_FORK_BLOCKS
+                            else (moments(blocks), 1))
+    acc: dict[str, _RunningStat] = {}
+    for block in per_block:
+        for name, block_moments in block.items():
+            acc.setdefault(name, _RunningStat()).merge(*block_moments)
+    return {name: a.stat() for name, a in acc.items()}, processes
 
 
 def _check(name: str, stat: Stat, target: float) -> dict:
@@ -371,15 +380,15 @@ def _candlestick_block(solution: CandlestickSolution, n_slow: int,
     m = u.shape[0]
     slow_winner = np.minimum((u[:, 0] * n_slow).astype(int), n_slow - 1)
     revised = u[:, 1] < p
-    if process.is_degenerate:
-        v_delta = np.full(m, process.v0)
-    else:
-        v_delta = np.asarray(law_of_v_delta(process).quantile(u[:, 2]), dtype=float)
+    # without a revision the value stays at its time-0 level, so only the
+    # revised rows evaluate the value law's quantile
+    v_delta = np.full(m, process.v0)
+    if not process.is_degenerate:
+        moved = np.flatnonzero(revised)
+        v_delta[moved] = law_of_v_delta(process).quantile(u[moved, 2])
 
     fast_won = revised & (v_delta > b0s)  # strict: ties stay with the slow bid
-    # without a revision the value stays at its time-0 level for the winner
-    slow_value = np.where(revised, v_delta, process.v0)
-    slow_profit = np.where(fast_won, 0.0, slow_value - b0s)
+    slow_profit = np.where(fast_won, 0.0, v_delta - b0s)
     fast_profit = np.where(fast_won, v_delta - b0s, 0.0)
     return {
         "slow_winner": slow_winner,
@@ -394,8 +403,7 @@ def simulate_candlestick(solution: CandlestickSolution, n_slow: int, reps: int,
                          seed: int) -> SimReport:
     """Play the candlestick auction with all slow bidders at the solved bid;
     the slow class must break even and the win rates must match the solution."""
-    if n_slow < 2:
-        raise ValueError("the zero-profit condition presumes at least two slow bidders")
+    _check_n_slow(n_slow)
 
     def series(u):
         out = _candlestick_block(solution, n_slow, u)

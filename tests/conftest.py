@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import signal
 
 import pytest
@@ -31,6 +32,30 @@ def deadline():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the simulator sees: 1 keeps all work in one
+    process, 2 lets long runs and verified sweeps fork, whatever this
+    machine has."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of ``os.fork`` calls this process makes."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
 
 
 @pytest.fixture(scope="session")

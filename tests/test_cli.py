@@ -380,6 +380,16 @@ def test_simulate_rejects_a_bad_seed_before_solving(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_simulate_candlestick_rejects_one_slow_bidder_before_solving(tmp_path, capsys,
+                                                                     monkeypatch):
+    _fail_on_solve(monkeypatch, "solved before --n-slow was checked")
+    out = tmp_path / "r.json"
+    assert main(["simulate", "--model", "candlestick", "--n-slow", "1",
+                 "--out", str(out)]) == 2
+    assert "at least two slow bidders" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_candlestick_deterministic_output(tmp_path):
     """Identical seeds give byte-identical JSON apart from the meta key."""
     args = ["simulate", "--model", "candlestick", "--p", "0.5",
@@ -461,6 +471,26 @@ def test_sweep_bad_seed_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_verified_candlestick_sweep_rejects_one_slow_bidder(tmp_path, capsys,
+                                                            monkeypatch):
+    """Exit 2 before any point is solved, instead of an error in every row."""
+    _fail_on_solve(monkeypatch, "solved before --n-slow was checked")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--axis", "p", "--grid", "0.2,0.5", "--n-slow", "1",
+                 "--verify-reps", "10000", "--out", str(out)]) == 2
+    assert "at least two slow bidders" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--axis", "p", "--grid", "0.2,0.5"),  # unverified: no slow bidder plays
+    ("--axis", "na", "--grid", "1,2", "--verify-reps", "10000"),  # hybrid
+])
+def test_sweeps_without_slow_bidders_ignore_n_slow(tmp_path, flags):
+    rows = _sweep_rows(tmp_path, *flags, "--n-slow", "1")
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+
+
 def _sweep_rows(tmp_path, *flags):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", *flags, "--out", str(out)]) == 0
@@ -488,6 +518,88 @@ def test_sweep_overflowing_vol_is_an_error_row(tmp_path):
 def test_sweep_extreme_beta_shape_is_an_error_row(tmp_path):
     [row] = _sweep_rows(tmp_path, "--axis", "na", "--grid", "1", "--fb", "beta(1e-20,3)")
     assert row["status"].startswith("error: ValueError: beta shapes")
+
+
+# ------------------------- verified sweeps on two processes --------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the na grid's 1.5 makes an error row; p = 0 revises no row, p = 1 every row
+@pytest.mark.parametrize("flags, errors", [
+    (("--axis", "na", "--grid", "1,1.5,2,3,5", "--nb", "1",
+      "--fa", "beta(2,2)", "--fb", "beta(2,2)"), 1),
+    (("--axis", "p", "--grid", "0,0.25,0.5,0.75,1"), 0),
+])
+def test_forked_sweep_writes_the_serial_csv(tmp_path, cpus, forks, capfd, flags,
+                                            errors):
+    """One fork splits the points; the child prints and writes nothing."""
+    def run(name):
+        out = tmp_path / name
+        assert main(["sweep", *flags, "--verify-reps", "20000", "--seed", "5",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    cpus(1)
+    serial = run("serial.csv")
+    assert forks == []
+    cpus(2)
+    forked = run("forked.csv")
+    assert len(forks) == 1
+    assert forked == serial
+    assert serial.count(b"error: ValueError: ") == errors
+    out, err = capfd.readouterr()
+    assert out.splitlines() == [f"sweep over {flags[1]}: 5 rows, {errors} non-ok"] * 2
+    assert err == ""
+    assert sorted(os.listdir(tmp_path)) == ["forked.csv", "serial.csv"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("flags, n_forks", [
+    (("--grid", "0.2,0.5,0.8"), 0),  # unverified
+    (("--grid", "0.5", "--verify-reps", "20000"), 0),
+    # point 0 comes first, alone, so a second point would have nothing to overlap
+    (("--grid", "0.2,0.5", "--verify-reps", "20000"), 0),
+    (("--grid", "0.2,0.5,0.8", "--verify-reps", "20000"), 1),
+    # runs of 4 blocks split their own blocks, one fork per run
+    (("--grid", "0.2,0.5,0.8", "--verify-reps", "32768"), 3),
+])
+def test_sweep_forks(tmp_path, cpus, forks, flags, n_forks):
+    cpus(2)
+    assert main(["sweep", "--axis", "p", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(forks) == n_forks
+    _assert_no_child_left()
+
+
+# grid 0.2,0.4 | 0.6,0.8: this process's half, then the child's
+@pytest.mark.parametrize("bad", [0.4, 0.8])
+def test_sweep_point_error_is_raised_as_in_a_serial_run(tmp_path, monkeypatch, cpus,
+                                                        forks, bad):
+    import pbslab.cli as cli
+
+    real = cli.solve_candlestick
+
+    def solve(config, **kwargs):
+        if config.p == bad:
+            raise LookupError(f"no solution at p={bad}")
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_candlestick", solve)
+    out = tmp_path / "s.csv"
+    errors = []
+    for n in (1, 2):
+        cpus(n)
+        with pytest.raises(LookupError) as info:
+            main(["sweep", "--axis", "p", "--grid", "0.2,0.4,0.6,0.8",
+                  "--verify-reps", "20000", "--out", str(out)])
+        errors.append((info.type, str(info.value)))
+        _assert_no_child_left()
+    assert len(forks) == 1
+    assert errors == [(LookupError, f"no solution at p={bad}")] * 2
+    assert not out.exists()
 
 
 # ----------------------------------- figure ------------------------------------

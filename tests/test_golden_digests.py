@@ -3,8 +3,8 @@
 The Monte Carlo estimates and the solved schedules are pure functions of
 their inputs, so a change that only makes them faster must leave every bit
 in place. These tests pin SHA-256 digests of the exact ``stats`` of
-``simulate`` (every mean and half-width as ``float.hex``) and of the
-``solve-private`` CSV bytes. A digest that moves means an output moved; a
+``simulate`` (every mean and half-width as ``float.hex``) and of the CSV
+bytes of ``solve-private`` and of two verified sweeps. A digest that moves means an output moved; a
 change that means to move one must say why and record the new digest.
 """
 
@@ -61,3 +61,18 @@ def test_solve_private_csv_digest(tmp_path):
                  "--grid", "512", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "b5e1710e7ff7b5e6fdf32951010e1d76bd8ee0463f044ead825c6d47170726f2")
+
+
+# the verified sweeps of the reproduction run: each point solved, then checked
+# by a 3-block Monte Carlo run
+@pytest.mark.parametrize("flags, digest", [
+    (("--axis", "na", "--grid", "1,2,3,4,5,8", "--fa", "beta(2,2)", "--fb", "beta(2,2)"),
+     "cc00df4bce5ea078b638a0115240025d6562d23f3bc8c5bcc0485e19a78b1f65"),
+    (("--axis", "p", "--grid", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"),
+     "970cf83bc6185a4416537f48b0c039bd9db884c4d2cf4efdb522c213b808e8a6"),
+])
+def test_verified_sweep_csv_digest(tmp_path, flags, digest):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--verify-reps", "20000", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -336,29 +336,6 @@ def test_running_stat_blocks_match_numpy_mean_and_var(m):
 # --------------------------------- two processes --------------------------------
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the simulator sees: 1 keeps every run in one
-    process, 2 lets a long run fork, whatever this machine has."""
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-    return set_cpus
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The list of ``os.fork`` calls this process makes."""
-    calls, real = [], os.fork
-
-    def fork():
-        calls.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return calls
-
-
 def _no_fork():
     raise AssertionError("os.fork was called")
 

@@ -13,7 +13,7 @@ failure, 5 I/O failure. Every output file is written atomically (temp file
 plus rename) so failures leave no partial files behind. All flags can also be
 given through ``--config file.json`` (flags override the file; ``null``
 means absent; unknown keys and values their flag would not parse to are
-rejected). An unset ``--tol`` leaves each solver its own default.
+rejected).
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from . import __version__
 from .charts import Series, line_chart_svg
 from .common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from .distributions import parse_distribution
-from .private_equilibrium import (HybridAuctionConfig, SolverError,
-                                  solve_fixed_point, verify_best_response)
+from .private_equilibrium import (_TOL, HybridAuctionConfig, SolverError,
+                                  _check_solve_args, solve_fixed_point,
+                                  verify_best_response)
 from .simulator import (_MIN_FORK_BLOCKS, _check_n_slow, _check_run, _n_blocks,
                         _split_map, simulate_candlestick, simulate_hybrid)
 
@@ -84,11 +85,7 @@ _PRIVATE_OPTS = (
     _Opt("fa", str, required=True, help="integrated value law, e.g. 'uniform(0,1)'"),
     _Opt("fb", str, required=True, help="neutral value law, e.g. 'beta(2,2)'"),
     _Opt("grid", int, 512, help="value-grid points (default 512)"),
-    _Opt("tol", float, None, help="fixed-point tolerance (default 1e-6)"),
-    _Opt("max-iter", int, 10_000, help="fixed-point sweep cap"),
-    _Opt("damping", float, 0.5,
-         help="mixing weight in (0,1] of the Anderson-accelerated fixed point, "
-              "safeguarded by the isotonic projection and the anchor clamp"),
+    _Opt("tol", float, _TOL, help=f"fixed-point tolerance (default {_TOL:g})"),
     _Opt("method", str, "auto", choices=("fixed-point", "auto"),
          help="auto solves by fixed point and certifies the schedule by best "
               "response (exit 4 above its bound); fixed-point only solves"),
@@ -103,13 +100,14 @@ _CANDLESTICK_OPTS = (
     _Opt("out", str, required=True, help="output JSON path"),
 )
 
-_HYBRID_TOL_HELP = "hybrid fixed-point tolerance (default 1e-6); none for the candlestick"
+_HYBRID_TOL_HELP = (f"hybrid fixed-point tolerance (default {_TOL:g}); "
+                    "none for the candlestick")
 
 _SIMULATE_OPTS = (
     _Opt("model", str, required=True, choices=("hybrid", "candlestick")),
     _Opt("na", int, 3), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
-    _Opt("grid", int, 512), _Opt("tol", float, None, help=_HYBRID_TOL_HELP),
+    _Opt("grid", int, 512), _Opt("tol", float, _TOL, help=_HYBRID_TOL_HELP),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
     _Opt("p", float, 0.5), _Opt("n-slow", int, 2),
     _Opt("reps", int, 100_000, help="replications (>= 10000)"),
@@ -126,7 +124,7 @@ _SWEEP_OPTS = (
     _Opt("na", int, 1), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
     _Opt("grid-size", int, 512, help="value-grid points (--grid elsewhere)"),
-    _Opt("tol", float, None, help=_HYBRID_TOL_HELP), _Opt("n-slow", int, 2),
+    _Opt("tol", float, _TOL, help=_HYBRID_TOL_HELP), _Opt("n-slow", int, 2),
     _Opt("verify-reps", int, 0, help="Monte Carlo replications per point (0 = off)"),
     _Opt("seed", int, 42),
     _Opt("out", str, required=True, help="output CSV path"),
@@ -135,7 +133,7 @@ _SWEEP_OPTS = (
 _FIGURE_OPTS = (
     _Opt("fa", str, "beta(2,2)"), _Opt("fb", str, "beta(2,2)"),
     _Opt("na", int, 3), _Opt("nb", int, 3),
-    _Opt("grid", int, 512), _Opt("tol", float, None),
+    _Opt("grid", int, 512), _Opt("tol", float, _TOL),
     _Opt("out", str, required=True, help="output SVG path (companion CSV alongside)"),
 )
 
@@ -250,11 +248,6 @@ def _rows_csv(header: list[str], rows: list[dict]) -> str:
 # --------------------------------- commands -----------------------------------
 
 
-def _tol(ns) -> dict:
-    """A given ``--tol`` for the solver; unset leaves the solver's default."""
-    return {} if ns.tol is None else {"tol": ns.tol}
-
-
 def _laws(ns) -> tuple:
     return parse_distribution(ns.fa), parse_distribution(ns.fb)
 
@@ -268,23 +261,20 @@ def _candlestick(ns):
 def _hybrid(ns, laws):
     """Build and solve, by fixed point, the hybrid model of ``ns`` over ``laws``."""
     config = HybridAuctionConfig(ns.na, ns.nb, *laws)
-    return solve_fixed_point(config, ns.grid, **_tol(ns))
+    return solve_fixed_point(config, ns.grid, ns.tol)
 
 
 def cmd_solve_private(ns) -> int:
     """solve the private-value hybrid auction bid schedule"""
-    # the one command with --method, --max-iter and --damping
     out = Path(ns.out)
     if out.suffix == ".json":  # the JSON beside it would overwrite it
         raise ValueError(f"--out {out} is also the path of its companion JSON")
-    config = HybridAuctionConfig(ns.na, ns.nb, *_laws(ns))
-    solution = solve_fixed_point(config, ns.grid, max_iter=ns.max_iter,
-                                 damping=ns.damping, **_tol(ns))
+    solution = _hybrid(ns, _laws(ns))
     report = verify_best_response(solution) if ns.method == "auto" else None
 
     _write_atomic(out, _solution_csv(solution))
     _write_atomic(out.with_suffix(".json"), _json_text({
-        "config": config.describe(),
+        "config": solution.config.describe(),
         "solver": solution.metadata(),
         "residuals": {
             "equation": solution.residual,
@@ -380,6 +370,8 @@ def sweep(ns) -> list[dict]:
     verification runs are too short to split their blocks, the points split.
     """
     laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
+    if ns.axis in _PRIVATE_AXES:  # the candlestick axes take no --tol
+        _check_solve_args(ns.grid_size, ns.tol)
     if ns.verify_reps:
         _check_run(ns.verify_reps, ns.seed)
         if ns.axis in _CANDLESTICK_AXES:

@@ -100,7 +100,6 @@ class CandlestickSolution:
     config: CandlestickConfig
     b0s: float
     slow_win_prob: float
-    fast_win_prob: float
     fast_expected_profit: float
     residual: float
     iterations: int = 0
@@ -159,9 +158,8 @@ def solve_candlestick(config: CandlestickConfig) -> CandlestickSolution:
 
 
 def _build_solution(config, b0s, residual, iterations) -> CandlestickSolution:
-    slow = slow_win_probability(config, b0s)
     return CandlestickSolution(
-        config=config, b0s=b0s, slow_win_prob=slow, fast_win_prob=1.0 - slow,
+        config=config, b0s=b0s, slow_win_prob=slow_win_probability(config, b0s),
         fast_expected_profit=fast_expected_profit(config, b0s),
         residual=residual, iterations=iterations)
 

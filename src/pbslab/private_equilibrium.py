@@ -51,6 +51,11 @@ _G_FLOOR = 1e-300
 # quantile cap for laws with unbounded upper support
 _TOP_Q = 1.0 - 1e-6
 
+# default tolerance, mixing weight per sweep and sweep cap of the fixed point
+_TOL = 1e-6
+_DAMPING = 0.5
+_MAX_SWEEPS = 10_000
+
 # differences of map images the fixed point extrapolates from
 _ANDERSON_DEPTH = 3
 
@@ -362,8 +367,6 @@ class _Problem:
     ``lo + slope * (v - lo)`` that holds the boundary region."""
 
     def __init__(self, config: HybridAuctionConfig, grid_size: int):
-        if grid_size < 64:
-            raise ValueError("grid_size must be at least 64")
         top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
         q = np.linspace(0.0, top_q, grid_size)
         grid = np.unique(np.asarray(config.neutral_values.quantile(q), dtype=float))
@@ -437,26 +440,31 @@ def _extrapolate(image, step, d_image, d_step) -> np.ndarray | None:
 # --------------------------------- solvers -----------------------------------
 
 
+def _check_solve_args(grid_size: int, tol: float):
+    """Reject fewer than 64 grid points, or a tolerance that is negative, NaN
+    or infinite (which would pass the unsolved start line)."""
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
-                      tol: float = 1e-6, max_iter: int = 10_000,
-                      damping: float = 0.5) -> EquilibriumSolution:
+                      tol: float = _TOL) -> EquilibriumSolution:
     """Solve the shading identity by Anderson-accelerated fixed point,
     safeguarded by the isotonic projection and the anchor clamp.
 
     Each sweep blends the identity's right-hand side into the schedule with
-    weight ``damping``, extrapolates from the last ``_ANDERSON_DEPTH``
+    weight ``_DAMPING``, extrapolates from the last ``_ANDERSON_DEPTH``
     differences of these images (Walker & Ni, SIAM J. Numer. Anal. 2011) and
     projects the result onto monotone schedules in [0, v] on the anchor line.
     The history is dropped for the plain damped step when the residual
     exceeds twice its best, makes no new best for ``_STALL_SWEEPS`` sweeps,
     or the extrapolation is singular or not finite. Success means the
     sup-norm defect of the identity is at most ``tol`` away from the anchored
-    boundary region within ``max_iter`` sweeps.
+    boundary region within ``_MAX_SWEEPS`` sweeps.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must be in (0, 1]")
-    if max_iter < 0 or not tol >= 0.0:
-        raise ValueError("need max_iter >= 0 and tol >= 0")
+    _check_solve_args(grid_size, tol)
     problem = _Problem(config, grid_size)
     line = problem.line
 
@@ -467,14 +475,14 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     previous = None
     history = []
     bids = line.copy()
-    for iteration in range(max_iter + 1):
+    for iteration in range(_MAX_SWEEPS + 1):
         mapped, usable, residual = problem.defect(bids)
         history.append(residual)
         if residual <= tol:
             return problem.finish(bids, residual, "fixed-point", iteration, tol,
                                   restarts, history[1:])
 
-        image = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
+        image = (1.0 - _DAMPING) * bids + _DAMPING * np.where(usable, mapped, line)
         step = image - bids
         stalled = 0 if residual < best else stalled + 1
         best = min(best, residual)
@@ -497,7 +505,7 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
         bids = problem.project(candidate)
 
     raise SolverError(
-        f"fixed point did not reach tol={tol:g} after {max_iter} sweeps "
+        f"fixed point did not reach tol={tol:g} after {_MAX_SWEEPS} sweeps "
         f"(last residual {residual:.3g})", residual=residual)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -14,7 +15,8 @@ import pytest
 import scipy
 
 import pbslab
-from pbslab.cli import main
+import pbslab.private_equilibrium as pe
+from pbslab.cli import build_parser, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -172,12 +174,14 @@ def test_solve_private_auto_certifies_coarse_grids(tmp_path, grid):
     ("beta(0.7,3)", 3, 3),
     ("lognormal(0,0.5)", 2, 4),
 ])
-def test_solve_private_solver_failure_exits_3(tmp_path, capsys, deadline, law, na, nb):
+def test_solve_private_solver_failure_exits_3(tmp_path, capsys, monkeypatch,
+                                              deadline, law, na, nb):
     """auto's fixed point stopped short of its tolerance: exit 3 with the
     reason on stderr, and neither the CSV nor the JSON is written."""
+    monkeypatch.setattr(pe, "_MAX_SWEEPS", 2)
     out = tmp_path / "fp.csv"
     rc = main(["solve-private", "--na", str(na), "--nb", str(nb), "--fa", law,
-               "--fb", law, "--max-iter", "2", "--out", str(out)])
+               "--fb", law, "--out", str(out)])
     assert rc == 3
     assert "fixed point did not reach tol=1e-06 after 2 sweeps" in capsys.readouterr().err
     assert not out.exists()
@@ -240,9 +244,10 @@ def test_solve_private_ode_method(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--max-iter", "-5", "--method", "fixed-point"),
     ("--tol", "-1", "--method", "fixed-point"),
     ("--tol", "-1", "--method", "auto"),
+    ("--tol", "inf", "--method", "fixed-point"),
+    ("--tol", "nan", "--method", "auto"),
 ])
 def test_solve_private_unmeetable_limits_are_usage_errors(tmp_path, capsys, recwarn,
                                                          deadline, flags):
@@ -471,6 +476,20 @@ def test_sweep_bad_seed_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["na", "nb"])
+@pytest.mark.parametrize("flags", [("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+                                   ("--grid-size", "10")])
+def test_private_sweep_checks_solve_flags_first(tmp_path, capsys, monkeypatch,
+                                                axis, flags):
+    """Exit 2 before any point is solved, instead of an error in every row."""
+    _fail_on_solve(monkeypatch, "solved before --tol and --grid-size were checked")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--axis", axis, "--grid", "1,2", *flags,
+                 "--out", str(out)]) == 2
+    assert flags[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verified_candlestick_sweep_rejects_one_slow_bidder(tmp_path, capsys,
                                                             monkeypatch):
     """Exit 2 before any point is solved, instead of an error in every row."""
@@ -498,15 +517,29 @@ def _sweep_rows(tmp_path, *flags):
         return list(csv.DictReader(fh))
 
 
-def test_sweep_grid_size_and_tol_reach_the_points(tmp_path):
+def test_sweep_grid_size_and_tol_reach_the_points(tmp_path, monkeypatch):
+    import pbslab.cli as cli
+
     flags = ["--axis", "na", "--grid", "3", "--nb", "2",
              "--fa", "beta(2,2)", "--fb", "beta(2,2)"]
-    [row] = _sweep_rows(tmp_path, *flags, "--grid-size", "10")
-    assert row["status"].startswith("error: ValueError: grid_size")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--grid-size", "10", "--out", str(out)]) == 2
+    assert not out.exists()
     [row] = _sweep_rows(tmp_path, *flags)
     assert row["status"] == "ok" and float(row["residual"]) <= 1e-6
     [row] = _sweep_rows(tmp_path, *flags, "--tol", "0.5")
     assert row["status"] == "ok" and 1e-6 < float(row["residual"]) <= 0.5
+
+    seen = []
+
+    def spy(config, grid_size, tol):
+        seen.append((grid_size, tol))
+        return solve(config, grid_size, tol)
+
+    solve = cli.solve_fixed_point
+    monkeypatch.setattr(cli, "solve_fixed_point", spy)
+    [row] = _sweep_rows(tmp_path, *flags, "--grid-size", "64", "--tol", "1e-4")
+    assert row["status"] == "ok" and seen == [(64, 1e-4)]
 
 
 def test_sweep_overflowing_vol_is_an_error_row(tmp_path):
@@ -753,11 +786,26 @@ def test_config_file_null_counts_as_absent(tmp_path):
     assert len(data) == 512
 
 
-def test_config_file_max_iter_reaches_the_solver(tmp_path, capsys):
-    cfg = _private_config_file(tmp_path, na=3, nb=3, fa="beta(2,2)",
-                               fb="beta(2,2)", max_iter=0)
+def test_config_file_reaches_the_solver(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pe, "_MAX_SWEEPS", 0)
+    cfg = _private_config_file(tmp_path, na=3, nb=3, fa="beta(2,2)", fb="beta(2,2)")
     assert main(["solve-private", "--config", str(cfg)]) == 3
     assert "after 0 sweeps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("max_iter", 2), ("damping", 1.0)])
+def test_retired_solver_knobs_are_usage_errors(tmp_path, capsys, key, value):
+    """The sweep cap and the mixing weight are the solver's own: neither a
+    flag nor a config key sets them."""
+    out = tmp_path / "typed.csv"
+    flag = "--" + key.replace("_", "-")
+    assert main(["solve-private", "--na", "3", "--nb", "1", "--fa", "uniform(0,1)",
+                 "--fb", "uniform(0,1)", flag, str(value), "--out", str(out)]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = _private_config_file(tmp_path, **{key: value})
+    assert main(["solve-private", "--config", str(cfg)]) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_bad_choice_rejected(tmp_path):
@@ -773,6 +821,38 @@ def test_config_file_bad_choice_rejected(tmp_path):
                                  "simulate", "sweep", "figure"])
 def test_help_exits_zero(cmd):
     assert main([cmd, "--help"]) == 0
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.items()}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    """A new knob is added on purpose: it has to be named here too."""
+    common = {"-h", "--help", "--out", "--config"}
+    hybrid = {"--na", "--nb", "--fa", "--fb", "--tol"}
+    candlestick = {"--v0", "--vol", "--delta", "--p"}
+    expected = {
+        "solve-private": common | hybrid | {"--grid", "--method"},
+        "solve-candlestick": common | candlestick,
+        "simulate": common | hybrid | candlestick | {
+            "--model", "--grid", "--n-slow", "--reps", "--seed"},
+        "sweep": common | hybrid | candlestick | {
+            "--axis", "--grid", "--grid-size", "--n-slow", "--verify-reps", "--seed"},
+        "figure": common | hybrid | {"--grid"},
+    }
+    assert _subcommand_options() == expected
+
+
+def test_readme_names_only_existing_flags():
+    """Every ``--flag`` in the README is an option of some subcommand (or
+    pip's ``--no-build-isolation``), so retired flags leave the docs too."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme.read_text()))
+    known = set().union(*_subcommand_options().values()) | {"--no-build-isolation"}
+    assert named and named <= known, sorted(named - known)
 
 
 def test_no_subcommand_is_usage_error():

@@ -200,7 +200,6 @@ def test_solution_to_dict_schema(candlestick_half):
     d = sol.to_dict()
     assert set(d) == {"v0", "vol", "delta", "p", "b0s", "slow_win_prob",
                       "fast_profit", "residual"}
-    assert sol.fast_win_prob == pytest.approx(1.0 - sol.slow_win_prob)
 
 
 # ------------------------- win probabilities and profits ------------------------

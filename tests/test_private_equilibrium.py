@@ -183,19 +183,22 @@ def test_beta_three_by_three_converges_in_30_sweeps(law):
     assert sol.residual <= sol.tol
 
 
-def test_full_step_converges_in_fewer_sweeps():
-    """damping=1.0 (no mixing) still converges, in fewer sweeps than the
-    plain iteration at that weight."""
+def test_full_step_converges_in_fewer_sweeps(monkeypatch):
+    """A mixing weight of 1.0 (no mixing) still converges, in fewer sweeps
+    than the plain iteration at that weight."""
     config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
-    sol = solve_fixed_point(config, damping=1.0)
+    monkeypatch.setattr(pe, "_DAMPING", 1.0)
+    sol = solve_fixed_point(config)
     assert sol.residual <= sol.tol
     assert sol.iterations < _damped_reference(config, damping=1.0).iterations
 
 
-def test_safeguard_restarts_keep_full_steps_on_pace_and_projected(monkeypatch):
+@pytest.mark.parametrize("damping", [0.5, 1.0])
+def test_safeguard_restarts_keep_pace_and_projected(monkeypatch, damping):
     """On lognormal 2+4 the top cell is the sup-norm defect, which the
-    least-squares fit barely weighs: at damping=1.0 the extrapolation stalls
-    there, and dropping the history keeps the solve near the plain pace.
+    least-squares fit barely weighs: the extrapolation stalls there (at the
+    default mixing weight 0.5 and at the full step 1.0 alike), and dropping
+    the history keeps the solve near the plain pace at that weight.
     Extrapolated candidates, which leave the monotone schedules here, pass
     through the same projection as plain steps: each schedule the map sees
     is nondecreasing, in [0, v] and on the anchor line."""
@@ -207,7 +210,8 @@ def test_safeguard_restarts_keep_full_steps_on_pace_and_projected(monkeypatch):
 
     defect = pe._Problem.defect
     monkeypatch.setattr(pe._Problem, "defect", spy)
-    sol = solve_fixed_point(LOGNORMAL_2_4, damping=1.0)
+    monkeypatch.setattr(pe, "_DAMPING", damping)
+    sol = solve_fixed_point(LOGNORMAL_2_4)
     assert sol.restarts > 0
     assert sol.residual <= sol.tol
     assert len(seen) == sol.iterations + 1
@@ -217,8 +221,7 @@ def test_safeguard_restarts_keep_full_steps_on_pace_and_projected(monkeypatch):
         assert np.all((bids >= 0.0) & (bids <= values))
         assert np.array_equal(bids[anchor], line[anchor])
     monkeypatch.undo()
-    assert sol.iterations <= 2 * _damped_reference(LOGNORMAL_2_4, damping=1.0).iterations
-    assert solve_fixed_point(LOGNORMAL_2_4).restarts > 0
+    assert sol.iterations <= 2 * _damped_reference(LOGNORMAL_2_4, damping=damping).iterations
 
 
 def test_rejected_extrapolation_is_the_damped_step(monkeypatch):
@@ -272,20 +275,19 @@ def test_metadata_decimates_residual_history(uniform_3_3):
         assert np.all(np.diff(history) > 0)
 
 
-def test_non_convergence_raises_with_residual():
+def test_non_convergence_raises_with_residual(monkeypatch):
     config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
-    with pytest.raises(SolverError) as err:
-        solve_fixed_point(config, tol=1e-12, max_iter=2)
+    monkeypatch.setattr(pe, "_MAX_SWEEPS", 2)
+    with pytest.raises(SolverError, match="after 2 sweeps") as err:
+        solve_fixed_point(config, tol=1e-12)
     assert err.value.residual is not None and err.value.residual > 1e-12
 
 
 @pytest.mark.parametrize("bad", [
     dict(grid_size=32),
-    dict(damping=0.0),
-    dict(damping=1.5),
-    dict(max_iter=-1),
     dict(tol=-1e-9),
     dict(tol=float("nan")),
+    dict(tol=float("inf")),
 ])
 def test_solver_argument_validation(bad):
     with pytest.raises(ValueError):

@@ -85,10 +85,10 @@ _PRIVATE_OPTS = (
     _Opt("fa", str, required=True, help="integrated value law, e.g. 'uniform(0,1)'"),
     _Opt("fb", str, required=True, help="neutral value law, e.g. 'beta(2,2)'"),
     _Opt("grid", int, 512, help="value-grid points (default 512)"),
-    _Opt("tol", float, _TOL, help=f"fixed-point tolerance (default {_TOL:g})"),
+    _Opt("tol", float, _TOL, help=f"solver tolerance (default {_TOL:g})"),
     _Opt("method", str, "auto", choices=("fixed-point", "auto"),
-         help="auto solves by fixed point and certifies the schedule by best "
-              "response (exit 4 above its bound); fixed-point only solves"),
+         help="auto solves and certifies the schedule by best response "
+              "(exit 4 above its bound); fixed-point only solves"),
     _Opt("out", str, required=True, help="output CSV path (JSON envelope written alongside)"),
 )
 
@@ -100,7 +100,7 @@ _CANDLESTICK_OPTS = (
     _Opt("out", str, required=True, help="output JSON path"),
 )
 
-_HYBRID_TOL_HELP = (f"hybrid fixed-point tolerance (default {_TOL:g}); "
+_HYBRID_TOL_HELP = (f"hybrid solver tolerance (default {_TOL:g}); "
                     "none for the candlestick")
 
 _SIMULATE_OPTS = (
@@ -259,7 +259,8 @@ def _candlestick(ns):
 
 
 def _hybrid(ns, laws):
-    """Build and solve, by fixed point, the hybrid model of ``ns`` over ``laws``."""
+    """Build and solve the hybrid model of ``ns`` over ``laws``: by Newton
+    steps with two or more neutral builders, by argmax with one."""
     config = HybridAuctionConfig(ns.na, ns.nb, *laws)
     return solve_fixed_point(config, ns.grid, ns.tol)
 

@@ -12,9 +12,10 @@ symmetric equilibrium bid schedule solves the shading identity
 which equates pay-your-bid surplus ``(v - bid(v)) * G(v)`` with the surplus
 pinned down by the win-probability envelope ``integral of G``.
 
-The schedule is solved by :func:`solve_fixed_point`, an Anderson-accelerated
-fixed point of the damped shading identity on a quantile-spaced value grid,
-safeguarded by the isotonic projection and the anchor clamp. The identity is
+On a value grid the identity is lower-triangular, a Volterra equation of
+the second kind (Linz 1985; Brunner 2004). :func:`solve_fixed_point` solves
+it by Newton steps, or, with one neutral builder, where the identity is
+tangent at its root, by bracketing each value's best bid. The identity is
 0/0 at the bottom of the support; the solver anchors that region with the
 local power-law asymptote ``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)``
 and ``k`` is the combined lower-tail exponent of G.
@@ -51,16 +52,10 @@ _G_FLOOR = 1e-300
 # quantile cap for laws with unbounded upper support
 _TOP_Q = 1.0 - 1e-6
 
-# default tolerance, mixing weight per sweep and sweep cap of the fixed point
+# default tolerance, and step cap of a solve (a bracket of doubles stops
+# shrinking within about 60 halvings)
 _TOL = 1e-6
-_DAMPING = 0.5
-_MAX_SWEEPS = 10_000
-
-# differences of map images the fixed point extrapolates from
-_ANDERSON_DEPTH = 3
-
-# sweeps without a new best residual before the fixed point drops its history
-_STALL_SWEEPS = 4
+_MAX_STEPS = 60
 
 # grid values and bids the best-response certificate scores: at most 2 MB of
 # payoffs at any grid size
@@ -120,6 +115,13 @@ class HybridAuctionConfig:
         if self.n_integrated == 0:
             return np.ones_like(np.asarray(b, dtype=float))
         return self.integrated_values.cdf(b) ** self.n_integrated
+
+    def reserve_pdf(self, b):
+        """Density of the effective reserve, the derivative of ``reserve_cdf``."""
+        n, law = self.n_integrated, self.integrated_values
+        if n == 0:
+            return np.zeros_like(np.asarray(b, dtype=float))
+        return n * law.cdf(b) ** (n - 1) * law.pdf(b)
 
     def rival_cdf(self, v):
         """Probability that all other neutral builders have value below v."""
@@ -262,7 +264,6 @@ class EquilibriumSolution:
     method: str
     iterations: int
     tol: float
-    restarts: int = 0
     residual_history: tuple = field(default=(), repr=False)
 
     @property
@@ -279,33 +280,30 @@ class EquilibriumSolution:
                 "x": self.win_prob, "S": self.surplus}
 
     def metadata(self) -> dict:
-        """Solver summary; ``residual_history`` is the defect after each
-        fixed-point sweep, decimated to at most 64 entries with the last kept."""
-        history = self.residual_history
-        keep = np.linspace(0, len(history) - 1, min(len(history), 64)).astype(int)
+        """Solver summary; ``residual_history`` is the residual after each
+        step (see :func:`solve_fixed_point`)."""
         return {
             "method": self.method,
             "grid_size": int(self.values.size),
             "iterations": int(self.iterations),
             "residual": float(self.residual),
             "tol": float(self.tol),
-            "restarts": int(self.restarts),
-            "residual_history": [float(history[i]) for i in keep],
+            "residual_history": [float(r) for r in self.residual_history],
         }
 
 
 # ------------------------------ grid machinery -------------------------------
 
 
-def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float,
-                  tail_k: float) -> np.ndarray:
+def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float, tail_k: float):
     """Cumulative integral of g over the grid, exact on power-law cells.
 
     Each cell is integrated with the one-parameter model g ~ A*(t-lo)**kappa
     fitted through its endpoints; plain trapezoid is the kappa->0 special
     case but has an O(1) relative error on the steep cells next to the
     boundary (kappa can reach n_integrated*alpha + (n_neutral-1)*alpha for
-    Beta-type laws), which would poison the whole fixed point.
+    Beta-type laws), which would poison the whole solve. Also returns each
+    cell's derivatives in the g at its left and at its right end.
     """
     u = values - lo
     u0, u1 = u[:-1], u[1:]
@@ -320,34 +318,24 @@ def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float,
         cells = np.where(ok, boundary, cells)
 
         interior = ~from_zero & (g1 > 0.0) & (u1 > u0 * (1.0 + 1e-12))
-        kappa = np.log(np.where(interior, g1 / np.where(g0 > 0, g0, 1.0), 1.0)) \
-            / np.log(np.where(interior, u1 / np.where(u0 > 0, u0, 1.0), math.e))
-        kappa = np.clip(kappa, -0.5, 1e4)
+        log_u = np.log(np.where(interior, u1 / np.where(u0 > 0, u0, 1.0), math.e))
+        fitted = np.log(np.where(interior, g1 / np.where(g0 > 0, g0, 1.0), 1.0)) / log_u
+        kappa = np.clip(fitted, -0.5, 1e4)
         power = (g1 * u1 - g0 * u0) / (kappa + 1.0)
         cells = np.where(interior, power, cells)
+
+        # kappa moves with log(g1 / g0) where the clip leaves it free
+        lean = np.where(interior & (kappa == fitted), power / log_u, 0.0)
+        half = 0.5 * (u1 - u0)
+        d_left = np.where(interior, (lean / g0 - u0) / (kappa + 1.0),
+                          np.where(ok, 0.0, half))
+        d_right = np.where(interior, (u1 - lean / g1) / (kappa + 1.0),
+                           np.where(ok, u1 / (tail_k + 1.0), half))
 
     out = np.empty_like(g)
     out[0] = 0.0
     np.cumsum(cells, out=out[1:])
-    return out
-
-
-def _isotonic(y: np.ndarray) -> np.ndarray:
-    """L2 projection onto nondecreasing sequences (pool adjacent violators)."""
-    d = np.diff(y)
-    if not np.any(d < 0.0):
-        return y
-    vals: list[float] = []
-    counts: list[int] = []
-    for x in y:
-        vals.append(float(x))
-        counts.append(1)
-        while len(vals) > 1 and vals[-1] < vals[-2]:
-            v2, c2 = vals.pop(), counts.pop()
-            v1, c1 = vals.pop(), counts.pop()
-            vals.append((v1 * c1 + v2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
-    return np.repeat(vals, counts)
+    return out, d_left, d_right
 
 
 def _strictly_increasing(b: np.ndarray) -> np.ndarray:
@@ -361,7 +349,7 @@ def _strictly_increasing(b: np.ndarray) -> np.ndarray:
 
 
 class _Problem:
-    """What one solve fixes before its first sweep: the equal-probability
+    """What one solve fixes before its first step: the equal-probability
     value grid over the neutral support, the rival CDF on it, the combined
     lower-tail exponent ``tail_k`` of G and the anchor line
     ``lo + slope * (v - lo)`` that holds the boundary region."""
@@ -395,46 +383,29 @@ class _Problem:
         self.line = lo + self.slope * (grid - lo)
         self.rival = config.rival_cdf(grid)
 
-    def defect(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def defect(self, bids: np.ndarray) -> tuple:
         """The shading identity's right-hand side v - int(G)/G, the points
-        where it is usable (G above the floor, off the anchor) and the
-        sup-norm defect |bid - mapped| over them."""
+        where it is usable (G above the floor, off the anchor), the sup-norm
+        defect |bid - mapped| over them, then G and the partials of the
+        cells of int(G) (see :func:`_power_cumint`) for a Newton step."""
         g = self.rival * self.config.reserve_cdf(bids)
-        integral = _power_cumint(self.values, g, self.lo, self.tail_k)
+        integral, d_left, d_right = _power_cumint(self.values, g, self.lo, self.tail_k)
         usable = (g > _G_FLOOR) & ~self.anchor
         ratio = np.zeros_like(self.values)
         np.divide(integral, g, out=ratio, where=usable)
         mapped = self.values - ratio
         sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
-        return mapped, usable, sup
+        return mapped, usable, sup, g, d_left, d_right
 
-    def project(self, bids: np.ndarray) -> np.ndarray:
-        """The safeguard every sweep ends with: isotonic projection, clip into
-        [0, v] and the anchor clamp. Returns a new array."""
-        bids = np.clip(_isotonic(bids), 0.0, self.values)
-        bids[self.anchor] = self.line[self.anchor]
-        return bids
-
-    def finish(self, bids, residual, method, iterations, tol, restarts=0,
+    def finish(self, bids, residual, method, iterations, tol,
                history=()) -> EquilibriumSolution:
         bids = _strictly_increasing(np.clip(bids, 0.0, self.values))
         x = self.rival * self.config.reserve_cdf(bids)
         return EquilibriumSolution(
             config=self.config, bid_function=BidFunction(self.values, bids),
-            win_prob=x, surplus=_power_cumint(self.values, x, self.lo, self.tail_k),
+            win_prob=x, surplus=_power_cumint(self.values, x, self.lo, self.tail_k)[0],
             residual=residual, method=method, iterations=iterations, tol=tol,
-            restarts=restarts, residual_history=tuple(history))
-
-
-def _extrapolate(image, step, d_image, d_step) -> np.ndarray | None:
-    """Anderson candidate ``image - gamma @ d_image``, where gamma fits the
-    step differences ``d_step`` (rows) to ``step`` by least squares; None when
-    that fit is singular or the candidate is not finite."""
-    gamma, _, rank, _ = np.linalg.lstsq(d_step.T, step, rcond=None)
-    if rank < gamma.size:
-        return None
-    candidate = image - gamma @ d_image
-    return candidate if np.all(np.isfinite(candidate)) else None
+            residual_history=tuple(history))
 
 
 # --------------------------------- solvers -----------------------------------
@@ -449,64 +420,90 @@ def _check_solve_args(grid_size: int, tol: float):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
+def _march(alpha, beta, later, old, values) -> np.ndarray:
+    """A Newton step's forward recurrence: bid i is alpha_i + beta_i * S_i,
+    S_i the sum of later_j * (bid_j - old_j) over j < i, kept in
+    (bid_{i-1}, v_i], where the root lies; a bid at or below its predecessor
+    goes halfway to the old bid, or to v_i where the old bid is no higher."""
+    bids = []
+    change, below = 0.0, -math.inf
+    for a, b, w, o, v in zip(alpha.tolist(), beta.tolist(), later.tolist(),
+                             old.tolist(), values.tolist()):
+        bid = a + b * change
+        if not bid > below:
+            bid = 0.5 * (below + (o if o > below else v))
+        elif bid > v:
+            bid = v
+        change += w * (bid - o)
+        below = bid
+        bids.append(bid)
+    return np.array(bids)
+
+
+def _newton_steps(problem: _Problem):
+    """The anchor line, then Newton steps on phi_i = (v_i - sigma_i) G_i - I_i,
+    each schedule with its defect. As I_i depends on sigma_0..sigma_i only,
+    the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
+    delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
+    (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
+    v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line."""
+    config, values, bids = problem.config, problem.values, problem.line
+    while True:
+        mapped, usable, residual, g, d_left, d_right = problem.defect(bids)
+        yield bids, residual
+        slope = problem.rival * config.reserve_pdf(bids)  # dG_i / dsigma_i
+        own = np.append(0.0, d_right) * slope              # dI_i / dsigma_i
+        later = own + np.append(d_left, 0.0) * slope       # w_i
+        diag = (values - bids) * slope - g - own
+        newton = usable & (diag < 0.0)
+        # a Newton point's alpha_i is sigma_i - G_i * (mapped_i - sigma_i) / D_i
+        alpha = np.where(usable, mapped, problem.line)
+        beta = np.zeros_like(values)
+        np.divide(-1.0, g, out=beta, where=usable)
+        np.divide(1.0, diag, out=beta, where=newton)
+        np.add(bids, g * (bids - mapped) * beta, out=alpha, where=newton)
+        bids = _march(alpha, beta, later, bids, values)
+
+
+def _argmax_steps(problem: _Problem):
+    """The anchor line with its defect, then halvings of each off-anchor
+    value's bracket [lo, v] around its argmax of (v - b) * H(b), H the reserve
+    CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids
+    are the midpoints and the residual the widest bracket."""
+    config, values, line = problem.config, problem.values, problem.line
+    yield line, problem.defect(line)[2]
+    low = np.where(problem.anchor, line, problem.lo)
+    high = np.where(problem.anchor, line, values)
+    while True:
+        mid = 0.5 * (low + high)
+        reserve = config.reserve_cdf(mid)
+        rising = (reserve <= 0.0) | ((values - mid) * config.reserve_pdf(mid) > reserve)
+        low, high = np.where(rising, mid, low), np.where(rising, high, mid)
+        yield 0.5 * (low + high), float(np.max(high - low))
+
+
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
                       tol: float = _TOL) -> EquilibriumSolution:
-    """Solve the shading identity by Anderson-accelerated fixed point,
-    safeguarded by the isotonic projection and the anchor clamp.
-
-    Each sweep blends the identity's right-hand side into the schedule with
-    weight ``_DAMPING``, extrapolates from the last ``_ANDERSON_DEPTH``
-    differences of these images (Walker & Ni, SIAM J. Numer. Anal. 2011) and
-    projects the result onto monotone schedules in [0, v] on the anchor line.
-    The history is dropped for the plain damped step when the residual
-    exceeds twice its best, makes no new best for ``_STALL_SWEEPS`` sweeps,
-    or the extrapolation is singular or not finite. Success means the
-    sup-norm defect of the identity is at most ``tol`` away from the anchored
-    boundary region within ``_MAX_SWEEPS`` sweeps.
-    """
+    """Solve the shading identity on the value grid from the anchor line,
+    returned after 0 steps if its defect meets ``tol``: with two or more
+    neutral builders by "newton" steps (:func:`_newton_steps`), the residual
+    being the identity's sup-norm defect off the anchor; with one by "argmax"
+    (:func:`_argmax_steps`), the residual being the widest bracket around a
+    best bid. Raises SolverError if the residual is above ``tol`` after
+    ``_MAX_STEPS`` steps."""
     _check_solve_args(grid_size, tol)
     problem = _Problem(config, grid_size)
-    line = problem.line
-
-    d_image = np.empty((_ANDERSON_DEPTH, line.size))  # ring of image differences
-    d_step = np.empty_like(d_image)                    # and of step differences
-    stored = restarts = stalled = 0
-    best = math.inf
-    previous = None
-    history = []
-    bids = line.copy()
-    for iteration in range(_MAX_SWEEPS + 1):
-        mapped, usable, residual = problem.defect(bids)
-        history.append(residual)
+    method, steps = (("newton", _newton_steps) if config.n_neutral > 1
+                     else ("argmax", _argmax_steps))
+    residuals = []
+    for step, (bids, residual) in enumerate(steps(problem)):
+        residuals.append(residual)
         if residual <= tol:
-            return problem.finish(bids, residual, "fixed-point", iteration, tol,
-                                  restarts, history[1:])
-
-        image = (1.0 - _DAMPING) * bids + _DAMPING * np.where(usable, mapped, line)
-        step = image - bids
-        stalled = 0 if residual < best else stalled + 1
-        best = min(best, residual)
-        if residual > 2.0 * best or stalled >= _STALL_SWEEPS:
-            previous, stored, stalled = None, 0, 0
-            restarts += 1
-        if previous is not None:
-            slot = stored % _ANDERSON_DEPTH
-            np.subtract(image, previous[0], out=d_image[slot])
-            np.subtract(step, previous[1], out=d_step[slot])
-            stored += 1
-        previous = image, step
-        candidate = image
-        if stored:
-            depth = min(stored, _ANDERSON_DEPTH)
-            candidate = _extrapolate(image, step, d_image[:depth], d_step[:depth])
-            if candidate is None:
-                candidate, stored = image, 0
-                restarts += 1
-        bids = problem.project(candidate)
-
-    raise SolverError(
-        f"fixed point did not reach tol={tol:g} after {_MAX_SWEEPS} sweeps "
-        f"(last residual {residual:.3g})", residual=residual)
+            return problem.finish(bids, residual, method, step, tol, residuals[1:])
+        if step == _MAX_STEPS:
+            raise SolverError(
+                f"{method} solve did not reach tol={tol:g} after {_MAX_STEPS} "
+                f"steps (last residual {residual:.3g})", residual=residual)
 
 
 # ------------------------------ verification ----------------------------------

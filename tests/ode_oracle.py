@@ -2,8 +2,8 @@
 
 Differentiating the shading identity of :mod:`pbslab.private_equilibrium`
 gives an ODE for the bid schedule, which this module integrates with
-adaptive RK45 on the fixed-point solver's value grid and anchor. The tests
-hold the fixed-point schedule to it. The ODE is not total on the documented
+adaptive RK45 on the solver's value grid and anchor. The tests hold the
+solved schedule to it. The ODE is not total on the documented
 families: it leaves its admissible region on Beta(0.7,3) 3+3 and with
 lognormal integrated values, and reaches its evaluation cap on Beta(0.5,5)
 3+3 and on Beta(2,5) neutral values against two or more integrated

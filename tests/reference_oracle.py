@@ -9,6 +9,9 @@ calls them.
   must meet, integrated by trapezoids (:func:`envelope_defect`);
 - the lognormal mean and variance in closed form
   (:func:`lognormal_moments`);
+- the plain damped iteration of the shading identity
+  (:func:`damped_reference`), with the isotonic projection
+  (:func:`isotonic`) it ends each sweep with;
 - the candlestick root condition as a checked scalar
   (:func:`candlestick_residual`; the bisection evaluates the same formula
   unchecked, as ``_residual_vec``), and its truncated-mean form through
@@ -26,7 +29,7 @@ from scipy.special import ndtr
 
 from pbslab.common_values import CandlestickConfig, PriceProcess, _residual_vec
 from pbslab.distributions import Lognormal, lognormal_put_value
-from pbslab.private_equilibrium import EquilibriumSolution
+from pbslab.private_equilibrium import EquilibriumSolution, _Problem
 
 
 def closed_form_single_neutral(n_integrated: int, v):
@@ -61,6 +64,43 @@ def envelope_defect(solution: EquilibriumSolution) -> float:
     v, x = solution.values, solution.win_prob
     accumulated = np.concatenate(([0.0], np.cumsum(0.5 * (x[1:] + x[:-1]) * np.diff(v))))
     return float(np.max(np.abs((v - solution.bids) * x - accumulated)))
+
+
+def isotonic(y: np.ndarray) -> np.ndarray:
+    """L2 projection onto nondecreasing sequences (pool adjacent violators)."""
+    if not np.any(np.diff(y) < 0.0):
+        return y
+    vals: list[float] = []
+    counts: list[int] = []
+    for x in y:
+        vals.append(float(x))
+        counts.append(1)
+        while len(vals) > 1 and vals[-1] < vals[-2]:
+            v2, c2 = vals.pop(), counts.pop()
+            v1, c1 = vals.pop(), counts.pop()
+            vals.append((v1 * c1 + v2 * c2) / (c1 + c2))
+            counts.append(c1 + c2)
+    return np.repeat(vals, counts)
+
+
+def damped_reference(config, grid_size=512, tol=1e-6,
+                     damping=0.5) -> EquilibriumSolution:
+    """The plain damped iteration of the shading identity on the solver's
+    grid and anchor: each sweep blends the identity's right-hand side into
+    the schedule with weight ``damping``, then projects onto monotone
+    schedules in [0, v] on the anchor line. Success means the solver's own
+    defect of at most ``tol``."""
+    problem = _Problem(config, grid_size)
+    grid, anchor, line = problem.values, problem.anchor, problem.line
+    bids = line.copy()
+    for sweeps in range(10_000):
+        mapped, usable, residual = problem.defect(bids)[:3]
+        if residual <= tol:
+            return problem.finish(bids, residual, "damped", sweeps, tol)
+        bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
+        bids = np.clip(isotonic(bids), 0.0, grid)
+        bids[anchor] = line[anchor]
+    raise AssertionError("damped reference did not converge")
 
 
 def lognormal_moments(law: Lognormal) -> tuple[float, float]:

@@ -126,20 +126,22 @@ def test_solve_private_auto_rejects_a_mis_shaded_schedule(tmp_path, capsys,
     assert out.exists()
 
 
-def test_solve_private_json_reports_solver_path(tmp_path, capsys):
-    """The solver block states restarts and the per-sweep residual history;
-    stdout keeps its one line."""
+@pytest.mark.parametrize("nb, method", [("3", "newton"), ("1", "argmax")])
+def test_solve_private_json_reports_solver_path(tmp_path, capsys, nb, method):
+    """The solver block names the path taken and holds the residual after
+    every step; stdout keeps its one line."""
     out = tmp_path / "beta.csv"
-    rc = main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+    rc = main(["solve-private", "--na", "3", "--nb", nb, "--fa", "beta(2,2)",
                "--fb", "beta(2,2)", "--method", "fixed-point", "--out", str(out)])
     assert rc == 0
     solver = json.loads(out.with_suffix(".json").read_text())["solver"]
-    assert solver["restarts"] == 0
+    assert solver["method"] == method
+    assert "restarts" not in solver
     history = solver["residual_history"]
     assert len(history) == solver["iterations"] > 0
     assert history[-1] == solver["residual"] <= solver["tol"]
     assert capsys.readouterr().out == (
-        f"solved: residual={solver['residual']:.3g} (fixed-point)\n")
+        f"solved: residual={solver['residual']:.3g} ({method})\n")
 
 
 def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):
@@ -176,16 +178,44 @@ def test_solve_private_auto_certifies_coarse_grids(tmp_path, grid):
 ])
 def test_solve_private_solver_failure_exits_3(tmp_path, capsys, monkeypatch,
                                               deadline, law, na, nb):
-    """auto's fixed point stopped short of its tolerance: exit 3 with the
+    """auto's solver stopped short of its tolerance: exit 3 with the
     reason on stderr, and neither the CSV nor the JSON is written."""
-    monkeypatch.setattr(pe, "_MAX_SWEEPS", 2)
+    monkeypatch.setattr(pe, "_MAX_STEPS", 2)
     out = tmp_path / "fp.csv"
     rc = main(["solve-private", "--na", str(na), "--nb", str(nb), "--fa", law,
                "--fb", law, "--out", str(out)])
     assert rc == 3
-    assert "fixed point did not reach tol=1e-06 after 2 sweeps" in capsys.readouterr().err
+    assert "newton solve did not reach tol=1e-06 after 2 steps" in capsys.readouterr().err
     assert not out.exists()
     assert not out.with_suffix(".json").exists()
+
+
+def test_solve_private_zero_tolerance_ends_at_the_step_cap(tmp_path, capsys, deadline):
+    """--tol 0 is legal and never met: exit 3 after the step cap, quickly."""
+    out = tmp_path / "zero.csv"
+    rc = main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+               "--fb", "beta(2,2)", "--tol", "0", "--out", str(out)])
+    assert rc == 3
+    assert (f"did not reach tol=0 after {pe._MAX_STEPS} steps"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["512", "4096"])
+def test_solve_private_empirical_single_neutral_is_certified(tmp_path, capsys,
+                                                             deadline, grid):
+    """An empirical law whose log CDF is not concave, with one neutral
+    builder against three integrated: solved by argmax and certified."""
+    law = tmp_path / "law.csv"
+    law.write_text("x,cdf\n0,0\n0.2,0.1\n0.5,0.5\n1,0.9\n2,1\n")
+    spec = f"empirical({law})"
+    out = tmp_path / "emp.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "1", "--fa", spec,
+                 "--fb", spec, "--grid", grid, "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert report["solver"]["method"] == "argmax"
+    best = report["residuals"]["best_response"]
+    assert best["max_gain"] <= best["bound"]
 
 
 def test_solve_private_missing_flag_is_usage_error(tmp_path):
@@ -787,10 +817,10 @@ def test_config_file_null_counts_as_absent(tmp_path):
 
 
 def test_config_file_reaches_the_solver(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pe, "_MAX_SWEEPS", 0)
+    monkeypatch.setattr(pe, "_MAX_STEPS", 0)
     cfg = _private_config_file(tmp_path, na=3, nb=3, fa="beta(2,2)", fb="beta(2,2)")
     assert main(["solve-private", "--config", str(cfg)]) == 3
-    assert "after 0 sweeps" in capsys.readouterr().err
+    assert "after 0 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("max_iter", 2), ("damping", 1.0)])

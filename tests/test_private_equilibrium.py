@@ -17,8 +17,9 @@ from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
 
 import ode_oracle
 from ode_oracle import OdeSingularityError, solve_ode
-from reference_oracle import (closed_form_single_neutral, envelope_defect,
-                              surplus_single_neutral, winning_probability)
+from reference_oracle import (closed_form_single_neutral, damped_reference,
+                              envelope_defect, surplus_single_neutral,
+                              winning_probability)
 
 UNIT = Uniform(0.0, 1.0)
 
@@ -48,7 +49,7 @@ def test_closed_form_surplus_values():
     assert ratio == pytest.approx((2 / 3) ** 2)
 
 
-# ------------------------------ fixed-point solver ------------------------------
+# ----------------------------------- solver ------------------------------------
 
 
 @pytest.mark.parametrize("n_integrated", [1, 2, 3, 5])
@@ -113,66 +114,127 @@ class _CountingBeta(Beta):
 
 
 def test_fixed_point_evaluates_rival_cdf_once_per_solve():
-    """The rival CDF on the value grid is loop-invariant: a multi-sweep
-    solve evaluates the neutral law on the whole grid once, not per sweep."""
+    """The rival CDF on the value grid is loop-invariant: a multi-step
+    solve evaluates the neutral law on the whole grid once, not per step."""
     sizes = []
     config = HybridAuctionConfig(3, 3, Beta(2, 2), _CountingBeta(2, 2, sizes))
     sol = solve_fixed_point(config)
-    assert sol.iterations > 10
+    assert sol.iterations > 1
     assert sizes.count(sol.values.size) == 1
     plain = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)))
     assert np.array_equal(sol.bids, plain.bids)
     assert np.array_equal(sol.surplus, plain.surplus)
 
 
-# --------------------------- Anderson acceleration ----------------------------
-
-
-def _damped_reference(config, grid_size=512, tol=1e-6, damping=0.5):
-    """The plain damped iteration of the shading identity (no extrapolation),
-    the reference the accelerated solver is held to."""
-    problem = pe._Problem(config, grid_size)
-    grid, anchor, line = problem.values, problem.anchor, problem.line
-    bids = line.copy()
-    for sweeps in range(10_000):
-        mapped, usable, residual = problem.defect(bids)
-        if residual <= tol:
-            return problem.finish(bids, residual, "damped", sweeps, tol)
-        bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
-        bids = np.clip(pe._isotonic(bids), 0.0, grid)
-        bids[anchor] = line[anchor]
-    raise AssertionError("damped reference did not converge")
+# ------------------------- Newton and argmax paths ---------------------------
 
 
 LOGNORMAL = Lognormal(0.0, 0.5)
 LOGNORMAL_2_4 = HybridAuctionConfig(2, 4, LOGNORMAL, LOGNORMAL)
-ANDERSON_MATRIX = {
+SOLVER_MATRIX = {
     "beta(0.7,3) 3+3": (HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)), 512),
     "beta(0.7,3) 3+3 g8192": (HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)), 8192),
     "beta(2,2) 3+3": (HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), 512),
     "beta(2,2) 8+8": (HybridAuctionConfig(8, 8, Beta(2, 2), Beta(2, 2)), 512),
     "beta(2,2) 3+3 g4096": (HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), 4096),
     "beta(0.5,5) 3+3": (HybridAuctionConfig(3, 3, Beta(0.5, 5), Beta(0.5, 5)), 512),
+    "beta(0.5,5) 3+3 g4096": (HybridAuctionConfig(3, 3, Beta(0.5, 5), Beta(0.5, 5)), 4096),
     "uniform/beta(2,5) 3+2": (HybridAuctionConfig(3, 2, UNIT, Beta(2, 5)), 512),
     "beta(2,2) 5+1": (HybridAuctionConfig(5, 1, Beta(2, 2), Beta(2, 2)), 512),
     "beta(2,2) 0+4": (HybridAuctionConfig(0, 4, Beta(2, 2), Beta(2, 2)), 512),
     "lognormal 2+4": (LOGNORMAL_2_4, 512),
+    "lognormal 2+4 g8192": (LOGNORMAL_2_4, 8192),
     "lognormal/beta(2,2) 2+4": (HybridAuctionConfig(2, 4, LOGNORMAL, Beta(2, 2)), 512),
     "beta(5,2)/lognormal 2+4": (HybridAuctionConfig(2, 4, Beta(5, 2), LOGNORMAL), 512),
 }
+NEWTON_ROWS = [name for name, (config, _) in SOLVER_MATRIX.items()
+               if config.n_neutral > 1]
 
 
-@pytest.mark.parametrize("name", list(ANDERSON_MATRIX))
-def test_anderson_matches_damped_reference(name):
-    """Same tolerance, fewer sweeps: the accelerated schedule meets ``tol`` on
-    its own bids and lies within 5e-5 (surplus 2e-6) of the damped one."""
-    config, grid_size = ANDERSON_MATRIX[name]
+def test_power_cumint_partials_match_central_differences():
+    """A Newton step chains each cell's derivatives in its end values: they
+    match central differences on power-law cells, a cell whose exponent is
+    clipped, the boundary cell and trapezoid cells next to a zero."""
+    values = np.linspace(0.0, 1.0, 10)
+    g = np.array([0.0, 1e-3, 4e-3, 0.0, 0.05, 0.3, 0.31, 0.9, 0.2, 0.25])
+    _, d_left, d_right = pe._power_cumint(values, g, 0.0, 2.0)
+    cells = np.arange(g.size - 1)
+    expected = np.zeros((g.size, g.size - 1))  # d cell_c / d g_j in row j
+    expected[cells, cells] = d_left
+    expected[cells + 1, cells] = d_right
+    for j in np.flatnonzero(g > 0.0):
+        h = 1e-4 * g[j]
+        up, down = g.copy(), g.copy()
+        up[j] += h
+        down[j] -= h
+        numeric = (np.diff(pe._power_cumint(values, up, 0.0, 2.0)[0])
+                   - np.diff(pe._power_cumint(values, down, 0.0, 2.0)[0])) / (2.0 * h)
+        np.testing.assert_allclose(numeric, expected[j], rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", NEWTON_ROWS)
+def test_newton_matches_damped_reference(name):
+    """Same tolerance, fewer steps: the Newton schedule meets ``tol`` on its
+    own bids and lies within 5e-5 (surplus 2e-6) of the damped one."""
+    config, grid_size = SOLVER_MATRIX[name]
     sol = solve_fixed_point(config, grid_size)
-    ref = _damped_reference(config, grid_size)
+    ref = damped_reference(config, grid_size)
+    assert sol.method == "newton"
     assert pe._Problem(config, grid_size).defect(sol.bids)[2] <= sol.tol
     assert np.max(np.abs(sol.bids - ref.bids)) <= 5e-5
     assert np.max(np.abs(sol.surplus - ref.surplus)) <= 2e-6
     assert sol.iterations < ref.iterations
+
+
+@pytest.mark.parametrize("name", list(SOLVER_MATRIX))
+def test_solver_matrix_passes_the_certificate(name):
+    """Every row solves to ``tol`` and passes the certificate, lognormal 2+4
+    at grid 8192 and the single-neutral Beta row included."""
+    config, grid_size = SOLVER_MATRIX[name]
+    sol = solve_fixed_point(config, grid_size)
+    report = verify_best_response(sol)
+    assert sol.residual <= sol.tol
+    assert report.max_gain <= report.bound
+
+
+@pytest.mark.parametrize("n_integrated", [1, 2, 3, 5])
+def test_argmax_brackets_the_single_neutral_closed_form(n_integrated):
+    """Uniform values, whose anchor line is already the answer: each halving
+    keeps n/(n+1) * v inside every value's bracket, and the midpoints are
+    the closed form up to half the widest bracket."""
+    problem = pe._Problem(HybridAuctionConfig(n_integrated, 1, UNIT, UNIT), 512)
+    target = closed_form_single_neutral(n_integrated, problem.values)
+    steps = pe._argmax_steps(problem)
+    next(steps)  # the anchor line
+    for _, (bids, width) in zip(range(30), steps):
+        assert np.max(np.abs(bids - target)) <= 0.5 * width + 1e-15
+    assert width < 1e-8
+
+
+def test_argmax_where_the_reserve_starts_above_zero():
+    """Integrated values on [0.5, 1.5]: the reserve CDF is 0 below 0.5, and
+    the brackets move up there, so a value above 0.5 bids the argmax
+    (3v + 0.5)/4 of (v - b)(b - 0.5)**3, and a value below it, which no
+    bid lets win, ends at its value."""
+    config = HybridAuctionConfig(3, 1, Uniform(0.5, 1.5), UNIT)
+    sol = solve_fixed_point(config)
+    v = sol.values
+    target = np.where(v > 0.5, (3.0 * v + 0.5) / 4.0, v)
+    assert np.max(np.abs(sol.bids - target)) <= 0.5 * sol.residual + 1e-15
+    report = verify_best_response(sol)
+    assert report.max_gain <= report.bound
+
+
+@pytest.mark.parametrize("name", ["beta(0.5,5) 3+3 g4096", "lognormal 2+4",
+                                  "lognormal 2+4 g8192"])
+def test_hard_rows_converge_in_10_steps(name):
+    """The damped reference takes 127, 56 and 203 sweeps here. Lognormal
+    2+4's top cell takes the Jacobi image; Newton steps alone take 13 and
+    18 steps there."""
+    config, grid_size = SOLVER_MATRIX[name]
+    sol = solve_fixed_point(config, grid_size)
+    assert sol.iterations <= 10
+    assert sol.residual <= sol.tol
 
 
 @pytest.mark.parametrize("law", [Beta(0.7, 3), Beta(2, 2)])
@@ -183,25 +245,10 @@ def test_beta_three_by_three_converges_in_30_sweeps(law):
     assert sol.residual <= sol.tol
 
 
-def test_full_step_converges_in_fewer_sweeps(monkeypatch):
-    """A mixing weight of 1.0 (no mixing) still converges, in fewer sweeps
-    than the plain iteration at that weight."""
-    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
-    monkeypatch.setattr(pe, "_DAMPING", 1.0)
-    sol = solve_fixed_point(config)
-    assert sol.residual <= sol.tol
-    assert sol.iterations < _damped_reference(config, damping=1.0).iterations
-
-
-@pytest.mark.parametrize("damping", [0.5, 1.0])
-def test_safeguard_restarts_keep_pace_and_projected(monkeypatch, damping):
-    """On lognormal 2+4 the top cell is the sup-norm defect, which the
-    least-squares fit barely weighs: the extrapolation stalls there (at the
-    default mixing weight 0.5 and at the full step 1.0 alike), and dropping
-    the history keeps the solve near the plain pace at that weight.
-    Extrapolated candidates, which leave the monotone schedules here, pass
-    through the same projection as plain steps: each schedule the map sees
-    is nondecreasing, in [0, v] and on the anchor line."""
+def test_newton_steps_stay_monotone_and_anchored(monkeypatch):
+    """On lognormal 2+4 the top cell's diagonal is not negative in early
+    steps, so that point takes the Jacobi image. Every schedule the identity
+    sees is strictly increasing, in [0, v] and on the anchor line."""
     seen = []
 
     def spy(problem, bids):
@@ -210,75 +257,50 @@ def test_safeguard_restarts_keep_pace_and_projected(monkeypatch, damping):
 
     defect = pe._Problem.defect
     monkeypatch.setattr(pe._Problem, "defect", spy)
-    monkeypatch.setattr(pe, "_DAMPING", damping)
     sol = solve_fixed_point(LOGNORMAL_2_4)
-    assert sol.restarts > 0
     assert sol.residual <= sol.tol
     assert len(seen) == sol.iterations + 1
     line = seen[0][1]
     for values, bids, anchor in seen:
-        assert np.all(np.diff(bids) >= 0.0)
+        assert np.all(np.diff(bids) > 0.0)
         assert np.all((bids >= 0.0) & (bids <= values))
         assert np.array_equal(bids[anchor], line[anchor])
-    monkeypatch.undo()
-    assert sol.iterations <= 2 * _damped_reference(LOGNORMAL_2_4, damping=damping).iterations
 
 
-def test_rejected_extrapolation_is_the_damped_step(monkeypatch):
-    """With every least-squares solve singular, each sweep drops the history
-    and the solver is the damped iteration, bit for bit."""
-    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
-    ref = _damped_reference(config)
-    monkeypatch.setattr(pe.np.linalg, "lstsq",
-                        lambda a, b, rcond: (np.zeros(a.shape[1]), None, 0, None))
-    sol = solve_fixed_point(config)
-    assert sol.iterations == ref.iterations
-    assert sol.restarts == ref.iterations - 1
-    assert sol.bids.tobytes() == ref.bids.tobytes()
+def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
+    """An exact start line takes 0 steps, reports no history and keeps the
+    damped solution bit for bit, on either path."""
+    for (config, exact), method in ((uniform_3_3, "newton"), (uniform_3_1, "argmax")):
+        meta = exact.metadata()
+        assert exact.iterations == 0
+        assert meta["method"] == method and meta["residual_history"] == []
+        assert exact.bids.tobytes() == damped_reference(config).bids.tobytes()
+
+    for n_neutral, method in ((3, "newton"), (1, "argmax")):
+        law = Beta(0.7, 3)
+        sol = solve_fixed_point(HybridAuctionConfig(3, n_neutral, law, law))
+        meta = sol.metadata()
+        assert meta["method"] == method
+        assert len(meta["residual_history"]) == sol.iterations > 0
+        assert meta["residual_history"][-1] == sol.residual
+        assert "restarts" not in meta
 
 
-def test_extrapolate_rejects_singular_and_non_finite():
-    step = np.array([1.0, 2.0, 3.0])
-    image = np.zeros(3)
-    twice = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])  # rank 1 of 2
-    assert pe._extrapolate(image, step, twice, twice) is None
-    d_step = np.array([[1.0, 0.0, 0.0]])
-    assert pe._extrapolate(image, step, np.array([[np.inf, 0.0, 0.0]]), d_step) is None
-    assert np.array_equal(pe._extrapolate(image, step, d_step, d_step),
-                          [-1.0, 0.0, 0.0])
-
-
-def test_metadata_reports_solver_path(uniform_3_3):
-    """An exact start line takes 0 sweeps, reports no history and keeps the
-    damped solution bit for bit."""
-    config, exact = uniform_3_3
-    meta = exact.metadata()
-    assert exact.iterations == 0
-    assert meta["restarts"] == 0 and meta["residual_history"] == []
-    assert exact.bids.tobytes() == _damped_reference(config).bids.tobytes()
-
-    sol = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)))
-    meta = sol.metadata()
-    assert len(meta["residual_history"]) == sol.iterations
-    assert meta["residual_history"][-1] == sol.residual
-    assert meta["restarts"] == sol.restarts == 0
-
-
-def test_metadata_decimates_residual_history(uniform_3_3):
+def test_metadata_keeps_every_step_of_the_history(uniform_3_3):
     _, sol = uniform_3_3
-    for n in (63, 64, 65, 200, 10_000):
+    for n in (63, 64, 65, 200):
         history = dataclasses.replace(
             sol, residual_history=tuple(np.arange(n, dtype=float))).metadata()[
                 "residual_history"]
-        assert len(history) == min(n, 64)
-        assert history[0] == 0.0 and history[-1] == n - 1
-        assert np.all(np.diff(history) > 0)
+        assert history == list(np.arange(n, dtype=float))
 
 
-def test_non_convergence_raises_with_residual(monkeypatch):
-    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
-    monkeypatch.setattr(pe, "_MAX_SWEEPS", 2)
-    with pytest.raises(SolverError, match="after 2 sweeps") as err:
+@pytest.mark.parametrize("n_neutral, method", [(3, "newton"), (1, "argmax")])
+def test_non_convergence_raises_with_residual(monkeypatch, n_neutral, method):
+    config = HybridAuctionConfig(3, n_neutral, Beta(2, 2), Beta(2, 2))
+    monkeypatch.setattr(pe, "_MAX_STEPS", 2)
+    with pytest.raises(SolverError, match=f"{method} solve did not reach tol=1e-12 "
+                                          "after 2 steps") as err:
         solve_fixed_point(config, tol=1e-12)
     assert err.value.residual is not None and err.value.residual > 1e-12
 
@@ -474,6 +496,8 @@ CERTIFICATE_MATRIX = {
     "beta(0.5,5) 3+3": (3, 3, Beta(0.5, 5), Beta(0.5, 5)),
     "uniform/beta(2,5) 3+2": (3, 2, UNIT, Beta(2, 5)),
     "beta(5,2)/beta(2,2) 2+4": (2, 4, Beta(5, 2), Beta(2, 2)),
+    "lognormal 1+1": (1, 1, LOGNORMAL, LOGNORMAL),
+    "lognormal 2+1": (2, 1, LOGNORMAL, LOGNORMAL),
 }
 CERTIFICATE_CASES = [(name, grid) for name in CERTIFICATE_MATRIX
                      for grid in (64, 128, 256, 512, 4096)]
@@ -539,7 +563,7 @@ def test_solution_table_and_metadata(uniform_3_1):
     assert list(table) == ["v", "sigma", "x", "S"]
     assert all(arr.shape == sol.values.shape for arr in table.values())
     meta = sol.metadata()
-    assert meta["method"] == "fixed-point"
+    assert meta["method"] == "argmax"
     assert meta["residual"] <= meta["tol"]
 
 
@@ -669,12 +693,11 @@ def test_bid_lookup_steps_aside_where_its_arithmetic_differs():
 
 
 @given(n_int=st.integers(0, 4), n_neu=st.integers(1, 4),
-       use_beta=st.booleans())
+       dist=st.sampled_from([UNIT, Beta(2, 2), LOGNORMAL]))
 @settings(max_examples=25, deadline=None)
-def test_solver_invariants_property(n_int, n_neu, use_beta):
+def test_solver_invariants_property(n_int, n_neu, dist):
     if n_int == 0 and n_neu == 1:
         return
-    dist = Beta(2, 2) if use_beta else UNIT
     config = HybridAuctionConfig(n_int, n_neu, dist, dist)
     sol = solve_fixed_point(config, grid_size=128, tol=1e-5)
     assert np.all(np.diff(sol.bids) > 0)

@@ -62,6 +62,10 @@ _MAX_STEPS = 60
 _CERT_VALUES = 64
 _CERT_BIDS = 4000
 
+# payoffs the argmax path scores at once when it starts its brackets: 256 KB,
+# which stays in cache and adds under 1 MB to the peak resident set
+_PAYOFF_BLOCK = 2**15
+
 # largest deviation gain, as a share of the value range, that certifies a
 # schedule of n grid values: _GAIN_BOUND, or _GAIN_CELLS / n**2 where that is
 # larger, since a coarse grid's own error shows as gains falling like 1/n**2.
@@ -386,15 +390,16 @@ class _Problem:
     def defect(self, bids: np.ndarray) -> tuple:
         """The shading identity's right-hand side v - int(G)/G, the points
         where it is usable (G above the floor, off the anchor), the sup-norm
-        defect |bid - mapped| over them, then G and the partials of the
-        cells of int(G) (see :func:`_power_cumint`) for a Newton step."""
+        defect |bid - mapped| over them (inf if there are none: such bids
+        never win), then G and the partials of the cells of int(G) (see
+        :func:`_power_cumint`) for a Newton step."""
         g = self.rival * self.config.reserve_cdf(bids)
         integral, d_left, d_right = _power_cumint(self.values, g, self.lo, self.tail_k)
         usable = (g > _G_FLOOR) & ~self.anchor
         ratio = np.zeros_like(self.values)
         np.divide(integral, g, out=ratio, where=usable)
         mapped = self.values - ratio
-        sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else 0.0
+        sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else math.inf
         return mapped, usable, sup, g, d_left, d_right
 
     def finish(self, bids, residual, method, iterations, tol,
@@ -467,13 +472,25 @@ def _newton_steps(problem: _Problem):
 
 def _argmax_steps(problem: _Problem):
     """The anchor line with its defect, then halvings of each off-anchor
-    value's bracket [lo, v] around its argmax of (v - b) * H(b), H the reserve
-    CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids
-    are the midpoints and the residual the widest bracket."""
+    value's bracket around its argmax of (v - b) * H(b), H the reserve CDF,
+    by the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids are
+    the midpoints and the residual the widest bracket. As the payoff can have
+    two local maxima where H is not log-concave, a bracket starts on the two
+    grid cells around the grid value that scores best as a bid (scored
+    ``_PAYOFF_BLOCK`` payoffs at a time), or on [lo, v] where none wins."""
     config, values, line = problem.config, problem.values, problem.line
     yield line, problem.defect(line)[2]
-    low = np.where(problem.anchor, line, problem.lo)
-    high = np.where(problem.anchor, line, values)
+    low, high = np.full_like(values, problem.lo), values.copy()
+    reserve = config.reserve_cdf(values)
+    rows = max(1, _PAYOFF_BLOCK // values.size)
+    for start in range(0, values.size, rows):
+        stop = min(start + rows, values.size)
+        payoff = (values[start:stop, None] - values[:stop]) * reserve[:stop]
+        best = np.argmax(payoff, axis=1)
+        wins = np.flatnonzero(payoff[np.arange(stop - start), best] > 0.0)
+        low[start + wins] = values[np.maximum(best[wins] - 1, 0)]
+        high[start + wins] = values[best[wins] + 1]  # the payoff at v is 0
+    low[problem.anchor] = high[problem.anchor] = line[problem.anchor]
     while True:
         mid = 0.5 * (low + high)
         reserve = config.reserve_cdf(mid)

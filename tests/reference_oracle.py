@@ -12,6 +12,8 @@ calls them.
 - the plain damped iteration of the shading identity
   (:func:`damped_reference`), with the isotonic projection
   (:func:`isotonic`) it ends each sweep with;
+- a single neutral builder's best payoff against an empirical reserve, in
+  closed form piece by piece (:func:`empirical_best_payoff`);
 - the candlestick root condition as a checked scalar
   (:func:`candlestick_residual`; the bisection evaluates the same formula
   unchecked, as ``_residual_vec``), and its truncated-mean form through
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from pbslab.common_values import CandlestickConfig, PriceProcess, _residual_vec
-from pbslab.distributions import Lognormal, lognormal_put_value
+from pbslab.distributions import EmpiricalGrid, Lognormal, lognormal_put_value
 from pbslab.private_equilibrium import EquilibriumSolution, _Problem
 
 
@@ -101,6 +103,19 @@ def damped_reference(config, grid_size=512, tol=1e-6,
         bids = np.clip(isotonic(bids), 0.0, grid)
         bids[anchor] = line[anchor]
     raise AssertionError("damped reference did not converge")
+
+
+def empirical_best_payoff(law: EmpiricalGrid, n_integrated: int, v) -> np.ndarray:
+    """max over b of (v - b) * F(b)**n for each value v, F the law's CDF,
+    linear on each piece [x_j, x_j+1]: there the payoff is log-concave, its
+    stationary point solves F(b) = n * s_j * (v - b), and the piece's best
+    bid is that point clipped to [x_j, min(x_j+1, v)]."""
+    x, c, n = law.points, law.cdf_values, n_integrated
+    v = np.asarray(v, dtype=float)[:, None]
+    s = np.diff(c) / np.diff(x)
+    stationary = (n * s * v + s * x[:-1] - c[:-1]) / ((n + 1) * s)
+    bids = np.minimum(np.clip(stationary, x[:-1], x[1:]), v)
+    return np.max((v - bids) * law.cdf(bids) ** n, axis=1)
 
 
 def lognormal_moments(law: Lognormal) -> tuple[float, float]:

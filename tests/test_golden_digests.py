@@ -67,7 +67,7 @@ def test_solve_private_csv_digest(tmp_path):
 # by a 3-block Monte Carlo run
 @pytest.mark.parametrize("flags, digest", [
     (("--axis", "na", "--grid", "1,2,3,4,5,8", "--fa", "beta(2,2)", "--fb", "beta(2,2)"),
-     "83b9c1617dcbd7ab46e85ae02047f987b2798d4a68ffac574c0ff885782d03f3"),
+     "b03bf3b8da110327179c2db22a6cb9f09ec9816107e0423070f55d782b06165c"),
     (("--axis", "p", "--grid", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"),
      "970cf83bc6185a4416537f48b0c039bd9db884c4d2cf4efdb522c213b808e8a6"),
 ])

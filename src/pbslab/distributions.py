@@ -140,7 +140,8 @@ class Beta(ValueDistribution):
         x_in = np.where(inside, x, 0.5)  # keeps log and log1p finite outside
         log_pdf = ((self.alpha - 1.0) * np.log(x_in)
                    + (self.beta - 1.0) * np.log1p(-x_in) - self._log_norm)
-        return np.where(inside, np.exp(log_pdf), 0.0)
+        with np.errstate(over="ignore"):  # a density above the doubles is inf
+            return np.where(inside, np.exp(log_pdf), 0.0)
 
     def quantile(self, q):
         """Inverse of ``cdf``, elementwise; each value depends on its own q

@@ -114,18 +114,20 @@ class HybridAuctionConfig:
             if d.support[0] < 0.0:
                 raise ValueError("value supports must be nonnegative")
 
-    def reserve_cdf(self, b):
-        """CDF of the effective reserve: the highest truthful integrated bid."""
+    def reserve_cdf(self, b, law_cdf=None):
+        """CDF of the effective reserve: the highest truthful integrated bid.
+        ``law_cdf``, the integrated law's CDF at b, spares evaluating it."""
         if self.n_integrated == 0:
             return np.ones_like(np.asarray(b, dtype=float))
-        return self.integrated_values.cdf(b) ** self.n_integrated
+        law_cdf = self.integrated_values.cdf(b) if law_cdf is None else law_cdf
+        return law_cdf ** self.n_integrated
 
-    def reserve_pdf(self, b):
-        """Density of the effective reserve, the derivative of ``reserve_cdf``."""
-        n, law = self.n_integrated, self.integrated_values
+    def reserve_pdf(self, b, law_cdf):
+        """Density of the effective reserve, from the integrated law's CDF at b."""
+        n = self.n_integrated
         if n == 0:
             return np.zeros_like(np.asarray(b, dtype=float))
-        return n * law.cdf(b) ** (n - 1) * law.pdf(b)
+        return n * law_cdf ** (n - 1) * self.integrated_values.pdf(b)
 
     def rival_cdf(self, v):
         """Probability that all other neutral builders have value below v."""
@@ -391,24 +393,28 @@ class _Problem:
         """The shading identity's right-hand side v - int(G)/G, the points
         where it is usable (G above the floor, off the anchor), the sup-norm
         defect |bid - mapped| over them (inf if there are none: such bids
-        never win), then G and the partials of the cells of int(G) (see
-        :func:`_power_cumint`) for a Newton step."""
-        g = self.rival * self.config.reserve_cdf(bids)
+        never win), then G, the partials of the cells of int(G) (see
+        :func:`_power_cumint`) and the integrated law's CDF for a Newton step."""
+        config = self.config
+        law_cdf = config.integrated_values.cdf(bids) if config.n_integrated else None
+        g = self.rival * config.reserve_cdf(bids, law_cdf)
         integral, d_left, d_right = _power_cumint(self.values, g, self.lo, self.tail_k)
         usable = (g > _G_FLOOR) & ~self.anchor
         ratio = np.zeros_like(self.values)
         np.divide(integral, g, out=ratio, where=usable)
         mapped = self.values - ratio
         sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else math.inf
-        return mapped, usable, sup, g, d_left, d_right
+        return mapped, usable, sup, g, d_left, d_right, law_cdf
 
     def finish(self, bids, residual, method, iterations, tol,
-               history=()) -> EquilibriumSolution:
-        bids = _strictly_increasing(np.clip(bids, 0.0, self.values))
-        x = self.rival * self.config.reserve_cdf(bids)
+               history=(), g=None) -> EquilibriumSolution:
+        """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or None."""
+        kept = _strictly_increasing(np.clip(bids, 0.0, self.values))
+        if g is None or not np.array_equal(kept.view(np.int64), bids.view(np.int64)):
+            g = self.rival * self.config.reserve_cdf(kept)
         return EquilibriumSolution(
-            config=self.config, bid_function=BidFunction(self.values, bids),
-            win_prob=x, surplus=_power_cumint(self.values, x, self.lo, self.tail_k)[0],
+            config=self.config, bid_function=BidFunction(self.values, kept),
+            win_prob=g, surplus=_power_cumint(self.values, g, self.lo, self.tail_k)[0],
             residual=residual, method=method, iterations=iterations, tol=tol,
             residual_history=tuple(history))
 
@@ -447,16 +453,16 @@ def _march(alpha, beta, later, old, values) -> np.ndarray:
 
 def _newton_steps(problem: _Problem):
     """The anchor line, then Newton steps on phi_i = (v_i - sigma_i) G_i - I_i,
-    each schedule with its defect. As I_i depends on sigma_0..sigma_i only,
+    each schedule with its defect and G. As I_i depends on sigma_0..sigma_i only,
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
     (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
     v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line."""
     config, values, bids = problem.config, problem.values, problem.line
     while True:
-        mapped, usable, residual, g, d_left, d_right = problem.defect(bids)
-        yield bids, residual
-        slope = problem.rival * config.reserve_pdf(bids)  # dG_i / dsigma_i
+        mapped, usable, residual, g, d_left, d_right, law_cdf = problem.defect(bids)
+        yield bids, residual, g
+        slope = problem.rival * config.reserve_pdf(bids, law_cdf)  # dG_i / dsigma_i
         own = np.append(0.0, d_right) * slope              # dI_i / dsigma_i
         later = own + np.append(d_left, 0.0) * slope       # w_i
         diag = (values - bids) * slope - g - own
@@ -471,21 +477,22 @@ def _newton_steps(problem: _Problem):
 
 
 def _argmax_steps(problem: _Problem):
-    """The anchor line with its defect, then halvings of each off-anchor
-    value's bracket around its argmax of (v - b) * H(b), H the reserve CDF,
-    by the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids are
-    the midpoints and the residual the widest bracket. As the payoff can have
-    two local maxima where H is not log-concave, a bracket starts on the two
-    grid cells around the grid value that scores best as a bid (scored
+    """The anchor line with its defect and G, then halvings of each off-anchor
+    value's bracket around its argmax of (v - b) * H(b), H the reserve CDF, by
+    the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids are the
+    midpoints, the residual the widest bracket and G None. As the payoff can
+    have two local maxima where H is not log-concave, a bracket starts on the
+    two grid cells around the grid value that scores best as a bid (scored
     ``_PAYOFF_BLOCK`` payoffs at a time), or on [lo, v] where none wins."""
     config, values, line = problem.config, problem.values, problem.line
-    yield line, problem.defect(line)[2]
+    yield line, *problem.defect(line)[2:4]  # its residual and G
     low, high = np.full_like(values, problem.lo), values.copy()
     reserve = config.reserve_cdf(values)
     rows = max(1, _PAYOFF_BLOCK // values.size)
     for start in range(0, values.size, rows):
         stop = min(start + rows, values.size)
-        payoff = (values[start:stop, None] - values[:stop]) * reserve[:stop]
+        payoff = np.subtract.outer(values[start:stop], values[:stop])
+        payoff *= reserve[:stop]
         best = np.argmax(payoff, axis=1)
         wins = np.flatnonzero(payoff[np.arange(stop - start), best] > 0.0)
         low[start + wins] = values[np.maximum(best[wins] - 1, 0)]
@@ -493,10 +500,11 @@ def _argmax_steps(problem: _Problem):
     low[problem.anchor] = high[problem.anchor] = line[problem.anchor]
     while True:
         mid = 0.5 * (low + high)
-        reserve = config.reserve_cdf(mid)
-        rising = (reserve <= 0.0) | ((values - mid) * config.reserve_pdf(mid) > reserve)
+        cdf = config.integrated_values.cdf(mid)
+        reserve = config.reserve_cdf(mid, cdf)
+        rising = (reserve <= 0.0) | ((values - mid) * config.reserve_pdf(mid, cdf) > reserve)
         low, high = np.where(rising, mid, low), np.where(rising, high, mid)
-        yield 0.5 * (low + high), float(np.max(high - low))
+        yield 0.5 * (low + high), float(np.max(high - low)), None
 
 
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
@@ -513,10 +521,10 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     method, steps = (("newton", _newton_steps) if config.n_neutral > 1
                      else ("argmax", _argmax_steps))
     residuals = []
-    for step, (bids, residual) in enumerate(steps(problem)):
+    for step, (bids, residual, g) in enumerate(steps(problem)):
         residuals.append(residual)
         if residual <= tol:
-            return problem.finish(bids, residual, method, step, tol, residuals[1:])
+            return problem.finish(bids, residual, method, step, tol, residuals[1:], g)
         if step == _MAX_STEPS:
             raise SolverError(
                 f"{method} solve did not reach tol={tol:g} after {_MAX_STEPS} "
@@ -565,7 +573,8 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     rival = config.rival_cdf(solution.bid_function.inverse(bid_grid))
     win = np.where(bid_grid > bids[-1], 1.0, rival) * config.reserve_cdf(bid_grid)
     v = values[points]
-    payoff = (v[:, None] - bid_grid) * win
+    payoff = np.subtract.outer(v, bid_grid)
+    payoff *= win
     best = np.argmax(payoff, axis=1)
     gains = (payoff[np.arange(v.size), best]
              - (v - bids[points]) * solution.win_prob[points])

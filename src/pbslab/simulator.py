@@ -372,13 +372,14 @@ def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimR
 # ------------------------------- candlestick ----------------------------------
 
 
-def _candlestick_block(solution: CandlestickSolution, n_slow: int,
+def _candlestick_block(solution: CandlestickSolution,
                        u: np.ndarray) -> dict[str, np.ndarray]:
-    """One batch of candlestick auctions from uniforms (tie, revision, value)."""
+    """One batch of candlestick auctions from uniforms (tie, revision, value).
+    The slow bids are equal, so the tie column goes unread; it is still
+    drawn, so that each replication keeps its uniforms."""
     process, p = solution.config.process, solution.config.p
     b0s = solution.b0s
     m = u.shape[0]
-    slow_winner = np.minimum((u[:, 0] * n_slow).astype(int), n_slow - 1)
     revised = u[:, 1] < p
     # without a revision the value stays at its time-0 level, so only the
     # revised rows evaluate the value law's quantile
@@ -391,7 +392,6 @@ def _candlestick_block(solution: CandlestickSolution, n_slow: int,
     slow_profit = np.where(fast_won, 0.0, v_delta - b0s)
     fast_profit = np.where(fast_won, v_delta - b0s, 0.0)
     return {
-        "slow_winner": slow_winner,
         "fast_won": fast_won,
         "revenue": np.full(m, b0s),
         "slow_profit": slow_profit,
@@ -406,7 +406,7 @@ def simulate_candlestick(solution: CandlestickSolution, n_slow: int, reps: int,
     _check_n_slow(n_slow)
 
     def series(u):
-        out = _candlestick_block(solution, n_slow, u)
+        out = _candlestick_block(solution, u)
         fast_won = out["fast_won"]
         return {
             "revenue": out["revenue"],

@@ -225,10 +225,10 @@ def test_fast_bid_decision_strictness(candlestick_half):
     # both rows revise (second uniform below p); values 1.2x and 0.8x the bid
     u = np.array([[0.0, 0.0, float(law.cdf(1.2 * sol.b0s))],
                   [0.0, 0.0, float(law.cdf(0.8 * sol.b0s))]])
-    assert _candlestick_block(sol, 2, u)["fast_won"].tolist() == [True, False]
+    assert _candlestick_block(sol, u)["fast_won"].tolist() == [True, False]
     # a motionless value always revises to v0 = b0s: ties stay with the slow bid
     still = CandlestickConfig(_process(vol=0.0), 1.0)
-    tie = _candlestick_block(solve_candlestick(still), 2, np.zeros((1, 3)))
+    tie = _candlestick_block(solve_candlestick(still), np.zeros((1, 3)))
     assert tie["fast_won"].tolist() == [False]
 
 

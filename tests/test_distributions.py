@@ -56,6 +56,13 @@ def test_pdf_closed_forms():
     assert Lognormal(0.0, 0.5).pdf(5e-324) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_beta_pdf_above_the_largest_double_is_inf():
+    """Beta(0.002, 1) at the least subnormal has density about 1e320, so
+    inf is the correctly rounded value; the overflow raises no warning."""
+    assert Beta(0.002, 1).pdf(5e-324) == math.inf
+
+
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: repr(d))
 def test_pdf_is_cdf_derivative(dist):
     """Central finite difference of the CDF matches the density to 1e-6."""

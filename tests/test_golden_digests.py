@@ -3,9 +3,11 @@
 The Monte Carlo estimates and the solved schedules are pure functions of
 their inputs, so a change that only makes them faster must leave every bit
 in place. These tests pin SHA-256 digests of the exact ``stats`` of
-``simulate`` (every mean and half-width as ``float.hex``) and of the CSV
-bytes of ``solve-private`` and of two verified sweeps. A digest that moves means an output moved; a
-change that means to move one must say why and record the new digest.
+``simulate`` (every mean and half-width as ``float.hex``), of the CSV
+bytes of ``solve-private`` and of two verified sweeps, and of the exact
+``residuals`` of two certified solves. A digest that moves means an output
+moved; a change that means to move one must say why and record the new
+digest.
 """
 
 import hashlib
@@ -76,3 +78,39 @@ def test_verified_sweep_csv_digest(tmp_path, flags, digest):
     assert main(["sweep", *flags, "--verify-reps", "20000", "--seed", "5",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_solve_private_fine_grid_csv_digest(tmp_path):
+    """The fine-grid fixed-point solve, where Newton steps dominate the run."""
+    out = tmp_path / "beta_07_3_g8192.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "3",
+                 "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)",
+                 "--grid", "8192", "--method", "fixed-point",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "48243fc79854d71736dace1dbf6c5d1431134fd35815fb62c9f2a8ccd05f55fd")
+
+
+def _exact(obj):
+    """``obj`` with every float as ``float.hex``."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    return obj
+
+
+# the certified solve of each solver path: Newton with three neutral
+# builders, argmax with one
+@pytest.mark.parametrize("nb, digest", [
+    ("3", "e5d69ddb02d8045518a77681bd4589308d522180ce53a6b3f3d4bf1c46e68b6d"),
+    ("1", "97bcdc4ac16d05925aa912a7b375177b20b36f85d9065e6e942ee4afad48100a"),
+])
+def test_solve_private_residuals_digest(tmp_path, nb, digest):
+    out = tmp_path / "beta_2_2.csv"
+    assert main(["solve-private", "--na", "3", "--nb", nb,
+                 "--fa", "beta(2,2)", "--fb", "beta(2,2)",
+                 "--grid", "512", "--out", str(out)]) == 0
+    residuals = json.loads(out.with_suffix(".json").read_text())["residuals"]
+    exact = json.dumps(_exact(residuals), sort_keys=True).encode()
+    assert hashlib.sha256(exact).hexdigest() == digest

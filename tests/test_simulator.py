@@ -37,8 +37,8 @@ def _hybrid_outcomes(sol, reps, seed):
     return _outcomes(seed, reps, HYBRID_WIDTH, lambda u: _hybrid_block(sol, u))
 
 
-def _candlestick_outcomes(sol, n_slow, reps, seed):
-    return _outcomes(seed, reps, 3, lambda u: _candlestick_block(sol, n_slow, u))
+def _candlestick_outcomes(sol, reps, seed):
+    return _outcomes(seed, reps, 3, lambda u: _candlestick_block(sol, u))
 
 
 # ------------------------------- random streams --------------------------------
@@ -65,7 +65,7 @@ def test_outcome_prefix_stability(model, uniform_3_1, candlestick_half):
             return _hybrid_outcomes(uniform_3_1[1], reps, seed=11)
     else:
         def outcomes(reps):
-            return _candlestick_outcomes(candlestick_half[1], 2, reps, seed=11)
+            return _candlestick_outcomes(candlestick_half[1], reps, seed=11)
     short, long = outcomes(10_000), outcomes(30_000)
     for key in short:
         assert np.array_equal(short[key], long[key][:10_000])
@@ -526,9 +526,8 @@ def test_candlestick_always_revises_unravels():
 
 def test_candlestick_outcome_values(candlestick_half):
     _, sol = candlestick_half
-    out = _candlestick_outcomes(sol, 2, 10_000, seed=4)
+    out = _candlestick_outcomes(sol, 10_000, seed=4)
     assert np.all(out["revenue"] == sol.b0s)
-    assert np.all((out["slow_winner"] >= 0) & (out["slow_winner"] < 2))
     # fast profit only when fast wins, and then strictly positive
     assert np.all(out["fast_profit"][out["fast_won"]] > 0.0)
     assert np.all(out["fast_profit"][~out["fast_won"]] == 0.0)

@@ -22,8 +22,8 @@ and ``k`` is the combined lower-tail exponent of G.
 
 :func:`verify_best_response` certifies a solved schedule by the equilibrium
 property itself: no neutral builder gains by deviating from it. It checks
-values on the solver's grid against a fine grid of bids, and gates the
-largest gain below the top grid cell (see ``_GAIN_BOUND``).
+every value on the solver's grid against a fine grid of bids, and gates the
+largest gain below the grid's top tail (see ``_GAIN_BOUND``).
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ _TOP_Q = 1.0 - 1e-6
 _TOL = 1e-6
 _MAX_STEPS = 60
 
-# grid values and bids the best-response certificate scores: at most 2 MB of
-# payoffs at any grid size
-_CERT_VALUES = 64
+# bids the best-response certificate scores each grid value against
 _CERT_BIDS = 4000
 
-# payoffs the argmax path scores at once when it starts its brackets: 256 KB,
-# which stays in cache and adds under 1 MB to the peak resident set
-_PAYOFF_BLOCK = 2**15
+# the certificate gates grid values 0 to k * ((n - 2) // k) of n, with
+# k = ceil((n - 1) / _GATE_STEPS): the values above, the top cell and at most
+# k - 1 below it, carry the grid's top-tail bias
+_GATE_STEPS = 64
 
 # largest deviation gain, as a share of the value range, that certifies a
 # schedule of n grid values: _GAIN_BOUND, or _GAIN_CELLS / n**2 where that is
@@ -393,7 +392,7 @@ class _Problem:
         """The shading identity's right-hand side v - int(G)/G, the points
         where it is usable (G above the floor, off the anchor), the sup-norm
         defect |bid - mapped| over them (inf if there are none: such bids
-        never win), then G, the partials of the cells of int(G) (see
+        never win), then G, int(G), the partials of its cells (see
         :func:`_power_cumint`) and the integrated law's CDF for a Newton step."""
         config = self.config
         law_cdf = config.integrated_values.cdf(bids) if config.n_integrated else None
@@ -404,17 +403,20 @@ class _Problem:
         np.divide(integral, g, out=ratio, where=usable)
         mapped = self.values - ratio
         sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else math.inf
-        return mapped, usable, sup, g, d_left, d_right, law_cdf
+        return mapped, usable, sup, g, integral, d_left, d_right, law_cdf
 
     def finish(self, bids, residual, method, iterations, tol,
-               history=(), g=None) -> EquilibriumSolution:
-        """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or None."""
+               history=(), g=None, integral=None) -> EquilibriumSolution:
+        """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or
+        None, ``integral`` its :func:`_power_cumint` integral or None."""
         kept = _strictly_increasing(np.clip(bids, 0.0, self.values))
         if g is None or not np.array_equal(kept.view(np.int64), bids.view(np.int64)):
-            g = self.rival * self.config.reserve_cdf(kept)
+            g, integral = self.rival * self.config.reserve_cdf(kept), None
+        if integral is None:
+            integral = _power_cumint(self.values, g, self.lo, self.tail_k)[0]
         return EquilibriumSolution(
             config=self.config, bid_function=BidFunction(self.values, kept),
-            win_prob=g, surplus=_power_cumint(self.values, g, self.lo, self.tail_k)[0],
+            win_prob=g, surplus=integral,
             residual=residual, method=method, iterations=iterations, tol=tol,
             residual_history=tuple(history))
 
@@ -453,15 +455,16 @@ def _march(alpha, beta, later, old, values) -> np.ndarray:
 
 def _newton_steps(problem: _Problem):
     """The anchor line, then Newton steps on phi_i = (v_i - sigma_i) G_i - I_i,
-    each schedule with its defect and G. As I_i depends on sigma_0..sigma_i only,
+    each schedule with its defect and (G, I). As I_i depends on sigma_0..sigma_i only,
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
     (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
     v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line."""
     config, values, bids = problem.config, problem.values, problem.line
     while True:
-        mapped, usable, residual, g, d_left, d_right, law_cdf = problem.defect(bids)
-        yield bids, residual, g
+        (mapped, usable, residual, g, integral,
+         d_left, d_right, law_cdf) = problem.defect(bids)
+        yield bids, residual, (g, integral)
         slope = problem.rival * config.reserve_pdf(bids, law_cdf)  # dG_i / dsigma_i
         own = np.append(0.0, d_right) * slope              # dI_i / dsigma_i
         later = own + np.append(d_left, 0.0) * slope       # w_i
@@ -476,27 +479,51 @@ def _newton_steps(problem: _Problem):
         bids = _march(alpha, beta, later, bids, values)
 
 
+def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """For each of the ascending ``values``, the first index of the bid that
+    maximizes (v - b) * win(b) over the ascending ``bids``, ``win`` being
+    nondecreasing. The payoff then has increasing differences, so that bid
+    never falls as v rises (Topkis 1978; Milgrom and Shannon 1994). Each
+    level of a bisection of the values scores the middle value of every
+    unsolved run only between the bids already found for its neighbours:
+    at most m + runs payoffs a level, O((n + m) log n) in all."""
+    best = np.empty(values.size, dtype=np.intp)
+    # the unsolved runs [first, stop) of values, and the bid range [low, high] of each
+    first, stop = np.array([0]), np.array([values.size])
+    low, high = np.array([0]), np.array([bids.size - 1])
+    while first.size:
+        mid = (first + stop) // 2
+        size = high - low + 1
+        start = np.cumsum(size) - size
+        col = np.arange(start[-1] + size[-1]) - np.repeat(start - low, size)
+        payoff = (np.repeat(values[mid], size) - bids[col]) * win[col]
+        top = np.repeat(np.maximum.reduceat(payoff, start), size)
+        hits = np.flatnonzero(payoff == top)
+        best[mid] = pick = col[hits[np.searchsorted(hits, start)]]
+        first, stop = np.append(first, mid + 1), np.append(mid, stop)
+        low, high = np.append(low, pick), np.append(pick, high)
+        keep = first < stop
+        first, stop, low, high = first[keep], stop[keep], low[keep], high[keep]
+    return best
+
+
 def _argmax_steps(problem: _Problem):
-    """The anchor line with its defect and G, then halvings of each off-anchor
-    value's bracket around its argmax of (v - b) * H(b), H the reserve CDF, by
-    the sign of (v - b) * H'(b) - H(b), rising where H = 0; the bids are the
-    midpoints, the residual the widest bracket and G None. As the payoff can
-    have two local maxima where H is not log-concave, a bracket starts on the
-    two grid cells around the grid value that scores best as a bid (scored
-    ``_PAYOFF_BLOCK`` payoffs at a time), or on [lo, v] where none wins."""
+    """The anchor line with its defect and (G, I), then halvings of each
+    off-anchor value's bracket around its argmax of (v - b) * H(b), H the
+    reserve CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0;
+    the bids are the midpoints, the residual the widest bracket, G and I
+    None. As the payoff can have two local maxima where H is not log-concave,
+    a bracket starts on the two grid cells around the grid value that scores
+    best as a bid (:func:`_best_bids`), or on [lo, v] where none wins."""
     config, values, line = problem.config, problem.values, problem.line
-    yield line, *problem.defect(line)[2:4]  # its residual and G
+    residual, g, integral = problem.defect(line)[2:5]
+    yield line, residual, (g, integral)
     low, high = np.full_like(values, problem.lo), values.copy()
     reserve = config.reserve_cdf(values)
-    rows = max(1, _PAYOFF_BLOCK // values.size)
-    for start in range(0, values.size, rows):
-        stop = min(start + rows, values.size)
-        payoff = np.subtract.outer(values[start:stop], values[:stop])
-        payoff *= reserve[:stop]
-        best = np.argmax(payoff, axis=1)
-        wins = np.flatnonzero(payoff[np.arange(stop - start), best] > 0.0)
-        low[start + wins] = values[np.maximum(best[wins] - 1, 0)]
-        high[start + wins] = values[best[wins] + 1]  # the payoff at v is 0
+    best = _best_bids(values, values, reserve)
+    wins = (values - values[best]) * reserve[best] > 0.0
+    low[wins] = values[np.maximum(best[wins] - 1, 0)]
+    high[wins] = values[best[wins] + 1]  # the payoff at v is 0
     low[problem.anchor] = high[problem.anchor] = line[problem.anchor]
     while True:
         mid = 0.5 * (low + high)
@@ -504,7 +531,7 @@ def _argmax_steps(problem: _Problem):
         reserve = config.reserve_cdf(mid, cdf)
         rising = (reserve <= 0.0) | ((values - mid) * config.reserve_pdf(mid, cdf) > reserve)
         low, high = np.where(rising, mid, low), np.where(rising, high, mid)
-        yield 0.5 * (low + high), float(np.max(high - low)), None
+        yield 0.5 * (low + high), float(np.max(high - low)), (None, None)
 
 
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
@@ -521,10 +548,10 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     method, steps = (("newton", _newton_steps) if config.n_neutral > 1
                      else ("argmax", _argmax_steps))
     residuals = []
-    for step, (bids, residual, g) in enumerate(steps(problem)):
+    for step, (bids, residual, known) in enumerate(steps(problem)):
         residuals.append(residual)
         if residual <= tol:
-            return problem.finish(bids, residual, method, step, tol, residuals[1:], g)
+            return problem.finish(bids, residual, method, step, tol, residuals[1:], *known)
         if step == _MAX_STEPS:
             raise SolverError(
                 f"{method} solve did not reach tol={tol:g} after {_MAX_STEPS} "
@@ -536,11 +563,12 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
 
 @dataclass(frozen=True)
 class BestResponseReport:
-    """Deviation gains at the certified values: ``max_gain`` (at ``at_value``)
-    is what ``bound`` gates; ``top_gain`` at the top grid value is reported
-    only; ``bid_gap`` is the largest distance between a scheduled bid and the
-    best bid of the bid grid, at least half its step. ``gains`` holds the
-    certified values' gains in grid order, then the top value's."""
+    """Deviation gains at the grid values: ``max_gain`` (at ``at_value``),
+    the largest below the gate's top, is what ``bound`` gates; ``top_gain``
+    at the top grid value is reported only; ``bid_gap`` is the largest
+    distance below the gate's top between a scheduled bid and the best bid
+    of the bid grid, at least half its step. ``gains`` holds every grid
+    value's gain in grid order."""
 
     max_gain: float
     at_value: float
@@ -554,34 +582,30 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     """Best-response certificate: what a neutral builder gains by deviating
     from the solved schedule while its rivals play it.
 
-    The values are every k-th grid value from the bottom, below the top cell,
-    with the least k that keeps at most ``_CERT_VALUES`` of them, plus the top
-    value. They lie on the grid because between grid points the interpolated
-    schedule is not the solved one and shows false gains. Each is scored
-    against ``_CERT_BIDS`` bids evenly spaced over the value range (a bid
-    below it never wins, a bid above the schedule wins the rival contest
-    outright). At an equilibrium the gains vanish up to the schedule's error;
-    the bound is the value range times ``_GAIN_BOUND`` or, on a grid of n
-    values, ``_GAIN_CELLS / n**2`` if that is larger. The top cell is left
-    out of the gate: its gain carries the grid's tail bias, which can exceed
-    that of a mis-shaded schedule.
+    Every grid value is scored, by :func:`_best_bids`, against ``_CERT_BIDS``
+    bids evenly spaced over the value range (a bid below it never wins, a bid
+    above the schedule wins the rival contest outright); values off the grid
+    are not, as between grid points the interpolated schedule is not the
+    solved one and shows false gains. At an equilibrium the gains vanish up
+    to the schedule's error; the bound is the value range times
+    ``_GAIN_BOUND`` or, on a grid of n values, ``_GAIN_CELLS / n**2`` if that
+    is larger. The gate stops below the grid's top tail (see ``_GATE_STEPS``):
+    the gains there carry the grid's tail bias, which can exceed that of a
+    mis-shaded schedule.
     """
     config, values, bids = solution.config, solution.values, solution.bids
     n, lo, top = values.size, float(values[0]), float(values[-1])
-    points = np.append(np.arange(0, n - 1, -(-(n - 1) // _CERT_VALUES)), n - 1)
     bid_grid = np.linspace(lo, top, _CERT_BIDS)
     rival = config.rival_cdf(solution.bid_function.inverse(bid_grid))
     win = np.where(bid_grid > bids[-1], 1.0, rival) * config.reserve_cdf(bid_grid)
-    v = values[points]
-    payoff = np.subtract.outer(v, bid_grid)
-    payoff *= win
-    best = np.argmax(payoff, axis=1)
-    gains = (payoff[np.arange(v.size), best]
-             - (v - bids[points]) * solution.win_prob[points])
-    i = int(np.argmax(gains[:-1]))
+    best = _best_bids(values, bid_grid, win)
+    gains = (values - bid_grid[best]) * win[best] - (values - bids) * solution.win_prob
+    step = -(-(n - 1) // _GATE_STEPS)
+    gated = step * ((n - 2) // step) + 1
+    i = int(np.argmax(gains[:gated]))
     return BestResponseReport(
-        max_gain=float(gains[i]), at_value=float(v[i]),
+        max_gain=float(gains[i]), at_value=float(values[i]),
         bound=(top - lo) * max(_GAIN_BOUND, _GAIN_CELLS / n**2),
         top_gain=float(gains[-1]),
-        bid_gap=float(np.max(np.abs(bid_grid[best] - bids[points])[:-1])),
+        bid_gap=float(np.max(np.abs(bid_grid[best] - bids)[:gated])),
         gains=gains)

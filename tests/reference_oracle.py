@@ -14,6 +14,9 @@ calls them.
   (:func:`isotonic`) it ends each sweep with;
 - a single neutral builder's best payoff against an empirical reserve, in
   closed form piece by piece (:func:`empirical_best_payoff`);
+- each value's best bid by brute force over every payoff
+  (:func:`brute_best_bids`), and the certificate's deviation gain at every
+  grid value built on it (:func:`brute_gains`);
 - the candlestick root condition as a checked scalar
   (:func:`candlestick_residual`; the bisection evaluates the same formula
   unchecked, as ``_residual_vec``), and its truncated-mean form through
@@ -116,6 +119,27 @@ def empirical_best_payoff(law: EmpiricalGrid, n_integrated: int, v) -> np.ndarra
     stationary = (n * s * v + s * x[:-1] - c[:-1]) / ((n + 1) * s)
     bids = np.minimum(np.clip(stationary, x[:-1], x[1:]), v)
     return np.max((v - bids) * law.cdf(bids) ** n, axis=1)
+
+
+def brute_best_bids(values, bids, win, rows: int = 256) -> np.ndarray:
+    """The first index of the best bid for each value: ``np.argmax`` over the
+    full payoff matrix (v - b) * win(b), ``rows`` values at a time."""
+    return np.concatenate([np.argmax(np.subtract.outer(values[i:i + rows], bids) * win,
+                                     axis=1) for i in range(0, values.size, rows)])
+
+
+def brute_gains(solution: EquilibriumSolution, n_bids: int = 4000) -> np.ndarray:
+    """What each grid value gains by its best deviation to ``n_bids`` bids
+    evenly spaced over the value range, its rivals playing the solved
+    schedule: a bid above the schedule's top wins the rival contest
+    outright, and the win probability is the rival CDF at the value that
+    bids it times the reserve CDF."""
+    config, v, bids = solution.config, solution.values, solution.bids
+    grid = np.linspace(v[0], v[-1], n_bids)
+    rival = config.rival_cdf(np.interp(grid, bids, v))
+    win = np.where(grid > bids[-1], 1.0, rival) * config.reserve_cdf(grid)
+    best = brute_best_bids(v, grid, win)
+    return (v - grid[best]) * win[best] - (v - bids) * solution.win_prob
 
 
 def lognormal_moments(law: Lognormal) -> tuple[float, float]:

@@ -103,8 +103,8 @@ def _exact(obj):
 # the certified solve of each solver path: Newton with three neutral
 # builders, argmax with one
 @pytest.mark.parametrize("nb, digest", [
-    ("3", "e5d69ddb02d8045518a77681bd4589308d522180ce53a6b3f3d4bf1c46e68b6d"),
-    ("1", "97bcdc4ac16d05925aa912a7b375177b20b36f85d9065e6e942ee4afad48100a"),
+    ("3", "2838440e12a5d22627f7753084896f4d3dc71a90fff3a108703f2e36f713578a"),
+    ("1", "762733b24eba403bdc94aeaa1339ae3d9da070cfb4e67df262177e09e96c399d"),
 ])
 def test_solve_private_residuals_digest(tmp_path, nb, digest):
     out = tmp_path / "beta_2_2.csv"

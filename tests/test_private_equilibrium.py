@@ -17,8 +17,8 @@ from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
 
 import ode_oracle
 from ode_oracle import OdeSingularityError, solve_ode
-from reference_oracle import (closed_form_single_neutral, damped_reference,
-                              empirical_best_payoff, envelope_defect,
+from reference_oracle import (brute_best_bids, brute_gains, closed_form_single_neutral,
+                              damped_reference, empirical_best_payoff, envelope_defect,
                               surplus_single_neutral, winning_probability)
 
 UNIT = Uniform(0.0, 1.0)
@@ -590,7 +590,7 @@ def test_certificate_passes_solved_schedules_with_headroom(certificate_solutions
     assert report.bound == pytest.approx(value_range * max(1e-5, 10.0 / n**2))
     assert 3.0 * report.max_gain <= report.bound
     assert report.at_value < sol.values[-1]
-    assert report.gains.size == min(64, sol.values.size - 1) + 1
+    assert report.gains.size == sol.values.size
 
 
 @pytest.mark.parametrize("name, grid", SHADED_CASES)
@@ -599,6 +599,71 @@ def test_certificate_fails_schedules_shaded_2_percent_more(certificate_solutions
     sol = certificate_solutions[(name, grid)]
     report = verify_best_response(mis_shade(sol))
     assert report.max_gain > report.bound
+
+
+# x = 0, 0.1, 0.3, 0.35, 0.8, 2 / cdf 0, 0.05, 0.4, 0.5, 0.9, 1: a density that
+# jumps at every node, around which solved schedules misbid on a short range
+# of values
+EMPIRICAL_E = EmpiricalGrid(np.array([0.0, 0.1, 0.3, 0.35, 0.8, 2.0]),
+                            np.array([0.0, 0.05, 0.4, 0.5, 0.9, 1.0]))
+
+
+@pytest.mark.parametrize("law, grid", [(EMPIRICAL_E, 512), (Beta(2, 2), 4096)],
+                         ids=["E 3+3 g512", "beta(2,2) 3+3 g4096"])
+def test_certificate_gates_every_grid_value_below_the_top_tail(law, grid):
+    """``max_gain`` is the largest brute-force gain over grid values 0 to
+    k * ((n - 2) // k), k = ceil((n - 1) / 64): 504 at grid 512, 4032 at
+    4096. On E the largest, 6.2 times the bound at index 474, lies on a
+    short range of misbidding values: over every 8th value the largest gain
+    is 0.55 times the bound."""
+    sol = solve_fixed_point(HybridAuctionConfig(3, 3, law, law), grid)
+    report = verify_best_response(sol)
+    n = sol.values.size
+    k = -(-(n - 1) // 64)
+    gains = brute_gains(sol)[:k * ((n - 2) // k) + 1]
+    assert report.max_gain == gains.max()
+    assert report.at_value == sol.values[np.argmax(gains)]
+
+
+# ------------------------------ best-bid kernel --------------------------------
+
+
+@given(values=st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True),
+       bids=st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True),
+       steps=st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=30, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_best_bids_matches_brute_force_on_ties_and_flat_runs(values, bids, steps):
+    """Eighths for values and bids and quarters for a win probability with
+    runs of zeros and flat runs keep every payoff exact, so exact ties are
+    common; the kernel returns the first best bid, as ``np.argmax`` does."""
+    values = np.sort(np.array(values, dtype=float)) / 8
+    bids = np.sort(np.array(bids, dtype=float)) / 8
+    win = np.cumsum(steps[:bids.size], dtype=float) / 4
+    assert np.array_equal(pe._best_bids(values, bids, win),
+                          brute_best_bids(values, bids, win))
+
+
+@pytest.mark.parametrize("grid", [64, 512, 4096])
+@pytest.mark.parametrize("law", [Beta(2, 2), Beta(0.5, 0.5), LOGNORMAL, KINKED, EMPIRICAL_E],
+                         ids=["beta(2,2)", "beta(0.5,0.5)", "lognormal", "K", "E"])
+def test_best_bids_matches_brute_force_on_solver_arrays(monkeypatch, law, grid):
+    """The arrays of the argmax bracket start (3+1) and of the certificate
+    (3+1 and 2+4), index for index."""
+    calls = []
+
+    def spy(values, bids, win):
+        calls.append((values, bids, win))
+        return best_bids(values, bids, win)
+
+    best_bids = pe._best_bids
+    monkeypatch.setattr(pe, "_best_bids", spy)
+    for n_integrated, n_neutral in [(3, 1), (2, 4)]:
+        config = HybridAuctionConfig(n_integrated, n_neutral, law, law)
+        verify_best_response(solve_fixed_point(config, grid))
+    assert len(calls) == 3
+    for values, bids, win in calls:
+        assert np.array_equal(best_bids(values, bids, win),
+                              brute_best_bids(values, bids, win))
 
 
 def test_surplus_below_truthful_counterfactual(uniform_3_3, beta_3_3):

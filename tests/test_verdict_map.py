@@ -1,0 +1,96 @@
+"""Verdict map: every scanned config ends, within the ``deadline``, in a
+certified schedule or in a documented exit code with its documented reason.
+
+A row that certifies must keep certifying. A documented row may also
+certify (its fix then moves it out of ``DOCUMENTED``); the test never
+asserts that a row fails. Each documented row names the ROADMAP item that
+owns it.
+"""
+
+import pytest
+
+from pbslab.distributions import parse_distribution
+from pbslab.private_equilibrium import (HybridAuctionConfig, SolverError,
+                                        solve_fixed_point, verify_best_response)
+
+from test_private_equilibrium import _SKEWED, EMPIRICAL_E, KINKED
+
+LAWS = {name: parse_distribution(name) for name in (
+    "uniform(0,1)", "uniform(0.5,1.5)", "beta(2,2)", "beta(0.7,3)", "beta(0.5,5)",
+    "beta(5,2)", "beta(0.5,0.5)", "lognormal(0,0.5)", "lognormal(0,1)")}
+LAWS.update(K=KINKED, E=EMPIRICAL_E, skewed=_SKEWED)
+
+# (integrated law, neutral law): each law against itself, then the mixed pairs
+PAIRS = [(law, law) for law in LAWS] + [
+    ("uniform(0,1)", "uniform(0.5,1.5)"), ("uniform(0.5,1.5)", "uniform(0,1)"),
+    ("beta(5,2)", "beta(2,2)"), ("beta(2,2)", "beta(0.7,3)"),
+    ("lognormal(0,0.5)", "uniform(0,1)"), ("uniform(0,1)", "lognormal(0,0.5)"),
+    ("K", "beta(2,2)"), ("beta(0.5,0.5)", "beta(2,2)")]
+COUNTS = ["1+1", "3+1", "2+2", "3+3", "2+4", "1+5"]
+ROWS = ([(fa, fb, counts, 512) for fa, fb in PAIRS for counts in COUNTS]
+        + [(law, law, counts, 4096) for law in ("K", "E")
+           for counts in ("2+2", "3+3", "2+4", "1+5")])
+
+# a single neutral builder must have values from 0, a rule made for the
+# anchor line, which the argmax path may not need
+ABOVE_ZERO = (2, "single neutral bidder requires a value support starting at 0",
+              "item 3")
+# the anchor line ends above the first free point's root (lognormal(0,1)), or
+# the reserve starts above the neutral bottom and values there bid on the line
+ANCHOR_STALLS = (3, "did not reach tol", "item 3")
+ANCHOR_MISBIDS = (4, "above the bound", "item 3")
+# full Newton steps that make the defect worse on law E at fine grids
+NEWTON_STALLS = (3, "did not reach tol", "item 4")
+# values around a kink of a law or a support end misbid on the grid
+KINK = (4, "above the bound", "item 5")
+
+DOCUMENTED = {
+    ("uniform(0.5,1.5)", "uniform(0.5,1.5)", "1+1", 512): ABOVE_ZERO,
+    ("uniform(0.5,1.5)", "uniform(0.5,1.5)", "3+1", 512): ABOVE_ZERO,
+    ("uniform(0,1)", "uniform(0.5,1.5)", "1+1", 512): ABOVE_ZERO,
+    ("uniform(0,1)", "uniform(0.5,1.5)", "3+1", 512): ABOVE_ZERO,
+    **{("lognormal(0,1)", "lognormal(0,1)", counts, 512): ANCHOR_STALLS
+       for counts in ("2+2", "3+3", "2+4", "1+5")},
+    ("uniform(0.5,1.5)", "uniform(0,1)", "2+2", 512): ANCHOR_MISBIDS,
+    ("uniform(0.5,1.5)", "uniform(0,1)", "1+5", 512): ANCHOR_MISBIDS,
+    ("E", "E", "2+2", 4096): NEWTON_STALLS,
+    ("E", "E", "3+3", 4096): NEWTON_STALLS,
+    **{(law, law, counts, 512): KINK
+       for law in ("K", "E") for counts in ("2+2", "3+3", "2+4", "1+5")},
+    ("skewed", "skewed", "2+4", 512): KINK,
+    ("skewed", "skewed", "1+5", 512): KINK,
+    ("uniform(0,1)", "uniform(0.5,1.5)", "2+2", 512): KINK,
+    ("K", "K", "3+3", 4096): KINK,
+    ("K", "K", "2+4", 4096): KINK,
+    ("K", "K", "1+5", 4096): KINK,
+    ("E", "E", "2+4", 4096): KINK,
+    ("E", "E", "1+5", 4096): KINK,
+}
+
+
+def _verdict(fa, fb, counts, grid) -> tuple[int, str]:
+    """The exit code ``solve-private`` would end with, and its reason."""
+    n_integrated, n_neutral = map(int, counts.split("+"))
+    config = HybridAuctionConfig(n_integrated, n_neutral, LAWS[fa], LAWS[fb])
+    try:
+        report = verify_best_response(solve_fixed_point(config, grid))
+    except SolverError as exc:
+        return 3, str(exc)
+    except ValueError as exc:
+        return 2, str(exc)
+    if report.max_gain > report.bound:
+        return 4, (f"a deviation gains {report.max_gain:.3g} at v={report.at_value:.6g}, "
+                   f"above the bound {report.bound:.3g}")
+    return 0, "certified"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[f"{fa}/{fb} {counts} g{grid}"
+                                           for fa, fb, counts, grid in ROWS])
+def test_every_row_certifies_or_ends_as_documented(deadline, row):
+    code, reason = _verdict(*row)
+    if code:
+        assert row in DOCUMENTED, f"exit {code}: {reason}"
+        documented_code, documented_reason, owner = DOCUMENTED[row]
+        assert code == documented_code and documented_reason in reason, (
+            f"{owner} documents exit {documented_code} ({documented_reason}); "
+            f"got exit {code}: {reason}")

@@ -57,8 +57,16 @@ _TOP_Q = 1.0 - 1e-6
 _TOL = 1e-6
 _MAX_STEPS = 60
 
+# a Newton solve on a finer grid starts from the schedule solved on this one
+_COARSE_GRID = 512
+_ANCHOR_START = "anchor line"
+
 # bids the best-response certificate scores each grid value against
 _CERT_BIDS = 4000
+
+# the best-bid kernel scores its first _BLOCK_LEVELS bisection levels as one
+# block of values against every bid
+_BLOCK_LEVELS = 4
 
 # the certificate gates grid values 0 to k * ((n - 2) // k) of n, with
 # k = ceil((n - 1) / _GATE_STEPS): the values above, the top cell and at most
@@ -270,6 +278,7 @@ class EquilibriumSolution:
     iterations: int
     tol: float
     residual_history: tuple = field(default=(), repr=False)
+    start: str | dict = _ANCHOR_START
 
     @property
     def values(self) -> np.ndarray:
@@ -286,7 +295,9 @@ class EquilibriumSolution:
 
     def metadata(self) -> dict:
         """Solver summary; ``residual_history`` is the residual after each
-        step (see :func:`solve_fixed_point`)."""
+        step (see :func:`solve_fixed_point`), and ``start`` the schedule the
+        steps began from: "anchor line", or the coarse grid's size with the
+        steps and residual of its solve."""
         return {
             "method": self.method,
             "grid_size": int(self.values.size),
@@ -294,6 +305,7 @@ class EquilibriumSolution:
             "residual": float(self.residual),
             "tol": float(self.tol),
             "residual_history": [float(r) for r in self.residual_history],
+            "start": self.start if isinstance(self.start, str) else dict(self.start),
         }
 
 
@@ -406,7 +418,8 @@ class _Problem:
         return mapped, usable, sup, g, integral, d_left, d_right, law_cdf
 
     def finish(self, bids, residual, method, iterations, tol,
-               history=(), g=None, integral=None) -> EquilibriumSolution:
+               history=(), g=None, integral=None,
+               start=_ANCHOR_START) -> EquilibriumSolution:
         """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or
         None, ``integral`` its :func:`_power_cumint` integral or None."""
         kept = _strictly_increasing(np.clip(bids, 0.0, self.values))
@@ -418,7 +431,7 @@ class _Problem:
             config=self.config, bid_function=BidFunction(self.values, kept),
             win_prob=g, surplus=integral,
             residual=residual, method=method, iterations=iterations, tol=tol,
-            residual_history=tuple(history))
+            residual_history=tuple(history), start=start)
 
 
 # --------------------------------- solvers -----------------------------------
@@ -453,14 +466,15 @@ def _march(alpha, beta, later, old, values) -> np.ndarray:
     return np.array(bids)
 
 
-def _newton_steps(problem: _Problem):
-    """The anchor line, then Newton steps on phi_i = (v_i - sigma_i) G_i - I_i,
-    each schedule with its defect and (G, I). As I_i depends on sigma_0..sigma_i only,
+def _newton_steps(problem: _Problem, bids: np.ndarray):
+    """The start schedule ``bids``, then Newton steps on
+    phi_i = (v_i - sigma_i) G_i - I_i, each schedule with its defect and
+    (G, I). As I_i depends on sigma_0..sigma_i only,
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
     (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
     v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line."""
-    config, values, bids = problem.config, problem.values, problem.line
+    config, values = problem.config, problem.values
     while True:
         (mapped, usable, residual, g, integral,
          d_left, d_right, law_cdf) = problem.defect(bids)
@@ -483,28 +497,31 @@ def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndar
     """For each of the ascending ``values``, the first index of the bid that
     maximizes (v - b) * win(b) over the ascending ``bids``, ``win`` being
     nondecreasing. The payoff then has increasing differences, so that bid
-    never falls as v rises (Topkis 1978; Milgrom and Shannon 1994). Each
-    level of a bisection of the values scores the middle value of every
-    unsolved run only between the bids already found for its neighbours:
-    at most m + runs payoffs a level, O((n + m) log n) in all."""
-    best = np.empty(values.size, dtype=np.intp)
-    # the unsolved runs [first, stop) of values, and the bid range [low, high] of each
-    first, stop = np.array([0]), np.array([values.size])
-    low, high = np.array([0]), np.array([bids.size - 1])
-    while first.size:
-        mid = (first + stop) // 2
+    never falls as v rises (Topkis 1978; Milgrom and Shannon 1994). Value
+    ``p - 1`` is entry ``p`` of a table whose entry 0 and entries past the
+    last value bound the search at the first and last bid. One 2-D block
+    scores every ``h``-th value against all bids (at most
+    ``2**_BLOCK_LEVELS - 1`` values); then each level halves ``h`` and
+    scores the odd multiples of it only between the bids found for their
+    neighbours ``p - h`` and ``p + h``: at most m + values payoffs a level,
+    O((n + m) log n) in all."""
+    n = values.size
+    levels = n.bit_length()  # 2**levels > n
+    best = np.full(2 ** levels + 1, bids.size - 1, dtype=np.intp)
+    best[0] = 0
+    h = 2 ** max(levels - _BLOCK_LEVELS, 0)
+    best[h:n + 1:h] = np.argmax((values[h - 1::h, None] - bids) * win, axis=1)
+    while h > 1:
+        h //= 2
+        low, high = best[:n + 1 - h:2 * h], best[2 * h:n + 1 + h:2 * h]
         size = high - low + 1
         start = np.cumsum(size) - size
         col = np.arange(start[-1] + size[-1]) - np.repeat(start - low, size)
-        payoff = (np.repeat(values[mid], size) - bids[col]) * win[col]
+        payoff = (np.repeat(values[h - 1::2 * h], size) - bids[col]) * win[col]
         top = np.repeat(np.maximum.reduceat(payoff, start), size)
         hits = np.flatnonzero(payoff == top)
-        best[mid] = pick = col[hits[np.searchsorted(hits, start)]]
-        first, stop = np.append(first, mid + 1), np.append(mid, stop)
-        low, high = np.append(low, pick), np.append(pick, high)
-        keep = first < stop
-        first, stop, low, high = first[keep], stop[keep], low[keep], high[keep]
-    return best
+        best[h:n + 1:2 * h] = col[hits[np.searchsorted(hits, start)]]
+    return best[1:n + 1]
 
 
 def _argmax_steps(problem: _Problem):
@@ -536,26 +553,57 @@ def _argmax_steps(problem: _Problem):
 
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
                       tol: float = _TOL) -> EquilibriumSolution:
-    """Solve the shading identity on the value grid from the anchor line,
-    returned after 0 steps if its defect meets ``tol``: with two or more
-    neutral builders by "newton" steps (:func:`_newton_steps`), the residual
-    being the identity's sup-norm defect off the anchor; with one by "argmax"
+    """Solve the shading identity on the value grid, returned after 0 steps
+    if its start meets ``tol``: with two or more neutral builders by
+    "newton" steps (:func:`_newton_steps`), the residual being the
+    identity's sup-norm defect off the anchor; with one by "argmax"
     (:func:`_argmax_steps`), the residual being the widest bracket around a
-    best bid. Raises SolverError if the residual is above ``tol`` after
-    ``_MAX_STEPS`` steps."""
+    best bid. Both start from the anchor line, except a Newton solve on a
+    grid of more than ``_COARSE_GRID`` values, which starts from the
+    schedule solved on that many (see :func:`_coarse_start`). Raises
+    SolverError if the residual is above ``tol`` after ``_MAX_STEPS``
+    steps."""
     _check_solve_args(grid_size, tol)
+    return _solve(config, grid_size, tol)
+
+
+def _solve(config: HybridAuctionConfig, grid_size: int,
+           tol: float) -> EquilibriumSolution:
+    """:func:`solve_fixed_point` past its argument check."""
     problem = _Problem(config, grid_size)
-    method, steps = (("newton", _newton_steps) if config.n_neutral > 1
-                     else ("argmax", _argmax_steps))
+    if config.n_neutral == 1:
+        method, steps, start = "argmax", _argmax_steps(problem), _ANCHOR_START
+    else:
+        bids, start = _coarse_start(problem, tol)
+        method, steps = "newton", _newton_steps(problem, bids)
     residuals = []
-    for step, (bids, residual, known) in enumerate(steps(problem)):
+    for step, (bids, residual, known) in enumerate(steps):
         residuals.append(residual)
         if residual <= tol:
-            return problem.finish(bids, residual, method, step, tol, residuals[1:], *known)
+            return problem.finish(bids, residual, method, step, tol, residuals[1:],
+                                  *known, start=start)
         if step == _MAX_STEPS:
             raise SolverError(
                 f"{method} solve did not reach tol={tol:g} after {_MAX_STEPS} "
                 f"steps (last residual {residual:.3g})", residual=residual)
+
+
+def _coarse_start(problem: _Problem, tol: float) -> tuple:
+    """The first schedule of a Newton solve, and the ``start`` record of its
+    solution. On a grid of more than ``_COARSE_GRID`` values it is the
+    schedule solved on ``_COARSE_GRID`` values, read at the fine values,
+    with the fine anchor line kept (nested iteration: the steps Newton
+    needs do not grow as the grid gets finer; Deuflhard 2004, Kelley 2003);
+    otherwise, or where the coarse solve fails, the anchor line."""
+    if problem.values.size <= _COARSE_GRID:
+        return problem.line, _ANCHOR_START
+    try:
+        coarse = _solve(problem.config, _COARSE_GRID, tol)
+    except (SolverError, ValueError):  # ValueError: the coarse grid collapsed
+        return problem.line, _ANCHOR_START
+    bids = np.where(problem.anchor, problem.line, coarse.bid_function(problem.values))
+    return bids, {"grid_size": _COARSE_GRID, "iterations": coarse.iterations,
+                  "residual": coarse.residual}
 
 
 # ------------------------------ verification ----------------------------------

@@ -9,14 +9,20 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pbslab
+import pbslab.cli as cli
 import pbslab.private_equilibrium as pe
-from pbslab.cli import build_parser, main
+from pbslab.cli import _solution_csv, build_parser, main
+from pbslab.distributions import Beta
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -142,6 +148,55 @@ def test_solve_private_json_reports_solver_path(tmp_path, capsys, nb, method):
     assert history[-1] == solver["residual"] <= solver["tol"]
     assert capsys.readouterr().out == (
         f"solved: residual={solver['residual']:.3g} ({method})\n")
+
+
+@pytest.mark.parametrize("grid", ["512", "1024", "4096"])
+def test_solve_private_json_reports_the_start(tmp_path, grid):
+    """``solver.start`` names the schedule the steps began from: the anchor
+    line up to grid 512, above it the grid-512 solve with its own steps and
+    residual; ``iterations`` and ``residual_history`` stay the fine solve's."""
+    out = tmp_path / "beta.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(2,2)",
+                 "--fb", "beta(2,2)", "--grid", grid, "--out", str(out)]) == 0
+    solver = json.loads(out.with_suffix(".json").read_text())["solver"]
+    assert len(solver["residual_history"]) == solver["iterations"]
+    assert solver["grid_size"] == int(grid)
+    if grid == "512":
+        assert solver["start"] == "anchor line"
+    else:
+        coarse = pe.solve_fixed_point(pe.HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)))
+        assert solver["start"] == {"grid_size": 512, "iterations": coarse.iterations,
+                                   "residual": coarse.residual}
+
+
+class _Table:
+    """A solution as the CSV writer sees it: four named columns."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def table(self):
+        return dict(zip(("v", "sigma", "x", "S"), self.columns))
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e12,
+                     999999999999.5, 1e12 + 0.25, 123456789012.3456]),
+    st.floats(min_value=-2e12, max_value=2e12, allow_subnormal=True))
+
+
+@given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 40), st.just(4)),
+                        elements=_CSV_FLOATS))
+@settings(max_examples=200, deadline=None)
+def test_solution_csv_equals_per_row_formatting(table):
+    """One ``%`` over each block of rows writes the same text as formatting
+    each row on its own, for zeros, subnormals and values near 1e12, with
+    the tables in one block and cut into blocks of 3 rows."""
+    rows = ["%.12g,%.12g,%.12g,%.12g\n" % tuple(row) for row in table.tolist()]
+    for block_rows in (cli._CSV_BLOCK_ROWS, 3):
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            text = _solution_csv(_Table(list(table.T)))
+        assert text == "v,sigma,x,S\n" + "".join(rows)
 
 
 def test_solve_private_auto_skips_singular_cross_check(tmp_path, deadline):

@@ -336,6 +336,101 @@ def test_newton_steps_stay_monotone_and_anchored(monkeypatch):
         assert np.array_equal(bids[anchor], line[anchor])
 
 
+# ------------------------------ nested iteration -------------------------------
+
+
+NESTED_LAWS = {"beta(2,2)": Beta(2, 2), "beta(0.7,3)": Beta(0.7, 3),
+               "beta(0.5,5)": Beta(0.5, 5), "lognormal": LOGNORMAL}
+
+
+def _line_start_solve(config, grid_size):
+    """The Newton solve on ``grid_size`` started from the anchor line."""
+    problem = pe._Problem(config, grid_size)
+    steps = pe._newton_steps(problem, problem.line)
+    for step, (bids, residual, known) in zip(range(pe._MAX_STEPS + 1), steps):
+        if residual <= pe._TOL:
+            return problem.finish(bids, residual, "newton", step, pe._TOL, (), *known)
+    pytest.fail(f"no convergence from the anchor line at grid {grid_size}")
+
+
+@pytest.mark.parametrize("grid", [1024, 4096, 8192])
+@pytest.mark.parametrize("counts", [(3, 3), (2, 4)], ids=["3+3", "2+4"])
+@pytest.mark.parametrize("law", list(NESTED_LAWS))
+def test_fine_grid_starts_from_the_coarse_schedule(law, counts, grid):
+    """A Newton solve on a grid finer than 512 starts from the grid-512
+    schedule and records that solve as its ``start``. It meets ``tol`` and
+    certifies, as the solve from the anchor line does, and the two
+    schedules lie within 10 * tol times the value range of each other
+    (8.1 times at most here, on Beta(0.5,5) 3+3 at grid 1024)."""
+    config = HybridAuctionConfig(*counts, NESTED_LAWS[law], NESTED_LAWS[law])
+    coarse = solve_fixed_point(config, 512)
+    nested = solve_fixed_point(config, grid)
+    line = _line_start_solve(config, grid)
+    assert nested.start == {"grid_size": 512, "iterations": coarse.iterations,
+                            "residual": coarse.residual}
+    for sol in (nested, line):
+        assert sol.residual <= sol.tol
+        report = verify_best_response(sol)
+        assert report.max_gain <= report.bound
+    value_range = nested.values[-1] - nested.values[0]
+    assert np.max(np.abs(nested.bids - line.bids)) <= 10 * pe._TOL * value_range
+
+
+def test_fine_start_is_the_coarse_schedule_off_the_anchor(monkeypatch):
+    """The grid-512 solve starts from its anchor line; the grid-8192 solve
+    starts from the grid-512 schedule read at its values, except on its own
+    anchor, which keeps its line."""
+    starts = []
+
+    def spy(problem, bids):
+        starts.append((problem, bids))
+        return newton_steps(problem, bids)
+
+    newton_steps = pe._newton_steps
+    coarse = solve_fixed_point(LOGNORMAL_2_4, 512)
+    monkeypatch.setattr(pe, "_newton_steps", spy)
+    sol = solve_fixed_point(LOGNORMAL_2_4, 8192)
+    (coarse_problem, coarse_start), (problem, start) = starts
+    assert coarse_problem.values.size == 512 and coarse_start is coarse_problem.line
+    assert problem.values.size == sol.values.size == 8192
+    anchor = problem.anchor
+    assert np.array_equal(start[anchor], problem.line[anchor])
+    assert np.array_equal(start[~anchor], coarse.bid_function(problem.values[~anchor]))
+
+
+def test_fine_grid_falls_back_to_the_line_where_the_coarse_solve_fails(deadline):
+    """lognormal(0,1) 2+2: the grid-512 solve stops at the step cap (ROADMAP
+    item 3), so the grid-4096 solve starts from the anchor line, takes the
+    same steps bit for bit as before and, as before, certifies."""
+    law = Lognormal(0.0, 1.0)
+    config = HybridAuctionConfig(2, 2, law, law)
+    with pytest.raises(SolverError):
+        solve_fixed_point(config, 512)
+    sol = solve_fixed_point(config, 4096)
+    assert sol.start == "anchor line"
+    line = _line_start_solve(config, 4096)
+    assert sol.bids.tobytes() == line.bids.tobytes()
+    assert sol.iterations == line.iterations
+    report = verify_best_response(sol)
+    assert report.max_gain <= report.bound
+
+
+def test_fine_grid_falls_back_to_the_line_where_the_coarse_grid_collapses():
+    """A law with 98% of its mass between two adjacent doubles: its grid of
+    32768 values keeps 659 distinct ones, but the grid-512 problem keeps
+    fewer than 64 and raises ValueError, so the fine solve starts from its
+    anchor line instead of failing."""
+    law = EmpiricalGrid(np.array([0.0, 1.0, 1.0 + 4.5e-16, 2.0]),
+                        np.array([0.0, 0.01, 0.99, 1.0]))
+    config = HybridAuctionConfig(3, 3, law, law)
+    with pytest.raises(ValueError, match="collapsed"):
+        pe._Problem(config, 512)
+    problem = pe._Problem(config, 32768)
+    assert problem.values.size > 512
+    bids, start = pe._coarse_start(problem, pe._TOL)
+    assert bids is problem.line and start == "anchor line"
+
+
 def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
     """An exact start line takes 0 steps, reports no history and keeps the
     damped solution bit for bit, on either path."""
@@ -343,6 +438,7 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         meta = exact.metadata()
         assert exact.iterations == 0
         assert meta["method"] == method and meta["residual_history"] == []
+        assert meta["start"] == "anchor line"
         assert exact.bids.tobytes() == damped_reference(config).bids.tobytes()
 
     for n_neutral, method in ((3, "newton"), (1, "argmax")):
@@ -352,7 +448,14 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         assert meta["method"] == method
         assert len(meta["residual_history"]) == sol.iterations > 0
         assert meta["residual_history"][-1] == sol.residual
+        assert meta["start"] == "anchor line"
         assert "restarts" not in meta
+
+    config = HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3))
+    coarse, fine = solve_fixed_point(config), solve_fixed_point(config, 1024).metadata()
+    assert fine["start"] == {"grid_size": 512, "iterations": coarse.iterations,
+                             "residual": coarse.residual}
+    assert len(fine["residual_history"]) == fine["iterations"] > 0
 
 
 def test_metadata_keeps_every_step_of_the_history(uniform_3_3):

@@ -27,9 +27,12 @@ PAIRS = [(law, law) for law in LAWS] + [
     ("lognormal(0,0.5)", "uniform(0,1)"), ("uniform(0,1)", "lognormal(0,0.5)"),
     ("K", "beta(2,2)"), ("beta(0.5,0.5)", "beta(2,2)")]
 COUNTS = ["1+1", "3+1", "2+2", "3+3", "2+4", "1+5"]
-ROWS = ([(fa, fb, counts, 512) for fa, fb in PAIRS for counts in COUNTS]
-        + [(law, law, counts, 4096) for law in ("K", "E")
-           for counts in ("2+2", "3+3", "2+4", "1+5")])
+# the fine-grid rows of ROADMAP items 4 and 5
+FINE_ROWS = ([(law, law, counts, grid) for law in ("K", "E")
+              for counts in ("2+2", "3+3", "2+4", "1+5") for grid in (1024, 2048, 4096)]
+             + [("uniform(0,1)", "uniform(0.5,1.5)", "2+3", 1024),
+                ("E", "E", "2+4", 8192)])
+ROWS = [(fa, fb, counts, 512) for fa, fb in PAIRS for counts in COUNTS] + FINE_ROWS
 
 # a single neutral builder must have values from 0, a rule made for the
 # anchor line, which the argmax path may not need
@@ -53,6 +56,7 @@ DOCUMENTED = {
        for counts in ("2+2", "3+3", "2+4", "1+5")},
     ("uniform(0.5,1.5)", "uniform(0,1)", "2+2", 512): ANCHOR_MISBIDS,
     ("uniform(0.5,1.5)", "uniform(0,1)", "1+5", 512): ANCHOR_MISBIDS,
+    ("E", "E", "2+2", 2048): NEWTON_STALLS,
     ("E", "E", "2+2", 4096): NEWTON_STALLS,
     ("E", "E", "3+3", 4096): NEWTON_STALLS,
     **{(law, law, counts, 512): KINK
@@ -60,6 +64,15 @@ DOCUMENTED = {
     ("skewed", "skewed", "2+4", 512): KINK,
     ("skewed", "skewed", "1+5", 512): KINK,
     ("uniform(0,1)", "uniform(0.5,1.5)", "2+2", 512): KINK,
+    **{(law, law, counts, 1024): KINK
+       for law in ("K", "E") for counts in ("2+2", "3+3", "2+4", "1+5")},
+    ("uniform(0,1)", "uniform(0.5,1.5)", "2+3", 1024): KINK,
+    ("K", "K", "2+2", 2048): KINK,
+    ("K", "K", "2+4", 2048): KINK,
+    ("K", "K", "1+5", 2048): KINK,
+    ("E", "E", "3+3", 2048): KINK,
+    ("E", "E", "2+4", 2048): KINK,
+    ("E", "E", "1+5", 2048): KINK,
     ("K", "K", "3+3", 4096): KINK,
     ("K", "K", "2+4", 4096): KINK,
     ("K", "K", "1+5", 4096): KINK,

@@ -42,8 +42,8 @@ from .distributions import parse_distribution
 from .private_equilibrium import (_TOL, HybridAuctionConfig, SolverError,
                                   _check_solve_args, solve_fixed_point,
                                   verify_best_response)
-from .simulator import (_MIN_FORK_BLOCKS, _check_n_slow, _check_run, _n_blocks,
-                        _split_map, simulate_candlestick, simulate_hybrid)
+from .simulator import (_MIN_FORK_BLOCKS, _check_run, _n_blocks, _split_map,
+                        simulate_candlestick, simulate_hybrid)
 
 __all__ = ["main"]
 
@@ -114,7 +114,7 @@ _SIMULATE_OPTS = (
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
     _Opt("grid", int, 512), _Opt("tol", float, _TOL, help=_HYBRID_TOL_HELP),
     _Opt("v0", float, 1.0), _Opt("vol", float, 0.2), _Opt("delta", float, 1.0),
-    _Opt("p", float, 0.5), _Opt("n-slow", int, 2),
+    _Opt("p", float, 0.5),
     _Opt("reps", int, 100_000, help="replications (>= 10000)"),
     _Opt("seed", int, 42, help="64-bit stream seed"),
     _Opt("out", str, required=True, help="output JSON report path"),
@@ -129,7 +129,7 @@ _SWEEP_OPTS = (
     _Opt("na", int, 1), _Opt("nb", int, 1),
     _Opt("fa", str, "uniform(0,1)"), _Opt("fb", str, "uniform(0,1)"),
     _Opt("grid-size", int, 512, help="value-grid points (--grid elsewhere)"),
-    _Opt("tol", float, _TOL, help=_HYBRID_TOL_HELP), _Opt("n-slow", int, 2),
+    _Opt("tol", float, _TOL, help=_HYBRID_TOL_HELP),
     _Opt("verify-reps", int, 0, help="Monte Carlo replications per point (0 = off)"),
     _Opt("seed", int, 42),
     _Opt("out", str, required=True, help="output CSV path"),
@@ -210,16 +210,6 @@ def _write_atomic(path, text: str):
         raise
 
 
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def _json_text(payload: dict, argv: list[str], **run) -> str:
     """The JSON document of a run: its payload plus a ``meta`` block naming
     when, with which versions and from which arguments it was made, and
@@ -231,7 +221,7 @@ def _json_text(payload: dict, argv: list[str], **run) -> str:
                          "python": platform.python_version()},
             **run}
     envelope = {"schema_version": 1, **payload, "meta": meta}
-    return json.dumps(envelope, sort_keys=True, indent=2, default=_jsonify) + "\n"
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 def _solution_csv(solution) -> str:
@@ -311,9 +301,7 @@ def cmd_solve_private(ns) -> int:
 def cmd_solve_candlestick(ns) -> int:
     """solve the candlestick break-even slow bid"""
     solution = _candlestick(ns)
-    payload = solution.to_dict()
-    payload["iterations"] = solution.iterations
-    _write_atomic(ns.out, _json_text(payload, ns.argv))
+    _write_atomic(ns.out, _json_text(solution.to_dict(), ns.argv))
     print(f"b0s={solution.b0s:.12g} slow_win_prob={solution.slow_win_prob:.6g} "
           f"residual={solution.residual:.3g}")
     return EXIT_OK
@@ -325,8 +313,7 @@ def cmd_simulate(ns) -> int:
     if ns.model == "hybrid":
         report = simulate_hybrid(_hybrid(ns, _laws(ns)), ns.reps, ns.seed)
     else:
-        _check_n_slow(ns.n_slow)
-        report = simulate_candlestick(_candlestick(ns), ns.n_slow, ns.reps, ns.seed)
+        report = simulate_candlestick(_candlestick(ns), ns.reps, ns.seed)
 
     _write_atomic(ns.out, _json_text(report.to_dict(), ns.argv,
                                      processes=report.processes))
@@ -352,7 +339,7 @@ def _sweep_rows(ns, laws, grid) -> list[dict]:
                 solution = _candlestick(point)
                 row.update(b0s=solution.b0s, slow_win_prob=solution.slow_win_prob,
                            fast_profit=solution.fast_expected_profit)
-                verify = partial(simulate_candlestick, solution, ns.n_slow)
+                verify = partial(simulate_candlestick, solution)
             else:
                 if not float(x).is_integer():
                     raise ValueError(f"{ns.axis} grid values must be integers, got {x}")
@@ -385,8 +372,6 @@ def sweep(ns) -> list[dict]:
         _check_solve_args(ns.grid_size, ns.tol)
     if ns.verify_reps:
         _check_run(ns.verify_reps, ns.seed)
-        if ns.axis in _CANDLESTICK_AXES:
-            _check_n_slow(ns.n_slow)
     rows = partial(_sweep_rows, ns, laws)
     short_runs = ns.verify_reps and _n_blocks(ns.verify_reps) < _MIN_FORK_BLOCKS
     return _split_map(rows, ns.grid)[0] if short_runs else rows(ns.grid)

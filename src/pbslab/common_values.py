@@ -110,16 +110,10 @@ class CandlestickSolution:
             raise ValueError(f"slow bid {self.b0s} outside [0, {v0}]")
 
     def to_dict(self) -> dict:
-        return {
-            "v0": self.config.process.v0,
-            "vol": self.config.process.vol,
-            "delta": self.config.process.delta,
-            "p": self.config.p,
-            "b0s": self.b0s,
-            "slow_win_prob": self.slow_win_prob,
-            "fast_profit": self.fast_expected_profit,
-            "residual": self.residual,
-        }
+        return {**self.config.describe(), "b0s": self.b0s,
+                "slow_win_prob": self.slow_win_prob,
+                "fast_profit": self.fast_expected_profit,
+                "residual": self.residual, "iterations": self.iterations}
 
 
 def _residual_vec(config: CandlestickConfig, b) -> np.ndarray:

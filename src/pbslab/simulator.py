@@ -13,9 +13,10 @@ replication count, scheduling or worker count. All values are produced by
 inverse-transform sampling of those uniforms.
 
 Both auctions run through one block runner, :func:`_replications`, which
-maps each block's uniforms through a model's block function; the simulate
-functions reduce the per-replication series it yields to each block's
-count, mean and M2, and merge those in block order into running means.
+maps each block's uniforms through a model's block function to the
+per-replication series its report accumulates; the simulate functions
+reduce each series to each block's count, mean and M2, and merge those in
+block order into running means.
 
 :func:`_split_map` splits work between two processes where this one may run
 on two CPUs and no other Python thread is alive: a forked child computes the
@@ -32,6 +33,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -166,11 +168,6 @@ def _check_run(reps: int, seed: int):
     ReplicationRng(seed)  # checks the seed
 
 
-def _check_n_slow(n_slow: int):
-    if n_slow < 2:
-        raise ValueError("the zero-profit condition presumes at least two slow bidders")
-
-
 def _may_fork() -> bool:
     """Whether work may split between two processes: this process may run
     on two CPUs (Linux only), and no other Python thread is alive, which
@@ -287,7 +284,8 @@ def _top_uniform(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def _hybrid_block(solution: EquilibriumSolution, u: np.ndarray) -> dict[str, np.ndarray]:
-    """Play one batch of auctions from a ``(m, 4)`` matrix of uniforms.
+    """Play one batch of auctions from a ``(m, 4)`` matrix of uniforms and
+    return the per-replication series a hybrid report accumulates.
 
     Integrated builders bid their values and neutral builders a
     nondecreasing shade of theirs, so three order statistics decide a row,
@@ -318,13 +316,14 @@ def _hybrid_block(solution: EquilibriumSolution, u: np.ndarray) -> dict[str, np.
         second_top = int_top[won] * u[won, 2] ** (1 / (n_int - 1))
         second = np.asarray(config.integrated_values.quantile(second_top), dtype=float)
         payment[won] = np.maximum(second, neu_bid[won])
-    winner_value = np.where(integrated_won, int_value, neu_value)
     return {
-        "integrated_won": integrated_won,
-        "winning_bid": np.where(integrated_won, int_value, neu_bid),
-        "payment": payment,
-        "winner_value": winner_value,
-        "surplus": winner_value - payment,
+        "revenue": payment,
+        "win_rate_integrated": integrated_won.astype(float),
+        "win_rate_neutral": (~integrated_won).astype(float),
+        "surplus_integrated_per_bidder":
+            np.where(integrated_won, int_value - payment, 0.0) / max(n_int, 1),
+        "surplus_neutral_per_bidder":
+            np.where(integrated_won, 0.0, neu_value - payment) / n_neu,
     }
 
 
@@ -345,28 +344,12 @@ def _hybrid_analytic(solution: EquilibriumSolution) -> dict[str, float]:
 def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimReport:
     """Aggregate ``reps`` independent hybrid auctions into a SimReport and
     compare against the analytic surplus and win rates at 3 half-widths."""
-    config = solution.config
-    n_int = max(config.n_integrated, 1)
-
-    def series(u):
-        out = _hybrid_block(solution, u)
-        won_int = out["integrated_won"]
-        return {
-            "revenue": out["payment"],
-            "win_rate_integrated": won_int.astype(float),
-            "win_rate_neutral": (~won_int).astype(float),
-            "surplus_integrated_per_bidder":
-                np.where(won_int, out["surplus"], 0.0) / n_int,
-            "surplus_neutral_per_bidder":
-                np.where(~won_int, out["surplus"], 0.0) / config.n_neutral,
-        }
-
-    stats, processes = _run_stats(seed, reps, 4, series)
+    stats, processes = _run_stats(seed, reps, 4, partial(_hybrid_block, solution))
     analytic = _hybrid_analytic(solution)
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
     return SimReport(model="hybrid", reps=reps, seed=seed,
-                     config=config.describe(), stats=stats, analytic=analytic,
-                     checks=checks, processes=processes)
+                     config=solution.config.describe(), stats=stats,
+                     analytic=analytic, checks=checks, processes=processes)
 
 
 # ------------------------------- candlestick ----------------------------------
@@ -374,9 +357,10 @@ def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimR
 
 def _candlestick_block(solution: CandlestickSolution,
                        u: np.ndarray) -> dict[str, np.ndarray]:
-    """One batch of candlestick auctions from uniforms (tie, revision, value).
-    The slow bids are equal, so the tie column goes unread; it is still
-    drawn, so that each replication keeps its uniforms."""
+    """One batch of candlestick auctions from uniforms (tie, revision, value),
+    as the per-replication series a candlestick report accumulates. The slow
+    bids are equal, so the tie column goes unread; it is still drawn, so that
+    each replication keeps its uniforms."""
     process, p = solution.config.process, solution.config.p
     b0s = solution.b0s
     m = u.shape[0]
@@ -389,42 +373,26 @@ def _candlestick_block(solution: CandlestickSolution,
         v_delta[moved] = law_of_v_delta(process).quantile(u[moved, 2])
 
     fast_won = revised & (v_delta > b0s)  # strict: ties stay with the slow bid
-    slow_profit = np.where(fast_won, 0.0, v_delta - b0s)
-    fast_profit = np.where(fast_won, v_delta - b0s, 0.0)
+    profit = v_delta - b0s
     return {
-        "fast_won": fast_won,
         "revenue": np.full(m, b0s),
-        "slow_profit": slow_profit,
-        "fast_profit": fast_profit,
+        "win_rate_slow": (~fast_won).astype(float),
+        "win_rate_fast": fast_won.astype(float),
+        "slow_profit": np.where(fast_won, 0.0, profit),
+        "fast_profit": np.where(fast_won, profit, 0.0),
     }
 
 
-def simulate_candlestick(solution: CandlestickSolution, n_slow: int, reps: int,
-                         seed: int) -> SimReport:
+def simulate_candlestick(solution: CandlestickSolution, reps: int, seed: int) -> SimReport:
     """Play the candlestick auction with all slow bidders at the solved bid;
     the slow class must break even and the win rates must match the solution."""
-    _check_n_slow(n_slow)
-
-    def series(u):
-        out = _candlestick_block(solution, u)
-        fast_won = out["fast_won"]
-        return {
-            "revenue": out["revenue"],
-            "win_rate_slow": (~fast_won).astype(float),
-            "win_rate_fast": fast_won.astype(float),
-            "slow_profit": out["slow_profit"],
-            "fast_profit": out["fast_profit"],
-        }
-
-    stats, processes = _run_stats(seed, reps, 3, series)
+    stats, processes = _run_stats(seed, reps, 3, partial(_candlestick_block, solution))
     analytic = {
         "slow_profit": 0.0,
         "win_rate_slow": solution.slow_win_prob,
         "fast_profit": solution.fast_expected_profit,
     }
     checks = [_check(name, stats[name], analytic[name]) for name in analytic]
-    cfg = solution.config.describe()
-    cfg["n_slow"] = n_slow
-    return SimReport(model="candlestick", reps=reps, seed=seed, config=cfg,
-                     stats=stats, analytic=analytic, checks=checks,
-                     processes=processes)
+    return SimReport(model="candlestick", reps=reps, seed=seed,
+                     config=solution.config.describe(), stats=stats,
+                     analytic=analytic, checks=checks, processes=processes)

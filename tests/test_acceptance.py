@@ -200,7 +200,7 @@ def test_criterion_10_candlestick_monte_carlo():
     for p in (0.25, 0.5, 0.75):
         config = CandlestickConfig(process, p)
         sol = solve_candlestick(config)
-        report = simulate_candlestick(sol, 2, 1_000_000, seed=42)
+        report = simulate_candlestick(sol, 1_000_000, seed=42)
         slow = report.stats["slow_profit"]
         straddles = abs(slow.mean) <= 3 * slow.half_width
         ok &= report.agreement_ok and straddles

@@ -470,16 +470,6 @@ def test_simulate_rejects_a_bad_seed_before_solving(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_simulate_candlestick_rejects_one_slow_bidder_before_solving(tmp_path, capsys,
-                                                                     monkeypatch):
-    _fail_on_solve(monkeypatch, "solved before --n-slow was checked")
-    out = tmp_path / "r.json"
-    assert main(["simulate", "--model", "candlestick", "--n-slow", "1",
-                 "--out", str(out)]) == 2
-    assert "at least two slow bidders" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_simulate_candlestick_deterministic_output(tmp_path):
     """Identical seeds give byte-identical JSON apart from the meta key."""
     args = ["simulate", "--model", "candlestick", "--p", "0.5",
@@ -491,6 +481,24 @@ def test_simulate_candlestick_deterministic_output(tmp_path):
     d2 = json.loads(out2.read_text())
     d1.pop("meta"), d2.pop("meta")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    assert set(d1["config"]) == {"v0", "vol", "delta", "p"}
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--model", "candlestick"),
+    ("sweep", "--axis", "p", "--grid", "0.5"),
+])
+def test_slow_bidder_count_is_not_an_option(tmp_path, capsys, command):
+    """The zero-profit condition presumes two or more slow bidders and no
+    number depends on how many: neither a flag nor a config key sets it."""
+    out = tmp_path / "r.out"
+    assert main([*command, "--n-slow", "3", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --n-slow" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n_slow": 2, "out": str(out)}))
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert "unknown config keys: n_slow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------- sweep -------------------------------------
@@ -573,26 +581,6 @@ def test_private_sweep_checks_solve_flags_first(tmp_path, capsys, monkeypatch,
                  "--out", str(out)]) == 2
     assert flags[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_verified_candlestick_sweep_rejects_one_slow_bidder(tmp_path, capsys,
-                                                            monkeypatch):
-    """Exit 2 before any point is solved, instead of an error in every row."""
-    _fail_on_solve(monkeypatch, "solved before --n-slow was checked")
-    out = tmp_path / "x.csv"
-    assert main(["sweep", "--axis", "p", "--grid", "0.2,0.5", "--n-slow", "1",
-                 "--verify-reps", "10000", "--out", str(out)]) == 2
-    assert "at least two slow bidders" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags", [
-    ("--axis", "p", "--grid", "0.2,0.5"),  # unverified: no slow bidder plays
-    ("--axis", "na", "--grid", "1,2", "--verify-reps", "10000"),  # hybrid
-])
-def test_sweeps_without_slow_bidders_ignore_n_slow(tmp_path, flags):
-    rows = _sweep_rows(tmp_path, *flags, "--n-slow", "1")
-    assert [row["status"] for row in rows] == ["ok", "ok"]
 
 
 def _sweep_rows(tmp_path, *flags):
@@ -923,12 +911,55 @@ def test_each_subcommand_has_exactly_its_options():
         "solve-private": common | hybrid | {"--grid", "--method"},
         "solve-candlestick": common | candlestick,
         "simulate": common | hybrid | candlestick | {
-            "--model", "--grid", "--n-slow", "--reps", "--seed"},
+            "--model", "--grid", "--reps", "--seed"},
         "sweep": common | hybrid | candlestick | {
-            "--axis", "--grid", "--grid-size", "--n-slow", "--verify-reps", "--seed"},
+            "--axis", "--grid", "--grid-size", "--verify-reps", "--seed"},
         "figure": common | hybrid | {"--grid"},
     }
     assert _subcommand_options() == expected
+
+
+# two valid values of each simulate option and the flags of the model it
+# applies to; the values must move a number of the report or the exit code
+_SIMULATE_KNOBS = {
+    "--model": ((), ("hybrid", "candlestick")),
+    "--na": (("--model", "hybrid"), ("2", "3")),
+    "--nb": (("--model", "hybrid"), ("1", "2")),
+    "--fa": (("--model", "hybrid"), ("uniform(0,1)", "uniform(0,2)")),
+    "--fb": (("--model", "hybrid"), ("uniform(0,1)", "uniform(0,2)")),
+    "--grid": (("--model", "hybrid"), ("64", "128")),
+    # uniform laws solve exactly; lognormal ones take Newton steps
+    "--tol": (("--model", "hybrid", "--nb", "2", "--fa", "lognormal(0,0.5)",
+               "--fb", "lognormal(0,0.5)"), ("1e-9", "1e-3")),
+    "--v0": (("--model", "candlestick"), ("1", "2")),
+    "--vol": (("--model", "candlestick"), ("0.2", "0.4")),
+    "--delta": (("--model", "candlestick"), ("1", "2")),
+    "--p": (("--model", "candlestick"), ("0.3", "0.6")),
+    "--reps": (("--model", "hybrid"), ("10000", "10001")),
+    "--seed": (("--model", "hybrid"), ("1", "2")),
+}
+
+
+def _simulate_outcome(out, *flags):
+    """The exit code of ``pbslab simulate`` with ``flags`` and the numbers
+    of the report it writes to ``out`` (None if it writes none)."""
+    rc = main(["simulate", "--reps", "10000", *flags, "--out", str(out)])
+    if not out.exists():
+        return rc, None
+    report = json.loads(out.read_text())
+    return rc, {key: report[key] for key in ("stats", "analytic", "checks")}
+
+
+@pytest.mark.parametrize("option", sorted(
+    _subcommand_options()["simulate"] - {"-h", "--help", "--out", "--config"}))
+def test_every_simulate_option_moves_the_report(tmp_path, option):
+    """An option whose values leave every number and the exit code in place
+    is a dead knob; a new option has to join ``_SIMULATE_KNOBS``."""
+    assert option in _SIMULATE_KNOBS, f"{option} needs two values in _SIMULATE_KNOBS"
+    base, values = _SIMULATE_KNOBS[option]
+    first, second = (_simulate_outcome(tmp_path / f"{i}.json", *base, option, value)
+                     for i, value in enumerate(values))
+    assert first != second, f"{option} {values[0]} and {values[1]} give the same report"
 
 
 def test_readme_names_only_existing_flags():

@@ -199,7 +199,7 @@ def test_solution_to_dict_schema(candlestick_half):
     _, sol = candlestick_half
     d = sol.to_dict()
     assert set(d) == {"v0", "vol", "delta", "p", "b0s", "slow_win_prob",
-                      "fast_profit", "residual"}
+                      "fast_profit", "residual", "iterations"}
 
 
 # ------------------------- win probabilities and profits ------------------------
@@ -225,11 +225,11 @@ def test_fast_bid_decision_strictness(candlestick_half):
     # both rows revise (second uniform below p); values 1.2x and 0.8x the bid
     u = np.array([[0.0, 0.0, float(law.cdf(1.2 * sol.b0s))],
                   [0.0, 0.0, float(law.cdf(0.8 * sol.b0s))]])
-    assert _candlestick_block(sol, u)["fast_won"].tolist() == [True, False]
+    assert _candlestick_block(sol, u)["win_rate_fast"].tolist() == [1.0, 0.0]
     # a motionless value always revises to v0 = b0s: ties stay with the slow bid
     still = CandlestickConfig(_process(vol=0.0), 1.0)
     tie = _candlestick_block(solve_candlestick(still), np.zeros((1, 3)))
-    assert tie["fast_won"].tolist() == [False]
+    assert tie["win_rate_fast"].tolist() == [0.0]
 
 
 def test_unraveling_profit_negative_everywhere():

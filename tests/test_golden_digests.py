@@ -51,7 +51,7 @@ def test_hybrid_stats_digest(request, case, reps, seed, digest):
 
 def test_candlestick_stats_digest(candlestick_half):
     _, solution = candlestick_half
-    report = simulate_candlestick(solution, 2, 50_000, 42)
+    report = simulate_candlestick(solution, 50_000, 42)
     assert _stats_digest(report) == (
         "1dca9770c013f5a6e344a92e53e1a645cbad1911be65d6e4663aea1992cee22e")
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import errno
+import inspect
 import os
 import signal
 import threading
@@ -28,7 +29,7 @@ HYBRID_WIDTH = 4
 
 
 def _outcomes(seed, reps, width, block_fn):
-    """Per-replication outcome arrays, read from the simulator's block runner."""
+    """Per-replication series, read from the simulator's block runner."""
     parts = list(_replications(seed, reps, width, block_fn))
     return {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
 
@@ -88,10 +89,12 @@ def test_integrated_winner_pays_next_highest(uniform_3_1):
     # top of three integrated uniforms is u1**(1/3), the second top·u2**(1/2)
     u = np.array([[0.8, 0.9 ** 3, (0.5 / 0.9) ** 2, 0.123]])
     out = _hybrid_block(sol, u)
-    assert bool(out["integrated_won"][0]) is True
-    assert out["payment"][0] == pytest.approx(0.6, abs=1e-9)
-    assert out["winner_value"][0] == pytest.approx(0.9)
-    assert out["surplus"][0] == pytest.approx(0.3, abs=1e-9)
+    assert out["win_rate_integrated"][0] == 1.0
+    assert out["revenue"][0] == pytest.approx(0.6, abs=1e-9)
+    # the winner's value is what it paid plus the surplus its class shares
+    surplus = 3 * out["surplus_integrated_per_bidder"][0]
+    assert out["revenue"][0] + surplus == pytest.approx(0.9)
+    assert surplus == pytest.approx(0.3, abs=1e-9)
 
 
 def test_neutral_winner_pays_own_bid():
@@ -99,9 +102,9 @@ def test_neutral_winner_pays_own_bid():
     sol = solve_fixed_point(config)  # sigma(v) = v/2
     u = np.array([[0.8, 0.3, 0.5, 0.99]])  # neutral 0.8, integrated 0.3
     out = _hybrid_block(sol, u)
-    assert bool(out["integrated_won"][0]) is False
-    assert out["payment"][0] == pytest.approx(0.4, abs=1e-9)
-    assert out["surplus"][0] == pytest.approx(0.4, abs=1e-9)
+    assert out["win_rate_integrated"][0] == 0.0
+    assert out["revenue"][0] == pytest.approx(0.4, abs=1e-9)
+    assert out["surplus_neutral_per_bidder"][0] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_run_once_returns_outcome(uniform_3_1):
@@ -109,11 +112,13 @@ def test_run_once_returns_outcome(uniform_3_1):
     holding surplus, and revenue is its payment."""
     _, sol = uniform_3_1
     out = _hybrid_block(sol, np.random.default_rng(0).random((1, HYBRID_WIDTH)))
-    assert out["surplus"][0] == out["winner_value"][0] - out["payment"][0]
-    assert out["surplus"].shape == (1,)
+    assert all(series.shape == (1,) for series in out.values())
+    assert out["win_rate_integrated"][0] + out["win_rate_neutral"][0] == 1.0
+    loser = "neutral" if out["win_rate_integrated"][0] else "integrated"
+    assert out[f"surplus_{loser}_per_bidder"][0] == 0.0
     report = simulate_hybrid(sol, 10_000, seed=0)
-    payment = _hybrid_outcomes(sol, 10_000, seed=0)["payment"]
-    assert report.stats["revenue"].mean == pytest.approx(payment.mean(), rel=1e-12)
+    revenue = _hybrid_outcomes(sol, 10_000, seed=0)["revenue"]
+    assert report.stats["revenue"].mean == pytest.approx(revenue.mean(), rel=1e-12)
 
 
 def test_tie_break_is_uniform():
@@ -121,21 +126,29 @@ def test_tie_break_is_uniform():
     goes to either class with probability 1/2."""
     sol = _kernel_case(3, 1, Uniform(0.0, 16.0), UNIT)
     u, _ = _cross_tie_rows(sol, np.random.default_rng(8), 41_000)
-    won = _hybrid_block(sol, u[:40_000])["integrated_won"]
+    won = _hybrid_block(sol, u[:40_000])["win_rate_integrated"]
     assert won.size == 40_000
     # binomial(1/2): 4-sigma band around 20_000
     assert abs(int(won.sum()) - 20_000) < 4 * np.sqrt(40_000 * 0.25)
 
 
 def test_accounting_identity(uniform_3_3):
+    """Revenue plus both classes' surplus is the winner's value, and the
+    winner's bid bounds its payment; the winner's value and bid come from
+    the full-row auction with the same order statistics."""
     _, sol = uniform_3_3
-    out = _hybrid_outcomes(sol, 10_000, seed=21)
-    assert np.allclose(out["payment"] + out["surplus"], out["winner_value"],
-                       atol=1e-12)
+    rng = np.random.default_rng(21)
+    u = rng.random((10_000, HYBRID_WIDTH))
+    out = _hybrid_block(sol, u)
+    full = full_rows(sol, full_uniforms(sol, u, rng))
+    revenue, config = out["revenue"], sol.config
+    surplus = (config.n_integrated * out["surplus_integrated_per_bidder"]
+               + config.n_neutral * out["surplus_neutral_per_bidder"])
+    assert np.allclose(revenue + surplus, full["winner_value"], atol=1e-12)
     # integrated winners never pay more than they bid
-    integrated = out["integrated_won"]
-    assert np.all(out["payment"][integrated] <= out["winning_bid"][integrated] + 1e-12)
-    assert np.allclose(out["payment"][~integrated], out["winning_bid"][~integrated])
+    integrated = out["win_rate_integrated"] == 1.0
+    assert np.all(revenue[integrated] <= full["winning_bid"][integrated] + 1e-12)
+    assert np.allclose(revenue[~integrated], full["winning_bid"][~integrated])
 
 
 # ----------------------- hybrid kernel against the full row --------------------
@@ -216,20 +229,38 @@ def _nondecreasing_rows(sol, u):
     return ok
 
 
+def _oracle_series(sol, full):
+    """The per-replication series of a hybrid report, from the full-row
+    oracle's outcomes ``full``."""
+    config = sol.config
+    won = full["integrated_won"]
+    return {
+        "revenue": full["payment"],
+        "win_rate_integrated": won.astype(float),
+        "win_rate_neutral": (~won).astype(float),
+        "surplus_integrated_per_bidder":
+            np.where(won, full["surplus"], 0.0) / max(config.n_integrated, 1),
+        "surplus_neutral_per_bidder":
+            np.where(won, 0.0, full["surplus"]) / config.n_neutral,
+    }
+
+
 def _assert_kernel_matches(sol, u, rng):
-    """On every row where the quantiles do not decrease, the kernel's outputs
-    equal, bit for bit, the full-row oracle's on full rows with the same
-    order statistics. Returns the kernel's outputs."""
-    full = full_uniforms(sol, u, rng)
-    expected = full_rows(sol, full)
+    """On every row where the quantiles do not decrease, the kernel's series
+    equal, bit for bit, those of the full-row oracle's outcomes on full rows
+    with the same order statistics. Returns the kernel's series and the
+    oracle's outcomes."""
+    full_u = full_uniforms(sol, u, rng)
+    full = full_rows(sol, full_u)
+    expected = _oracle_series(sol, full)
     got = _hybrid_block(sol, u)
-    rows = _nondecreasing_rows(sol, full)
+    rows = _nondecreasing_rows(sol, full_u)
     assert rows.mean() > 0.9
-    assert got.keys() == expected.keys() - {"winner"}  # a class, not a bidder, wins
+    assert got.keys() == expected.keys()
     for key in got:
         assert got[key].dtype == expected[key].dtype, key
         assert np.array_equal(got[key][rows], expected[key][rows]), key
-    return got
+    return got, full
 
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: "%d+%d" % s)
@@ -245,9 +276,11 @@ def test_kernel_equals_full_rows_on_ties(law, shape):
     if n_int:
         sol = _kernel_case(n_int, n_neu, Uniform(0.0, 16.0), fb)
         u, top_bid = _cross_tie_rows(sol, rng, 256)
-        got = _assert_kernel_matches(sol, u, rng)
-        assert np.array_equal(got["winning_bid"], top_bid)
-        assert 0 < got["integrated_won"].sum() < len(u)  # the tie-break decides
+        got, full = _assert_kernel_matches(sol, u, rng)
+        assert np.array_equal(full["winning_bid"], top_bid)
+        neutral = got["win_rate_neutral"] == 1.0
+        assert np.array_equal(got["revenue"][neutral], top_bid[neutral])
+        assert 0 < got["win_rate_integrated"].sum() < len(u)  # the tie-break decides
 
 
 class _CountingLaw:
@@ -287,7 +320,8 @@ def test_kernel_samples_order_statistics_of_uniforms(n):
     sol = _kernel_case(n, n, UNIT, UNIT)
     counted = dataclasses.replace(
         sol, config=HybridAuctionConfig(n, n, integrated, neutral))
-    assert _hybrid_outcomes(counted, 100_000, seed=12)["integrated_won"].all()
+    won = _hybrid_outcomes(counted, 100_000, seed=12)["win_rate_integrated"]
+    assert (won == 1.0).all()
 
     def top_cdf(x):
         return x ** n
@@ -357,7 +391,7 @@ def test_forked_run_equals_serial_run(model, reps, cpus, forks, uniform_3_1,
     def run():
         if model == "hybrid":
             return simulate_hybrid(uniform_3_1[1], reps, seed=3)
-        return simulate_candlestick(candlestick_half[1], 3, reps, seed=3)
+        return simulate_candlestick(candlestick_half[1], reps, seed=3)
 
     cpus(1)
     serial = run()
@@ -497,7 +531,7 @@ def test_error_shrinks_like_sqrt_reps(uniform_3_1):
 
 def test_candlestick_agreement(candlestick_half):
     _, sol = candlestick_half
-    report = simulate_candlestick(sol, 2, 200_000, seed=42)
+    report = simulate_candlestick(sol, 200_000, seed=42)
     assert report.agreement_ok
     slow = report.stats["slow_profit"]
     assert abs(slow.mean) <= 3 * slow.half_width  # zero-profit straddle
@@ -508,7 +542,7 @@ def test_candlestick_agreement(candlestick_half):
 def test_candlestick_no_revision_is_exact():
     config = CandlestickConfig(PriceProcess(1.0, 0.2, 1.0), 0.0)
     sol = solve_candlestick(config)
-    report = simulate_candlestick(sol, 3, 10_000, seed=1)
+    report = simulate_candlestick(sol, 10_000, seed=1)
     assert report.stats["win_rate_slow"].mean == 1.0
     assert report.stats["slow_profit"].mean == 0.0
     assert report.stats["slow_profit"].half_width == 0.0
@@ -517,7 +551,7 @@ def test_candlestick_no_revision_is_exact():
 def test_candlestick_always_revises_unravels():
     config = CandlestickConfig(PriceProcess(1.0, 0.2, 1.0), 1.0)
     sol = solve_candlestick(config)
-    report = simulate_candlestick(sol, 2, 10_000, seed=1)
+    report = simulate_candlestick(sol, 10_000, seed=1)
     assert report.stats["win_rate_fast"].mean == 1.0  # v_delta > 0 = b0s always
     assert report.stats["slow_profit"].mean == 0.0
     fast = report.stats["fast_profit"]
@@ -529,17 +563,26 @@ def test_candlestick_outcome_values(candlestick_half):
     out = _candlestick_outcomes(sol, 10_000, seed=4)
     assert np.all(out["revenue"] == sol.b0s)
     # fast profit only when fast wins, and then strictly positive
-    assert np.all(out["fast_profit"][out["fast_won"]] > 0.0)
-    assert np.all(out["fast_profit"][~out["fast_won"]] == 0.0)
+    fast_won = out["win_rate_fast"] == 1.0
+    assert np.all(out["fast_profit"][fast_won] > 0.0)
+    assert np.all(out["fast_profit"][~fast_won] == 0.0)
 
 
-def test_replication_floor_and_n_slow(uniform_3_1, candlestick_half):
+def test_replication_floor(uniform_3_1, candlestick_half):
     _, sol = uniform_3_1
     with pytest.raises(ValueError):
         simulate_hybrid(sol, 100, seed=0)
     _, csol = candlestick_half
     with pytest.raises(ValueError):
-        simulate_candlestick(csol, 1, 10_000, seed=0)
+        simulate_candlestick(csol, 100, seed=0)
+
+
+def test_simulators_take_the_same_parameters():
+    """Both models run from a solution, a replication count and a seed."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(simulate_candlestick) == names(simulate_hybrid)
 
 
 # ----------------------------------- sweeps ------------------------------------

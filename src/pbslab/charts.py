@@ -110,9 +110,9 @@ def line_chart_svg(series: list[Series], xlabel: str, ylabel: str,
     # data
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{sx(px):.2f},{sy(py):.2f}"
-                       for px, py in zip(np.asarray(s.x, dtype=float),
-                                         np.asarray(s.y, dtype=float)))
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           sx(np.asarray(s.x, dtype=float)).tolist(),
+                           sy(np.asarray(s.y, dtype=float)).tolist()))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.8"{dash}/>')

@@ -514,17 +514,24 @@ def lognormal_put_value(v0: float, b, s: float):
     Uses the shifted-normal-CDF form b*Phi(-d2) - v0*Phi(-d1) with
     d1 = (ln(v0/b) + s^2/2)/s and d2 = d1 - s; stable for b deep in either
     tail, where the truncated-mean route degenerates to 0/0. Elementwise in
-    ``b``: an array of strikes gives an array, a scalar strike a float.
+    ``b``: an array of strikes gives an array, a scalar strike a float. A
+    float strike in (0, inf), as the candlestick bisection passes, skips the
+    array path (about 3 against 14 us) with the same ufuncs in the same
+    order, so the same bits; subnormal strikes warn on neither path.
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be positive, got {v0}")
+    if isinstance(b, float) and 0.0 < b < math.inf and s > 0.0:  # numpy's float64 too
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d1 = (np.log(v0 / b) + 0.5 * s * s) / s
+        return float(b * ndtr(-(d1 - s)) - v0 * ndtr(-d1))
     b = np.asarray(b, dtype=float)
     if np.any(b < 0.0):
         raise ValueError(f"strike must be nonnegative, got {b}")
     if not s > 0.0:
         raise ValueError(f"log-sd must be positive, got {s}")
     pos = b > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = (np.log(v0 / np.where(pos, b, 1.0)) + 0.5 * s * s) / s
     d2 = d1 - s
     put = np.where(pos, b * ndtr(-d2) - v0 * ndtr(-d1), 0.0)

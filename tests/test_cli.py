@@ -667,7 +667,7 @@ def test_forked_sweep_writes_the_serial_csv(tmp_path, cpus, forks, capfd, flags,
 @pytest.mark.parametrize("flags, n_forks", [
     (("--grid", "0.2,0.5,0.8"), 0),  # unverified
     (("--grid", "0.5", "--verify-reps", "20000"), 0),
-    # point 0 comes first, alone, so a second point would have nothing to overlap
+    # one point a process saves less than the fork round trip costs
     (("--grid", "0.2,0.5", "--verify-reps", "20000"), 0),
     (("--grid", "0.2,0.5,0.8", "--verify-reps", "20000"), 1),
     # runs of 4 blocks split their own blocks, one fork per run

@@ -1,6 +1,7 @@
 """Distribution layer: closed forms, inversion identities, sampling moments."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -503,6 +504,31 @@ def test_put_identity_property(s, b):
         return
     lhs = mass * (lognormal_truncated_mean(law, b) - b)
     assert abs(lhs + lognormal_put_value(1.0, b, s)) < 1e-12
+
+
+@given(v0=st.floats(1e-3, 1e3), b=st.floats(1e-300, 1e300), s=st.floats(1e-3, 5.0),
+       numpy_scalar=st.booleans())
+@example(v0=1.0, b=0.8064801100926781, s=0.8, numpy_scalar=False)
+@settings(max_examples=200, deadline=None)
+def test_put_scalar_strike_equals_array_path(v0, b, s, numpy_scalar):
+    """A float strike (numpy's float64 too) gives a Python float with the
+    bits of the same strike in a 1-element array."""
+    value = lognormal_put_value(v0, np.float64(b) if numpy_scalar else b, s)
+    [element] = lognormal_put_value(v0, np.array([b]), s)
+    assert type(value) is float
+    assert value.hex() == float(element).hex()
+
+
+# subnormal strikes overflow v0/b to inf, where the put is exactly 0
+@pytest.mark.parametrize("b, put", [(5e-324, 0.0), (1e-310, 0.0), (0.0, 0.0),
+                                    (1e300, 1e300), (math.inf, math.inf)])
+def test_put_value_extreme_strikes_warn_nothing(b, put):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [lognormal_put_value(10.0, b, 0.5),
+                  lognormal_put_value(10.0, np.float64(b), 0.5),
+                  float(lognormal_put_value(10.0, np.array([b]), 0.5)[0])]
+    assert [v.hex() for v in values] == [put.hex()] * 3
 
 
 # ------------------------------ validation et al. -----------------------------

@@ -115,3 +115,37 @@ def test_solve_private_residuals_digest(tmp_path, nb, digest):
     residuals = json.loads(out.with_suffix(".json").read_text())["residuals"]
     exact = json.dumps(_exact(residuals), sort_keys=True).encode()
     assert hashlib.sha256(exact).hexdigest() == digest
+
+
+# the candlestick root finder at a high volatility: the slow bid, its
+# residual and the number of bisection steps, every float exact
+@pytest.mark.parametrize("p, digest", [
+    ("0.1", "90f2aab674efd37ae61bf17f3b73f2b9ec9d6c413223a4fe4b1412fc83adf4e1"),
+    ("0.5", "0a87600b699f67a8ab3ab96b36f0d5361c5cfcf78c0d87b21cd838dd67d236e1"),
+    ("0.9", "487f60b6fe8aab04ae89cf343755d4da76a822aa17ff7c7964e779cbcc8b8fe6"),
+])
+def test_solve_candlestick_json_digest(tmp_path, p, digest):
+    out = tmp_path / "candle.json"
+    assert main(["solve-candlestick", "--p", p, "--vol", "0.8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    del doc["meta"]  # the creation time
+    exact = json.dumps(_exact(doc), sort_keys=True).encode()
+    assert hashlib.sha256(exact).hexdigest() == digest
+
+
+def test_sweep_vol_csv_digest(tmp_path):
+    """The reproduction run's volatility sweep: one root finder per point."""
+    out = tmp_path / "sweep_vol.csv"
+    assert main(["sweep", "--axis", "vol", "--grid", "0.05,0.1,0.2,0.3,0.5,0.8",
+                 "--p", "0.5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5fb4e66985589db7bdc8bf41252d34a7a21c41d439b502ff63b3aae3f9643bd5")
+
+
+def test_figure_svg_digest(tmp_path):
+    """The reproduction run's Beta(2,2) 3+3 chart, polyline points included."""
+    out = tmp_path / "beta_schedule.svg"
+    assert main(["figure", "--fa", "beta(2,2)", "--fb", "beta(2,2)",
+                 "--na", "3", "--nb", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f31a24cdd3876dc6c0cbde8f67efa8f95598eb8d958228bd219c8381f8105226")

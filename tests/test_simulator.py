@@ -18,8 +18,8 @@ from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
 from pbslab.simulator import (BLOCK_SIZE, ReplicationRng, _block_moments,
                               _candlestick_block, _hybrid_block, _replications,
-                              _run_stats, _RunningStat, simulate_candlestick,
-                              simulate_hybrid)
+                              _run_stats, _RunningStat, _split_map,
+                              simulate_candlestick, simulate_hybrid)
 
 from full_row_oracle import full_rows, full_uniforms
 
@@ -484,6 +484,37 @@ def test_run_stays_in_one_process_when_fork_fails(cpus, monkeypatch, uniform_3_1
     report = simulate_hybrid(uniform_3_1[1], 100_000, seed=3)
     assert report.processes == 1
     assert _hex(report.stats) == _hex(serial.stats)
+
+
+# 3 items split 2 | 1, 6 split 3 | 3, 7 split 4 | 3
+@pytest.mark.parametrize("n", [3, 6, 7])
+def test_split_map_forks_before_the_first_item(n, cpus, monkeypatch):
+    """The fork comes before any item is computed; this process then
+    computes the first half of the items and the child the second, each
+    as one contiguous slice."""
+    events, real = [], os.fork
+
+    def fork():
+        events.append("fork")
+        return real()
+
+    def fn(items):
+        seen = tuple(events)  # in the child, what it inherited
+        events.append(tuple(items))
+        return [(x, os.getpid(), tuple(items), seen) for x in items]
+
+    cpus(2)
+    monkeypatch.setattr(os, "fork", fork)
+    results, processes = _split_map(fn, range(n))
+    split = (n + 1) // 2
+    here, there = range(split), range(split, n)
+    assert events == ["fork", tuple(here)]
+    assert processes == 2
+    assert results[:split] == [(x, os.getpid(), tuple(here), ("fork",)) for x in here]
+    child = results[split][1]
+    assert child != os.getpid()
+    assert results[split:] == [(x, child, tuple(there), ("fork",)) for x in there]
+    _assert_no_child_left()
 
 
 def test_forked_simulate_prints_one_verdict_line(tmp_path, cpus, forks, capfd):

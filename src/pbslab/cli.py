@@ -367,6 +367,8 @@ def sweep(ns) -> list[dict]:
     instead of aborting the sweep; any other exception propagates. Where
     verification runs are too short to split their blocks, the points split.
     """
+    if not ns.grid:
+        raise ValueError("--grid holds no axis values")
     laws = _laws(ns)  # once, so that a malformed law exits 2 before any point
     if ns.axis in _PRIVATE_AXES:  # the candlestick axes take no --tol
         _check_solve_args(ns.grid_size, ns.tol)

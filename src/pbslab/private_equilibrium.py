@@ -16,7 +16,7 @@ On a value grid the identity is lower-triangular, a Volterra equation of
 the second kind (Linz 1985; Brunner 2004). :func:`solve_fixed_point` solves
 it by Newton steps, or, with one neutral builder, where the identity is
 tangent at its root, by bracketing each value's best bid. The identity is
-0/0 at the bottom of the support; the solver anchors that region with the
+0/0 at the bottom of the support; the Newton solve anchors that region with the
 local power-law asymptote ``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)``
 and ``k`` is the combined lower-tail exponent of G.
 
@@ -378,25 +378,17 @@ class _Problem:
         if grid.size < 64:
             raise ValueError("value grid collapsed; distribution too concentrated")
         lo = float(grid[0])
-        if config.n_neutral == 1 and lo > 1e-12:
-            raise ValueError("single neutral bidder requires a value support "
-                             "starting at 0")
         eps_v = float(grid[-1] - lo) / grid_size
         probe = max(eps_v, float(grid[1] - lo)) / 2.0
-        tail_k = 0.0
-        if config.n_neutral > 1:
-            tail_k += (config.n_neutral - 1) * lower_tail_exponent(
-                config.neutral_values, lo, probe)
-        if config.n_integrated > 0:
-            tail_k += config.n_integrated * lower_tail_exponent(
-                config.integrated_values, lo, probe)
-        if tail_k <= 0.0:
-            raise SolverError("flat lower tail: no interior shading slope exists")
+        tail_k = sum(n * lower_tail_exponent(law, lo, probe) for n, law in (
+            (config.n_neutral - 1, config.neutral_values),
+            (config.n_integrated, config.integrated_values)) if n > 0)
+        if tail_k <= 0.0:  # one neutral builder only: a rival CDF's k is > 0
+            raise ValueError("integrated values must not start below the neutral values")
         self.config, self.values = config, grid
         self.lo, self.eps_v, self.tail_k = lo, eps_v, tail_k
         self.slope = tail_k / (tail_k + 1.0)
         self.anchor = grid <= lo + eps_v
-        self.anchor[0] = True
         self.line = lo + self.slope * (grid - lo)
         self.rival = config.rival_cdf(grid)
 
@@ -526,7 +518,7 @@ def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndar
 
 def _argmax_steps(problem: _Problem):
     """The anchor line with its defect and (G, I), then halvings of each
-    off-anchor value's bracket around its argmax of (v - b) * H(b), H the
+    value's bracket around its argmax of (v - b) * H(b), H the
     reserve CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0;
     the bids are the midpoints, the residual the widest bracket, G and I
     None. As the payoff can have two local maxima where H is not log-concave,
@@ -541,7 +533,6 @@ def _argmax_steps(problem: _Problem):
     wins = (values - values[best]) * reserve[best] > 0.0
     low[wins] = values[np.maximum(best[wins] - 1, 0)]
     high[wins] = values[best[wins] + 1]  # the payoff at v is 0
-    low[problem.anchor] = high[problem.anchor] = line[problem.anchor]
     while True:
         mid = 0.5 * (low + high)
         cdf = config.integrated_values.cdf(mid)

@@ -38,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from .common_values import CandlestickSolution, law_of_v_delta
+from .distributions import ndtri
 from .private_equilibrium import EquilibriumSolution
 
 __all__ = [
@@ -386,6 +387,11 @@ def _candlestick_block(solution: CandlestickSolution,
 def simulate_candlestick(solution: CandlestickSolution, reps: int, seed: int) -> SimReport:
     """Play the candlestick auction with all slow bidders at the solved bid;
     the slow class must break even and the win rates must match the solution."""
+    # no moment sum overflows unless reps times the largest value squared does
+    process = solution.config.process
+    log_top = max(math.log(process.v0), process.log_mean + process.log_sd * ndtri(_BELOW_ONE))
+    if reps > 0 and 2.0 * log_top + math.log(reps) > math.log(np.finfo(float).max):
+        raise ValueError(f"v0={process.v0:g} overflows the moments of {reps} replications")
     stats, processes = _run_stats(seed, reps, 3, partial(_candlestick_block, solution))
     analytic = {
         "slow_profit": 0.0,

@@ -470,6 +470,29 @@ def test_simulate_rejects_a_bad_seed_before_solving(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} in a JSON output")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0, reps, rc", [
+    ("1e100", "10000", 0), ("1e200", "10000", 2), ("1e308", "10000", 2),
+    # each block's squares fit, but not the run's: rejected before the first block
+    ("2.9e151", "10000000", 2),
+])
+def test_simulate_candlestick_value_scale(tmp_path, capsys, v0, reps, rc):
+    """A value scale whose squares could overflow the run's moments exits 2
+    without a warning or a file; a smaller one writes strict JSON."""
+    out = tmp_path / "scale.json"
+    assert main(["simulate", "--model", "candlestick", "--v0", v0, "--reps", reps,
+                 "--out", str(out)]) == rc
+    if rc:
+        assert "overflows the moments" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
 def test_simulate_candlestick_deterministic_output(tmp_path):
     """Identical seeds give byte-identical JSON apart from the meta key."""
     args = ["simulate", "--model", "candlestick", "--p", "0.5",
@@ -527,11 +550,15 @@ def test_sweep_na_axis_slopes(tmp_path):
     assert slopes == pytest.approx([0.5, 2 / 3, 0.75, 5 / 6], abs=1e-6)
 
 
-def test_sweep_empty_grid_header_only(tmp_path):
-    out = tmp_path / "empty.csv"
-    rc = main(["sweep", "--axis", "p", "--grid", "", "--out", str(out)])
-    assert rc == 0
-    assert out.read_text() == "axis_value,b0s,slow_win_prob,fast_profit,status\n"
+@pytest.mark.parametrize("grid", ["", ",", []])
+def test_sweep_without_axis_values_is_usage_error(tmp_path, capsys, grid):
+    """No axis values, by flag or as a config-file list: exit 2, no file."""
+    out, cfg = tmp_path / "empty.csv", tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    flags = ["--config", str(cfg)] if isinstance(grid, list) else ["--grid", grid]
+    assert main(["sweep", "--axis", "p", *flags, "--out", str(out)]) == 2
+    assert "--grid holds no axis values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_malformed_grid(tmp_path):
@@ -619,6 +646,12 @@ def test_sweep_overflowing_vol_is_an_error_row(tmp_path):
     rows = _sweep_rows(tmp_path, "--axis", "vol", "--grid", "0.1,1.4e154", "--p", "0.5")
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error: ValueError: ")
+
+
+def test_sweep_overflowing_v0_is_an_error_row(tmp_path):
+    [row] = _sweep_rows(tmp_path, "--axis", "p", "--grid", "0.5", "--v0", "1e200",
+                        "--verify-reps", "10000")
+    assert row["status"].startswith("error: ValueError: v0=1e+200 overflows the moments")
 
 
 def test_sweep_extreme_beta_shape_is_an_error_row(tmp_path):

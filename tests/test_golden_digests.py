@@ -56,13 +56,16 @@ def test_candlestick_stats_digest(candlestick_half):
         "1dca9770c013f5a6e344a92e53e1a645cbad1911be65d6e4663aea1992cee22e")
 
 
-def test_solve_private_csv_digest(tmp_path):
-    out = tmp_path / "beta_07_3.csv"
-    assert main(["solve-private", "--na", "3", "--nb", "3",
-                 "--fa", "beta(0.7,3)", "--fb", "beta(0.7,3)",
+# a Newton solve, and an argmax solve with one neutral builder
+@pytest.mark.parametrize("law, nb, digest", [
+    ("beta(0.7,3)", "3", "13a8642a321b3036bc0db89e94d0ad59b24757e8ed8f2e15302cf90820011c68"),
+    ("beta(2,2)", "1", "c0767cebac81f24672904c6767af132c81bd280897a98c001355adf338b5c5ef"),
+])
+def test_solve_private_csv_digest(tmp_path, law, nb, digest):
+    out = tmp_path / "schedule.csv"
+    assert main(["solve-private", "--na", "3", "--nb", nb, "--fa", law, "--fb", law,
                  "--grid", "512", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "13a8642a321b3036bc0db89e94d0ad59b24757e8ed8f2e15302cf90820011c68")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # the verified sweeps of the reproduction run: each point solved, then checked

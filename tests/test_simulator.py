@@ -654,12 +654,10 @@ def test_sweep_nb_axis():
     assert [r["slope_fit"] for r in rows] == pytest.approx([0.5, 2 / 3], abs=1e-3)
 
 
-def test_sweep_empty_grid(tmp_path):
-    assert _sweep("--axis", "p", "--grid", "") == []
-    assert _sweep_csv(tmp_path, "--axis", "p", "--grid", "") == \
-        (["axis_value", "b0s", "slow_win_prob", "fast_profit", "status"], [])
-    assert _sweep_csv(tmp_path, "--axis", "na", "--grid", "") == \
-        (["axis_value", "slope_fit", "residual", "status"], [])
+@pytest.mark.parametrize("axis", ["p", "na"])
+def test_sweep_empty_grid_is_rejected(axis):
+    with pytest.raises(ValueError, match="--grid holds no axis values"):
+        _sweep("--axis", axis, "--grid", "")
 
 
 def test_sweep_records_per_point_failures(tmp_path):

@@ -4,15 +4,14 @@ certified schedule or in a documented exit code with its documented reason.
 A row that certifies must keep certifying. A documented row may also
 certify (its fix then moves it out of ``DOCUMENTED``); the test never
 asserts that a row fails. Each documented row names the ROADMAP item that
-owns it.
+owns it, or the README for an input the command line rejects.
 """
 
 import pytest
 
 from pbslab.distributions import parse_distribution
-from pbslab.private_equilibrium import (HybridAuctionConfig, SolverError,
-                                        solve_fixed_point, verify_best_response)
 
+from census import verdict
 from test_private_equilibrium import _SKEWED, EMPIRICAL_E, KINKED
 
 LAWS = {name: parse_distribution(name) for name in (
@@ -32,12 +31,18 @@ FINE_ROWS = ([(law, law, counts, grid) for law in ("K", "E")
               for counts in ("2+2", "3+3", "2+4", "1+5") for grid in (1024, 2048, 4096)]
              + [("uniform(0,1)", "uniform(0.5,1.5)", "2+3", 1024),
                 ("E", "E", "2+4", 8192)])
-ROWS = [(fa, fb, counts, 512) for fa, fb in PAIRS for counts in COUNTS] + FINE_ROWS
+# one neutral builder against a heavy lognormal tail: the Newton anchor
+# region would hold 316 of the 512 values, and the argmax brackets them all
+LAWS["lognormal(0,1.4)"] = parse_distribution("lognormal(0,1.4)")
+SINGLE_NEUTRAL_ROWS = [(fa, "lognormal(0,1.4)", counts, 512)
+                       for fa in ("beta(2,2)", "uniform(0,1)") for counts in ("1+1", "3+1")]
+ROWS = ([(fa, fb, counts, 512) for fa, fb in PAIRS for counts in COUNTS] + FINE_ROWS
+        + SINGLE_NEUTRAL_ROWS)
 
-# a single neutral builder must have values from 0, a rule made for the
-# anchor line, which the argmax path may not need
-ABOVE_ZERO = (2, "single neutral bidder requires a value support starting at 0",
-              "item 3")
+# the input rule for one neutral builder: the reserve may not hold mass below
+# the neutral values
+BELOW_NEUTRAL = (2, "integrated values must not start below the neutral values",
+                 "README")
 # the anchor line ends above the first free point's root (lognormal(0,1)), or
 # the reserve starts above the neutral bottom and values there bid on the line
 ANCHOR_STALLS = (3, "did not reach tol", "item 3")
@@ -48,10 +53,8 @@ NEWTON_STALLS = (3, "did not reach tol", "item 4")
 KINK = (4, "above the bound", "item 5")
 
 DOCUMENTED = {
-    ("uniform(0.5,1.5)", "uniform(0.5,1.5)", "1+1", 512): ABOVE_ZERO,
-    ("uniform(0.5,1.5)", "uniform(0.5,1.5)", "3+1", 512): ABOVE_ZERO,
-    ("uniform(0,1)", "uniform(0.5,1.5)", "1+1", 512): ABOVE_ZERO,
-    ("uniform(0,1)", "uniform(0.5,1.5)", "3+1", 512): ABOVE_ZERO,
+    ("uniform(0,1)", "uniform(0.5,1.5)", "1+1", 512): BELOW_NEUTRAL,
+    ("uniform(0,1)", "uniform(0.5,1.5)", "3+1", 512): BELOW_NEUTRAL,
     **{("lognormal(0,1)", "lognormal(0,1)", counts, 512): ANCHOR_STALLS
        for counts in ("2+2", "3+3", "2+4", "1+5")},
     ("uniform(0.5,1.5)", "uniform(0,1)", "2+2", 512): ANCHOR_MISBIDS,
@@ -83,18 +86,7 @@ DOCUMENTED = {
 
 def _verdict(fa, fb, counts, grid) -> tuple[int, str]:
     """The exit code ``solve-private`` would end with, and its reason."""
-    n_integrated, n_neutral = map(int, counts.split("+"))
-    config = HybridAuctionConfig(n_integrated, n_neutral, LAWS[fa], LAWS[fb])
-    try:
-        report = verify_best_response(solve_fixed_point(config, grid))
-    except SolverError as exc:
-        return 3, str(exc)
-    except ValueError as exc:
-        return 2, str(exc)
-    if report.max_gain > report.bound:
-        return 4, (f"a deviation gains {report.max_gain:.3g} at v={report.at_value:.6g}, "
-                   f"above the bound {report.bound:.3g}")
-    return 0, "certified"
+    return verdict(LAWS[fa], LAWS[fb], *map(int, counts.split("+")), grid)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[f"{fa}/{fb} {counts} g{grid}"

@@ -57,6 +57,10 @@ _TOP_Q = 1.0 - 1e-6
 _TOL = 1e-6
 _MAX_STEPS = 60
 
+# a Newton step keeps the bids below the first usable point whose defect is
+# not below tol * _SETTLED
+_SETTLED = 1e-3
+
 # a Newton solve on a finer grid starts from the schedule solved on this one
 _COARSE_GRID = 512
 _ANCHOR_START = "anchor line"
@@ -279,6 +283,7 @@ class EquilibriumSolution:
     tol: float
     residual_history: tuple = field(default=(), repr=False)
     start: str | dict = _ANCHOR_START
+    marched: tuple | None = field(default=None, repr=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -295,9 +300,10 @@ class EquilibriumSolution:
 
     def metadata(self) -> dict:
         """Solver summary; ``residual_history`` is the residual after each
-        step (see :func:`solve_fixed_point`), and ``start`` the schedule the
+        step (see :func:`solve_fixed_point`), ``start`` the schedule the
         steps began from: "anchor line", or the coarse grid's size with the
-        steps and residual of its solve."""
+        steps and residual of its solve, and ``marched`` the grid points
+        each Newton step marched (None for other methods)."""
         return {
             "method": self.method,
             "grid_size": int(self.values.size),
@@ -306,21 +312,26 @@ class EquilibriumSolution:
             "tol": float(self.tol),
             "residual_history": [float(r) for r in self.residual_history],
             "start": self.start if isinstance(self.start, str) else dict(self.start),
+            "marched": None if self.marched is None else list(self.marched),
         }
 
 
 # ------------------------------ grid machinery -------------------------------
 
 
-def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float, tail_k: float):
-    """Cumulative integral of g over the grid, exact on power-law cells.
+def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float, tail_k: float,
+                  first: float = 0.0):
+    """Cumulative integral of g over the grid from ``first`` at its first
+    value, exact on power-law cells.
 
     Each cell is integrated with the one-parameter model g ~ A*(t-lo)**kappa
     fitted through its endpoints; plain trapezoid is the kappa->0 special
     case but has an O(1) relative error on the steep cells next to the
     boundary (kappa can reach n_integrated*alpha + (n_neutral-1)*alpha for
     Beta-type laws), which would poison the whole solve. Also returns each
-    cell's derivatives in the g at its left and at its right end.
+    cell's derivatives in the g at its left and at its right end. The
+    cells are added to ``first`` in sequence, so integrating a grid's tail
+    from its integral at the tail's first value gives that integral's bits.
     """
     u = values - lo
     u0, u1 = u[:-1], u[1:]
@@ -350,8 +361,7 @@ def _power_cumint(values: np.ndarray, g: np.ndarray, lo: float, tail_k: float):
                            np.where(ok, u1 / (tail_k + 1.0), half))
 
     out = np.empty_like(g)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
+    np.cumsum(np.append(first, cells), out=out)
     return out, d_left, d_right
 
 
@@ -363,6 +373,11 @@ def _strictly_increasing(b: np.ndarray) -> np.ndarray:
     out = (np.maximum.accumulate(view - steps) + steps).view(np.float64)
     out[:1] = b[:1]
     return out
+
+
+# what a defect evaluation from grid point 0 keeps: no G, an integral of 0
+# at the first value and no usable defect
+_NONE_KEPT = (np.empty(0), np.zeros(1), -math.inf)
 
 
 class _Problem:
@@ -392,28 +407,45 @@ class _Problem:
         self.line = lo + self.slope * (grid - lo)
         self.rival = config.rival_cdf(grid)
 
-    def defect(self, bids: np.ndarray) -> tuple:
+    def defect(self, bids: np.ndarray, start: int = 0,
+               kept: tuple = _NONE_KEPT) -> tuple:
         """The shading identity's right-hand side v - int(G)/G, the points
         where it is usable (G above the floor, off the anchor), the sup-norm
         defect |bid - mapped| over them (inf if there are none: such bids
-        never win), then G, int(G), the partials of its cells (see
-        :func:`_power_cumint`) and the integrated law's CDF for a Newton step."""
-        config = self.config
-        law_cdf = config.integrated_values.cdf(bids) if config.n_integrated else None
-        g = self.rival * config.reserve_cdf(bids, law_cdf)
-        integral, d_left, d_right = _power_cumint(self.values, g, self.lo, self.tail_k)
-        usable = (g > _G_FLOOR) & ~self.anchor
-        ratio = np.zeros_like(self.values)
-        np.divide(integral, g, out=ratio, where=usable)
-        mapped = self.values - ratio
-        sup = float(np.abs(bids - mapped)[usable].max()) if np.any(usable) else math.inf
-        return mapped, usable, sup, g, integral, d_left, d_right, law_cdf
+        never win), then G, int(G), for a Newton step the partials in each
+        point's G of the cell to its right and of the cell to its left (0
+        past the grid ends; see :func:`_power_cumint`), and the integrated
+        law's CDF.
+
+        From ``start`` on only: ``kept`` holds G, int(G) and the largest
+        usable defect below ``start`` (-inf if none is usable) of bids that
+        agree with ``bids`` there. Point i's equation involves bids 0..i
+        only, so splicing onto ``kept`` gives a full evaluation's bits. G
+        and int(G) are full length; the other arrays start at ``start``."""
+        config, values, tail = self.config, self.values, bids[start:]
+        law_cdf = config.integrated_values.cdf(tail) if config.n_integrated else None
+        g_tail = self.rival[start:] * config.reserve_cdf(tail, law_cdf)
+        g = np.concatenate((kept[0][:start], g_tail))
+        cell = max(start - 1, 0)  # the first cell with an end at or above start
+        part, d_left, d_right = _power_cumint(values[cell:], g[cell:], self.lo,
+                                              self.tail_k, kept[1][cell])
+        integral = np.concatenate((kept[1][:cell], part))
+        usable = (g_tail > _G_FLOOR) & ~self.anchor[start:]
+        ratio = np.zeros_like(tail)
+        np.divide(integral[start:], g_tail, out=ratio, where=usable)
+        mapped = values[start:] - ratio
+        sup = float(np.max(np.abs(tail - mapped)[usable], initial=kept[2]))
+        right = np.append(d_left, 0.0)[start - cell:]
+        left = np.append(0.0, d_right)[start - cell:]
+        return (mapped, usable, sup if sup > -math.inf else math.inf, g, integral,
+                right, left, law_cdf)
 
     def finish(self, bids, residual, method, iterations, tol,
-               history=(), g=None, integral=None,
+               history=(), g=None, integral=None, marched=None,
                start=_ANCHOR_START) -> EquilibriumSolution:
         """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or
-        None, ``integral`` its :func:`_power_cumint` integral or None."""
+        None, ``integral`` its :func:`_power_cumint` integral or None, and
+        ``marched`` the points each Newton step marched."""
         kept = _strictly_increasing(np.clip(bids, 0.0, self.values))
         if g is None or not np.array_equal(kept.view(np.int64), bids.view(np.int64)):
             g, integral = self.rival * self.config.reserve_cdf(kept), None
@@ -423,7 +455,7 @@ class _Problem:
             config=self.config, bid_function=BidFunction(self.values, kept),
             win_prob=g, surplus=integral,
             residual=residual, method=method, iterations=iterations, tol=tol,
-            residual_history=tuple(history), start=start)
+            residual_history=tuple(history), start=start, marched=marched)
 
 
 # --------------------------------- solvers -----------------------------------
@@ -438,13 +470,15 @@ def _check_solve_args(grid_size: int, tol: float):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
-def _march(alpha, beta, later, old, values) -> np.ndarray:
-    """A Newton step's forward recurrence: bid i is alpha_i + beta_i * S_i,
-    S_i the sum of later_j * (bid_j - old_j) over j < i, kept in
-    (bid_{i-1}, v_i], where the root lies; a bid at or below its predecessor
-    goes halfway to the old bid, or to v_i where the old bid is no higher."""
+def _march(alpha, beta, later, old, values, below) -> np.ndarray:
+    """A Newton step's forward recurrence from a point whose predecessors
+    keep their bids: bid i is alpha_i + beta_i * S_i, S_i the sum of
+    later_j * (bid_j - old_j) over the marched j < i, kept in
+    (bid_{i-1}, v_i], where the root lies, ``below`` standing for the bid
+    before the first; a bid at or below its predecessor goes halfway to the
+    old bid, or to v_i where the old bid is no higher."""
     bids = []
-    change, below = 0.0, -math.inf
+    change = 0.0
     for a, b, w, o, v in zip(alpha.tolist(), beta.tolist(), later.tolist(),
                              old.tolist(), values.tolist()):
         bid = a + b * change
@@ -458,31 +492,52 @@ def _march(alpha, beta, later, old, values) -> np.ndarray:
     return np.array(bids)
 
 
-def _newton_steps(problem: _Problem, bids: np.ndarray):
+def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):
     """The start schedule ``bids``, then Newton steps on
     phi_i = (v_i - sigma_i) G_i - I_i, each schedule with its defect and
-    (G, I). As I_i depends on sigma_0..sigma_i only,
+    (G, I, the number of grid points each step so far marched).
+    As I_i depends on sigma_0..sigma_i only,
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
     (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
-    v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line."""
+    v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line.
+
+    A step keeps the bids below the first usable point that has not
+    settled, its defect not below ``tol * _SETTLED``: it marches from that
+    point, and the next defect is evaluated from there on. The kept
+    points' equations see the same bids, so their defects stay. With
+    ``tol`` = 0 every usable point marches, and the points below the first
+    keep their bids: the anchor its line, which the march returns, and a
+    point where G is below the floor the bid it started from, which the
+    march would move to the anchor line."""
     config, values = problem.config, problem.values
+    start, kept, marched = 0, _NONE_KEPT, []
     while True:
         (mapped, usable, residual, g, integral,
-         d_left, d_right, law_cdf) = problem.defect(bids)
-        yield bids, residual, (g, integral)
-        slope = problem.rival * config.reserve_pdf(bids, law_cdf)  # dG_i / dsigma_i
-        own = np.append(0.0, d_right) * slope              # dI_i / dsigma_i
-        later = own + np.append(d_left, 0.0) * slope       # w_i
-        diag = (values - bids) * slope - g - own
+         right, left, law_cdf) = problem.defect(bids, start, kept)
+        yield bids, residual, (g, integral, tuple(marched))
+        gap = np.abs(bids[start:] - mapped)
+        settled = ~usable | (gap < tol * _SETTLED)
+        skip = int(np.argmin(np.append(settled, False)))  # the first unsettled
+        kept = (g, integral, float(np.max(gap[:skip][usable[:skip]], initial=kept[2])))
+        start += skip
+        mapped, usable, right, left = mapped[skip:], usable[skip:], right[skip:], left[skip:]
+        old, v, g = bids[start:], values[start:], g[start:]
+        slope = problem.rival[start:] * config.reserve_pdf(   # dG_i / dsigma_i
+            old, None if law_cdf is None else law_cdf[skip:])
+        own = left * slope                                    # dI_i / dsigma_i
+        later = own + right * slope                           # w_i
+        diag = (v - old) * slope - g - own
         newton = usable & (diag < 0.0)
         # a Newton point's alpha_i is sigma_i - G_i * (mapped_i - sigma_i) / D_i
-        alpha = np.where(usable, mapped, problem.line)
-        beta = np.zeros_like(values)
+        alpha = np.where(usable, mapped, problem.line[start:])
+        beta = np.zeros_like(v)
         np.divide(-1.0, g, out=beta, where=usable)
         np.divide(1.0, diag, out=beta, where=newton)
-        np.add(bids, g * (bids - mapped) * beta, out=alpha, where=newton)
-        bids = _march(alpha, beta, later, bids, values)
+        np.add(old, g * (old - mapped) * beta, out=alpha, where=newton)
+        below = bids[start - 1] if start else -math.inf
+        bids = np.concatenate((bids[:start], _march(alpha, beta, later, old, v, below)))
+        marched.append(v.size)
 
 
 def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndarray:
@@ -566,7 +621,7 @@ def _solve(config: HybridAuctionConfig, grid_size: int,
         method, steps, start = "argmax", _argmax_steps(problem), _ANCHOR_START
     else:
         bids, start = _coarse_start(problem, tol)
-        method, steps = "newton", _newton_steps(problem, bids)
+        method, steps = "newton", _newton_steps(problem, bids, tol)
     residuals = []
     for step, (bids, residual, known) in enumerate(steps):
         residuals.append(residual)

@@ -18,3 +18,16 @@ def test_census_row_ends_in_a_documented_exit(deadline, row):
     code, reason = verdict(*row)
     assert any(documented in reason for documented in REASONS[code]), (
         f"exit {code}: {reason}")
+
+
+# grid-4096 rows whose lognormal reserve leaves G below the floor at the
+# bottom of the grid: the Newton steps keep the grid-512 bids there and
+# certify; moved onto the anchor line, the first usable point cycled to the
+# step cap (exit 3)
+NEWLY_CERTIFIED = [584, 785, 794]
+
+
+@pytest.mark.parametrize("index", NEWLY_CERTIFIED)
+def test_rows_that_certify_since_steps_keep_settled_points(deadline, index):
+    row = census(index + 1)[index]
+    assert verdict(*row) == (0, "certified"), row_id(row)

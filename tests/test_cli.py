@@ -135,7 +135,8 @@ def test_solve_private_auto_rejects_a_mis_shaded_schedule(tmp_path, capsys,
 @pytest.mark.parametrize("nb, method", [("3", "newton"), ("1", "argmax")])
 def test_solve_private_json_reports_solver_path(tmp_path, capsys, nb, method):
     """The solver block names the path taken and holds the residual after
-    every step; stdout keeps its one line."""
+    every step, and for Newton steps the grid points each marched; stdout
+    keeps its one line."""
     out = tmp_path / "beta.csv"
     rc = main(["solve-private", "--na", "3", "--nb", nb, "--fa", "beta(2,2)",
                "--fb", "beta(2,2)", "--method", "fixed-point", "--out", str(out)])
@@ -146,8 +147,40 @@ def test_solve_private_json_reports_solver_path(tmp_path, capsys, nb, method):
     history = solver["residual_history"]
     assert len(history) == solver["iterations"] > 0
     assert history[-1] == solver["residual"] <= solver["tol"]
+    if method == "newton":
+        assert len(solver["marched"]) == solver["iterations"]
+    else:
+        assert solver["marched"] is None
     assert capsys.readouterr().out == (
         f"solved: residual={solver['residual']:.3g} ({method})\n")
+
+
+def test_solve_private_json_reports_the_points_each_step_marched(tmp_path):
+    """Beta(0.7,3) 3+3 at grid 8192 starts from the grid-512 schedule; its
+    last step marches fewer than 1% of the grid, as every point below the
+    first unsettled one keeps its bid."""
+    out = tmp_path / "skewed.csv"
+    assert main(["solve-private", "--na", "3", "--nb", "3", "--fa", "beta(0.7,3)",
+                 "--fb", "beta(0.7,3)", "--grid", "8192", "--method", "fixed-point",
+                 "--out", str(out)]) == 0
+    solver = json.loads(out.with_suffix(".json").read_text())["solver"]
+    marched = solver["marched"]
+    assert len(marched) == solver["iterations"] > 0
+    assert all(0 < m <= 8192 for m in marched)
+    assert marched[-1] < 82
+
+
+@pytest.mark.parametrize("nb", ["1", "3"])
+def test_solve_private_tol_is_in_value_units(tmp_path, capsys, nb):
+    """``--tol`` bounds the residual in the units of the values: on
+    uniform(0,1e200) the default 1e-6 is below what a double can resolve,
+    and a tolerance at the scale of the values certifies the schedule."""
+    out = tmp_path / "wide.csv"
+    assert main(["solve-private", "--na", "3", "--nb", nb, "--fa", "uniform(0,1e200)",
+                 "--fb", "uniform(0,1e200)", "--tol", "1e194", "--out", str(out)]) == 0
+    solver = json.loads(out.with_suffix(".json").read_text())["solver"]
+    assert solver["tol"] == 1e194 and solver["residual"] <= 1e194
+    assert "solved: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("grid", ["512", "1024", "4096"])

@@ -38,11 +38,11 @@ def lognormal_2_4():
 # reps cover a full-block run and partial last blocks of 3,616, 5,424 and 848 rows
 @pytest.mark.parametrize("case, reps, seed, digest", [
     ("beta_3_3", 20_000, 7,
-     "a3dc09a47ca96dea943fdce0ec1cb0159a3d7047ce8e70b783a1b97a6a450c66"),
+     "56d0a463dfded1b17e5ef38603a75a603bcf89643830bc6bfe722c50f3c5d4fb"),
     ("uniform_3_1", 30_000, 11,
      "9d8daea6fb04aa13f8131dff426d4ec4a46db6c18d8320ff50d3bb6d0da12d61"),
     ("lognormal_2_4", 40_960, 23,
-     "95bad85d5e6e806e5321ab82222dec68ef110a6c24447c5466102c10debb47fe"),
+     "9fba050f58bb7e0081835275052f8c8a92ea794a0480cf996a1896dfa51e56ca"),
 ])
 def test_hybrid_stats_digest(request, case, reps, seed, digest):
     _, solution = request.getfixturevalue(case)
@@ -58,7 +58,7 @@ def test_candlestick_stats_digest(candlestick_half):
 
 # a Newton solve, and an argmax solve with one neutral builder
 @pytest.mark.parametrize("law, nb, digest", [
-    ("beta(0.7,3)", "3", "13a8642a321b3036bc0db89e94d0ad59b24757e8ed8f2e15302cf90820011c68"),
+    ("beta(0.7,3)", "3", "130b8845c8421ff6a2812dfe1f8b2ade627b6c458a6e164dbbc965952bf3fc2b"),
     ("beta(2,2)", "1", "c0767cebac81f24672904c6767af132c81bd280897a98c001355adf338b5c5ef"),
 ])
 def test_solve_private_csv_digest(tmp_path, law, nb, digest):
@@ -92,7 +92,7 @@ def test_solve_private_fine_grid_csv_digest(tmp_path):
                  "--grid", "8192", "--method", "fixed-point",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "944492ee336041db7efb5fadbe5e1e2ad0e32342c5811fd88e0ffa072edb7e27")
+        "914c7ae9cc59f8339beeed339461e5d65454d26d6899a726ed4d3ae78a8ed00a")
 
 
 def _exact(obj):
@@ -107,7 +107,7 @@ def _exact(obj):
 # the certified solve of each solver path: Newton with three neutral
 # builders, argmax with one
 @pytest.mark.parametrize("nb, digest", [
-    ("3", "2838440e12a5d22627f7753084896f4d3dc71a90fff3a108703f2e36f713578a"),
+    ("3", "56223cef92cbdd2fdd63efdcdbce13c63e479bbceeaccde1293af04c0e9bbb4c"),
     ("1", "762733b24eba403bdc94aeaa1339ae3d9da070cfb4e67df262177e09e96c399d"),
 ])
 def test_solve_private_residuals_digest(tmp_path, nb, digest):

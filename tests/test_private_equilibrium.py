@@ -1,6 +1,7 @@
 """Hybrid-auction equilibrium solvers: closed forms, cross-validation, checks."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pbslab import private_equilibrium as pe
-from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
+from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform, parse_distribution
 from pbslab.private_equilibrium import (BidFunction, EquilibriumSolution,
                                         HybridAuctionConfig, SolverError,
                                         solve_fixed_point, verify_best_response)
@@ -128,17 +129,22 @@ def test_fixed_point_evaluates_rival_cdf_once_per_solve():
 
 @pytest.mark.parametrize("n_neutral, method, more", [(3, "newton", 1), (1, "argmax", 3)])
 def test_solve_evaluates_integrated_cdf_once_per_step(n_neutral, method, more):
-    """A Newton step or an argmax halving evaluates the integrated law on
-    the whole grid once, its density reusing that CDF. A Newton solve adds
-    its start line, and its win probabilities are the last step's G; an
-    argmax solve adds its start line, its bracket scoring and its final
-    midpoints. Evaluating the CDF again for the density and the win
+    """A Newton step or an argmax halving evaluates the integrated law once,
+    its density reusing that CDF: an argmax halving on the whole grid, a
+    Newton step on the points it marched. A Newton solve adds its start
+    line, and its win probabilities are the last step's G; an argmax solve
+    adds its start line, its bracket scoring and its final midpoints, all on
+    the whole grid. Evaluating the CDF again for the density and the win
     probabilities took 12 calls for 5 Newton steps and 35 for 16 halvings."""
     sizes = []
     config = HybridAuctionConfig(3, n_neutral, _CountingBeta(2, 2, sizes), Beta(2, 2))
     sol = solve_fixed_point(config, 512)
     assert sol.method == method and sol.iterations > 1
-    assert sizes.count(sol.values.size) == sol.iterations + more
+    n = sol.values.size
+    calls = sizes[sizes.index(n):]  # from the start line on, past the tail probe
+    assert len(calls) == sol.iterations + more
+    steps = list(sol.marched) if method == "newton" else [n] * (len(calls) - 1)
+    assert calls == [n, *steps]
     plain = solve_fixed_point(HybridAuctionConfig(3, n_neutral, Beta(2, 2), Beta(2, 2)), 512)
     assert np.array_equal(sol.bids, plain.bids)
     assert np.array_equal(sol.win_prob, plain.win_prob)
@@ -320,9 +326,9 @@ def test_newton_steps_stay_monotone_and_anchored(monkeypatch):
     sees is strictly increasing, in [0, v] and on the anchor line."""
     seen = []
 
-    def spy(problem, bids):
+    def spy(problem, bids, *partial):
         seen.append((problem.values, bids.copy(), problem.anchor))
-        return defect(problem, bids)
+        return defect(problem, bids, *partial)
 
     defect = pe._Problem.defect
     monkeypatch.setattr(pe._Problem, "defect", spy)
@@ -336,6 +342,123 @@ def test_newton_steps_stay_monotone_and_anchored(monkeypatch):
         assert np.array_equal(bids[anchor], line[anchor])
 
 
+# ------------------------------- settled points --------------------------------
+
+
+# a G that starts above the neutral bottom, a wide anchor, a heavy tail and
+# no reserve, at grid 256
+PARTIAL_PROBLEMS = {name: pe._Problem(config, 256) for name, config in {
+    "uniform(0.5,1.5)/uniform 2+4": HybridAuctionConfig(2, 4, Uniform(0.5, 1.5), UNIT),
+    "beta(0.7,3) 3+3": HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3)),
+    "lognormal 2+4": LOGNORMAL_2_4,
+    "beta(2,2) 0+4": HybridAuctionConfig(0, 4, Beta(2, 2), Beta(2, 2)),
+}.items()}
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(PARTIAL_PROBLEMS)), seed=st.integers(0, 2 ** 32 - 1),
+       cut=st.floats(0.0, 1.0))
+def test_partial_defect_is_the_full_defect_bit_for_bit(name, seed, cut):
+    """Evaluated from any start index, onto the G, int(G) and largest
+    usable defect below it of random bids that agree there, the defect of
+    random bids is what a full evaluation gives, bit for bit: every array
+    from the start on, G and int(G) in full, and the residual."""
+    problem = PARTIAL_PROBLEMS[name]
+    v, rng = problem.values, np.random.default_rng(seed)
+    n = v.size
+    start = min(int(cut * (n + 1)), n)
+    before = v * np.sort(rng.uniform(0.2, 1.0, n))
+    bids = before.copy()
+    bids[start:] = v[start:] * np.sort(rng.uniform(0.2, 1.0, n - start))
+    mapped, usable, _, g, integral = problem.defect(before)[:5]
+    below = np.abs(before - mapped)[:start][usable[:start]]
+    kept = (g, integral, float(np.max(below, initial=-np.inf)))
+    partial = problem.defect(bids, start, kept)
+    full = problem.defect(bids)
+    assert partial[2] == full[2]
+    for k in (3, 4):  # G and int(G)
+        assert _same_bits(partial[k], full[k])
+    for k in (0, 1, 5, 6, 7):  # mapped, usable, the cell partials and the law's CDF
+        assert _same_bits(partial[k], None if full[k] is None else full[k][start:])
+
+
+@pytest.mark.parametrize("law, floor", [
+    (Beta(0.7, 3), False), (Beta(2, 2), False), (LOGNORMAL, False), (Uniform(0.5, 1.5), True)],
+    ids=["beta(0.7,3)", "beta(2,2)", "lognormal", "uniform(0.5,1.5)/uniform 2+4"])
+def test_every_usable_point_marches_at_zero_tolerance(law, floor):
+    """With tol = 0 no point settles: each of five steps marches from the
+    first usable point of its start on. That is the first point off the
+    anchor (15 of 512 points anchor Beta(0.7,3) 3+3), except where G starts
+    below the floor, as below a reserve that starts at 0.5."""
+    config = HybridAuctionConfig(2, 4, law, UNIT) if floor else HybridAuctionConfig(3, 3, law, law)
+    problem = pe._Problem(config, 512)
+    steps = pe._newton_steps(problem, problem.line, 0.0)
+    bids = next(steps)[0]
+    for _, (after, _, (_, _, marched)) in zip(range(5), steps):
+        usable = problem.defect(bids)[1]
+        assert marched[-1] == usable.size - np.argmax(usable)
+        bids = after
+    free = problem.values.size - np.count_nonzero(problem.anchor)
+    assert len(marched) == 5
+    assert all(m == free for m in marched) is not floor
+
+
+# the solves of the benchmark's workloads: law, n_integrated, n_neutral, grid,
+# steps and the SHA-256 of the schedule, both before steps kept settled points
+BENCHMARK_SOLVES = [
+    ("beta(2,2)", 3, 3, 512, 5,
+     "f4bed49b4f1295cc0633dd885ea07f5365395e17f3a19bacce665325d75e62c2"),
+    ("beta(2,2)", 8, 8, 512, 4,
+     "d16d31cc2540aaecfa6a580a61ed67163df54d3ae10a1ae842122f6871b96a81"),
+    ("beta(2,2)", 3, 3, 4096, 2,
+     "acee380347a69531ba92a574034243aeaaf1ca9ef51b6a1145d0bb4a1c07a6dd"),
+    ("lognormal(0,0.5)", 2, 4, 512, 7,
+     "2ac1d7a796d86f390a34c6fec417ac9ef15440967cc478cf700c5f1327db8192"),
+    ("uniform(0,1)", 3, 3, 512, 0,
+     "1f1c3ebd7818f40042808097ca8cab2e08654dd4e1084d91fb71ee5a952bb34f"),
+    ("uniform(0,1)", 3, 1, 512, 0,
+     "2c959878cf4627182aa1130ea7ef6784229e3f83b9a9608bf3995aae050d83a4"),
+    ("beta(0.7,3)", 3, 3, 8192, 3,
+     "23f571af76cacb64695feb418bfe5f76c896ff1e046a10159008a2383caa969c"),
+    ("beta(0.7,3)", 3, 3, 512, 5,
+     "b44d6242932128c8630bc1fc97c9263b5ad96d0ea6368243389603dbdf931080"),
+]
+
+
+def _schedule_digest(sol) -> str:
+    return hashlib.sha256(sol.bids.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("law, na, nb, grid, steps, digest", BENCHMARK_SOLVES,
+                         ids=[f"{law} {na}+{nb} g{grid}"
+                              for law, na, nb, grid, *_ in BENCHMARK_SOLVES])
+def test_settled_points_keep_benchmark_steps_and_schedules(monkeypatch, law, na, nb,
+                                                           grid, steps, digest):
+    """Keeping settled points changes no benchmark solve's step count and
+    moves its schedule by less than 1e-8 (4.2e-9 at most, on Beta(0.7,3)
+    3+3 at grid 8192), and the schedule still certifies. The schedule before
+    is the solve with nothing settled, ``_SETTLED`` = 0, whose digest is the
+    one recorded then; argmax and 0-step solves do not move a bit."""
+    dist = parse_distribution(law)
+    config = HybridAuctionConfig(na, nb, dist, dist)
+    sol = solve_fixed_point(config, grid)
+    monkeypatch.setattr(pe, "_SETTLED", 0.0)
+    before = solve_fixed_point(config, grid)
+    assert _schedule_digest(before) == digest
+    assert sol.iterations == before.iterations == steps
+    assert np.max(np.abs(sol.bids - before.bids)) <= 1e-8
+    if nb == 1 or steps == 0:
+        assert _schedule_digest(sol) == digest
+    report = verify_best_response(sol)
+    assert sol.residual <= sol.tol and report.max_gain <= report.bound
+
+
 # ------------------------------ nested iteration -------------------------------
 
 
@@ -346,7 +469,7 @@ NESTED_LAWS = {"beta(2,2)": Beta(2, 2), "beta(0.7,3)": Beta(0.7, 3),
 def _line_start_solve(config, grid_size):
     """The Newton solve on ``grid_size`` started from the anchor line."""
     problem = pe._Problem(config, grid_size)
-    steps = pe._newton_steps(problem, problem.line)
+    steps = pe._newton_steps(problem, problem.line, pe._TOL)
     for step, (bids, residual, known) in zip(range(pe._MAX_STEPS + 1), steps):
         if residual <= pe._TOL:
             return problem.finish(bids, residual, "newton", step, pe._TOL, (), *known)
@@ -382,9 +505,9 @@ def test_fine_start_is_the_coarse_schedule_off_the_anchor(monkeypatch):
     anchor, which keeps its line."""
     starts = []
 
-    def spy(problem, bids):
+    def spy(problem, bids, tol):
         starts.append((problem, bids))
-        return newton_steps(problem, bids)
+        return newton_steps(problem, bids, tol)
 
     newton_steps = pe._newton_steps
     coarse = solve_fixed_point(LOGNORMAL_2_4, 512)
@@ -439,6 +562,7 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         assert exact.iterations == 0
         assert meta["method"] == method and meta["residual_history"] == []
         assert meta["start"] == "anchor line"
+        assert meta["marched"] == ([] if method == "newton" else None)
         assert exact.bids.tobytes() == damped_reference(config).bids.tobytes()
 
     for n_neutral, method in ((3, "newton"), (1, "argmax")):
@@ -449,6 +573,11 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         assert len(meta["residual_history"]) == sol.iterations > 0
         assert meta["residual_history"][-1] == sol.residual
         assert meta["start"] == "anchor line"
+        if method == "newton":
+            assert len(meta["marched"]) == sol.iterations
+            assert all(0 < m <= sol.values.size for m in meta["marched"])
+        else:
+            assert meta["marched"] is None
         assert "restarts" not in meta
 
     config = HybridAuctionConfig(3, 3, Beta(0.7, 3), Beta(0.7, 3))

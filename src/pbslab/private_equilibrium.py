@@ -16,9 +16,10 @@ On a value grid the identity is lower-triangular, a Volterra equation of
 the second kind (Linz 1985; Brunner 2004). :func:`solve_fixed_point` solves
 it by Newton steps, or, with one neutral builder, where the identity is
 tangent at its root, by bracketing each value's best bid. The identity is
-0/0 at the bottom of the support; the Newton solve anchors that region with the
-local power-law asymptote ``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)``
-and ``k`` is the combined lower-tail exponent of G.
+0/0 at the bottom of the support, where G vanishes: both solves start from
+the local power-law asymptote ``bid ~ lo + c * (v - lo)`` where
+``c = k / (k + 1)`` and ``k`` is the combined lower-tail exponent of G, and
+the identity counts only the points where G is above ``_G_FLOOR``.
 
 :func:`verify_best_response` certifies a solved schedule by the equilibrium
 property itself: no neutral builder gains by deviating from it. It checks
@@ -383,8 +384,8 @@ _NONE_KEPT = (np.empty(0), np.zeros(1), -math.inf)
 class _Problem:
     """What one solve fixes before its first step: the equal-probability
     value grid over the neutral support, the rival CDF on it, the combined
-    lower-tail exponent ``tail_k`` of G and the anchor line
-    ``lo + slope * (v - lo)`` that holds the boundary region."""
+    lower-tail exponent ``tail_k`` of G and the start line
+    ``lo + slope * (v - lo)``, its asymptote at the support bottom."""
 
     def __init__(self, config: HybridAuctionConfig, grid_size: int):
         top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
@@ -393,24 +394,22 @@ class _Problem:
         if grid.size < 64:
             raise ValueError("value grid collapsed; distribution too concentrated")
         lo = float(grid[0])
-        eps_v = float(grid[-1] - lo) / grid_size
-        probe = max(eps_v, float(grid[1] - lo)) / 2.0
+        probe = max(float(grid[-1] - lo) / grid_size, float(grid[1] - lo)) / 2.0
         tail_k = sum(n * lower_tail_exponent(law, lo, probe) for n, law in (
             (config.n_neutral - 1, config.neutral_values),
             (config.n_integrated, config.integrated_values)) if n > 0)
         if tail_k <= 0.0:  # one neutral builder only: a rival CDF's k is > 0
             raise ValueError("integrated values must not start below the neutral values")
         self.config, self.values = config, grid
-        self.lo, self.eps_v, self.tail_k = lo, eps_v, tail_k
+        self.lo, self.tail_k = lo, tail_k
         self.slope = tail_k / (tail_k + 1.0)
-        self.anchor = grid <= lo + eps_v
         self.line = lo + self.slope * (grid - lo)
         self.rival = config.rival_cdf(grid)
 
     def defect(self, bids: np.ndarray, start: int = 0,
                kept: tuple = _NONE_KEPT) -> tuple:
         """The shading identity's right-hand side v - int(G)/G, the points
-        where it is usable (G above the floor, off the anchor), the sup-norm
+        where it is usable (G above the floor), the sup-norm
         defect |bid - mapped| over them (inf if there are none: such bids
         never win), then G, int(G), for a Newton step the partials in each
         point's G of the cell to its right and of the cell to its left (0
@@ -430,7 +429,7 @@ class _Problem:
         part, d_left, d_right = _power_cumint(values[cell:], g[cell:], self.lo,
                                               self.tail_k, kept[1][cell])
         integral = np.concatenate((kept[1][:cell], part))
-        usable = (g_tail > _G_FLOOR) & ~self.anchor[start:]
+        usable = g_tail > _G_FLOOR
         ratio = np.zeros_like(tail)
         np.divide(integral[start:], g_tail, out=ratio, where=usable)
         mapped = values[start:] - ratio
@@ -500,16 +499,17 @@ def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
     (:func:`_march`). A point with D_i >= 0 takes the Jacobi image
-    v_i - (I_i + S_i) / G_i, and one where G is not usable the anchor line.
+    v_i - (I_i + S_i) / G_i.
 
     A step keeps the bids below the first usable point that has not
     settled, its defect not below ``tol * _SETTLED``: it marches from that
     point, and the next defect is evaluated from there on. The kept
     points' equations see the same bids, so their defects stay. With
-    ``tol`` = 0 every usable point marches, and the points below the first
-    keep their bids: the anchor its line, which the march returns, and a
-    point where G is below the floor the bid it started from, which the
-    march would move to the anchor line."""
+    ``tol`` = 0 every usable point marches, and the points below the first,
+    where G is at or below the floor, keep the bids they started from.
+    Every marched point is usable: G never falls along the grid, as the
+    rival CDF rises with v, the reserve CDF with the bid, and the march
+    keeps the bids increasing."""
     config, values = problem.config, problem.values
     start, kept, marched = 0, _NONE_KEPT, []
     while True:
@@ -521,18 +521,16 @@ def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):
         skip = int(np.argmin(np.append(settled, False)))  # the first unsettled
         kept = (g, integral, float(np.max(gap[:skip][usable[:skip]], initial=kept[2])))
         start += skip
-        mapped, usable, right, left = mapped[skip:], usable[skip:], right[skip:], left[skip:]
+        mapped, right, left = mapped[skip:], right[skip:], left[skip:]
         old, v, g = bids[start:], values[start:], g[start:]
         slope = problem.rival[start:] * config.reserve_pdf(   # dG_i / dsigma_i
             old, None if law_cdf is None else law_cdf[skip:])
         own = left * slope                                    # dI_i / dsigma_i
         later = own + right * slope                           # w_i
         diag = (v - old) * slope - g - own
-        newton = usable & (diag < 0.0)
+        newton = diag < 0.0
         # a Newton point's alpha_i is sigma_i - G_i * (mapped_i - sigma_i) / D_i
-        alpha = np.where(usable, mapped, problem.line[start:])
-        beta = np.zeros_like(v)
-        np.divide(-1.0, g, out=beta, where=usable)
+        alpha, beta = mapped, -1.0 / g
         np.divide(1.0, diag, out=beta, where=newton)
         np.add(old, g * (old - mapped) * beta, out=alpha, where=newton)
         below = bids[start - 1] if start else -math.inf
@@ -572,7 +570,7 @@ def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndar
 
 
 def _argmax_steps(problem: _Problem):
-    """The anchor line with its defect and (G, I), then halvings of each
+    """The start line with its defect and (G, I), then halvings of each
     value's bracket around its argmax of (v - b) * H(b), H the
     reserve CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0;
     the bids are the midpoints, the residual the widest bracket, G and I
@@ -602,13 +600,13 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     """Solve the shading identity on the value grid, returned after 0 steps
     if its start meets ``tol``: with two or more neutral builders by
     "newton" steps (:func:`_newton_steps`), the residual being the
-    identity's sup-norm defect off the anchor; with one by "argmax"
-    (:func:`_argmax_steps`), the residual being the widest bracket around a
-    best bid. Both start from the anchor line, except a Newton solve on a
-    grid of more than ``_COARSE_GRID`` values, which starts from the
-    schedule solved on that many (see :func:`_coarse_start`). Raises
-    SolverError if the residual is above ``tol`` after ``_MAX_STEPS``
-    steps."""
+    identity's sup-norm defect where G is above the floor; with one by
+    "argmax" (:func:`_argmax_steps`), the residual being the widest bracket
+    around a best bid. Both start from the start line ("anchor line" in
+    ``start``), except a Newton solve on a grid of more than
+    ``_COARSE_GRID`` values, which starts from the schedule solved on that
+    many (see :func:`_coarse_start`). Raises SolverError if the residual is
+    above ``tol`` after ``_MAX_STEPS`` steps."""
     _check_solve_args(grid_size, tol)
     return _solve(config, grid_size, tol)
 
@@ -637,19 +635,19 @@ def _solve(config: HybridAuctionConfig, grid_size: int,
 def _coarse_start(problem: _Problem, tol: float) -> tuple:
     """The first schedule of a Newton solve, and the ``start`` record of its
     solution. On a grid of more than ``_COARSE_GRID`` values it is the
-    schedule solved on ``_COARSE_GRID`` values, read at the fine values,
-    with the fine anchor line kept (nested iteration: the steps Newton
-    needs do not grow as the grid gets finer; Deuflhard 2004, Kelley 2003);
-    otherwise, or where the coarse solve fails, the anchor line."""
+    schedule solved on ``_COARSE_GRID`` values, read at the fine values
+    (nested iteration: the steps Newton needs do not grow as the grid gets
+    finer; Deuflhard 2004, Kelley 2003); otherwise, or where the coarse
+    solve fails, the start line."""
     if problem.values.size <= _COARSE_GRID:
         return problem.line, _ANCHOR_START
     try:
         coarse = _solve(problem.config, _COARSE_GRID, tol)
     except (SolverError, ValueError):  # ValueError: the coarse grid collapsed
         return problem.line, _ANCHOR_START
-    bids = np.where(problem.anchor, problem.line, coarse.bid_function(problem.values))
-    return bids, {"grid_size": _COARSE_GRID, "iterations": coarse.iterations,
-                  "residual": coarse.residual}
+    return coarse.bid_function(problem.values), {
+        "grid_size": _COARSE_GRID, "iterations": coarse.iterations,
+        "residual": coarse.residual}
 
 
 # ------------------------------ verification ----------------------------------

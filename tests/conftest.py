@@ -4,6 +4,7 @@ import signal
 
 import pytest
 
+from pbslab import private_equilibrium as pe
 from pbslab.common_values import CandlestickConfig, PriceProcess, solve_candlestick
 from pbslab.distributions import Beta, Uniform
 from pbslab.private_equilibrium import (BidFunction, HybridAuctionConfig,
@@ -56,6 +57,28 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return calls
+
+
+@pytest.fixture
+def marched_g(monkeypatch):
+    """The list of G at the bids each Newton step starts from, one array of
+    the points it marches per step."""
+    problems, seen = [], []
+
+    def newton_steps(problem, bids, tol):
+        problems.append(problem)  # a coarse solve ends before its fine solve starts
+        yield from real_steps(problem, bids, tol)
+
+    def march(alpha, beta, later, old, values, below):
+        problem = problems[-1]
+        start = problem.values.size - values.size
+        seen.append(problem.rival[start:] * problem.config.reserve_cdf(old))
+        return real_march(alpha, beta, later, old, values, below)
+
+    real_steps, real_march = pe._newton_steps, pe._march
+    monkeypatch.setattr(pe, "_newton_steps", newton_steps)
+    monkeypatch.setattr(pe, "_march", march)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 
 Differentiating the shading identity of :mod:`pbslab.private_equilibrium`
 gives an ODE for the bid schedule, which this module integrates with
-adaptive RK45 on the solver's value grid and anchor. The tests hold the
-solved schedule to it. The ODE is not total on the documented
+adaptive RK45 on the solver's value grid from its start line. The tests
+hold the solved schedule to it. The ODE is not total on the documented
 families: it leaves its admissible region on Beta(0.7,3) 3+3 and with
 lognormal integrated values, and reaches its evaluation cap on Beta(0.5,5)
 3+3 and on Beta(2,5) neutral values against two or more integrated
@@ -48,7 +48,8 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     if not tol > 0.0:
         raise ValueError("ODE tolerance must be positive")
     problem = _Problem(config, grid_size)
-    grid, lo, eps_v = problem.values, problem.lo, problem.eps_v
+    grid, lo = problem.values, problem.lo
+    eps_v = float(grid[-1] - lo) / grid_size  # values below lo + eps_v bid the line
     v_start = lo + eps_v
     top = float(grid[-1])
     n_int, n_neu = config.n_integrated, config.n_neutral

@@ -91,12 +91,12 @@ def isotonic(y: np.ndarray) -> np.ndarray:
 def damped_reference(config, grid_size=512, tol=1e-6,
                      damping=0.5) -> EquilibriumSolution:
     """The plain damped iteration of the shading identity on the solver's
-    grid and anchor: each sweep blends the identity's right-hand side into
-    the schedule with weight ``damping``, then projects onto monotone
-    schedules in [0, v] on the anchor line. Success means the solver's own
-    defect of at most ``tol``."""
+    grid from its start line: each sweep blends the identity's right-hand
+    side, or the start line where G is at or below the floor, into the
+    schedule with weight ``damping``, then projects onto monotone schedules
+    in [0, v]. Success means the solver's own defect of at most ``tol``."""
     problem = _Problem(config, grid_size)
-    grid, anchor, line = problem.values, problem.anchor, problem.line
+    grid, line = problem.values, problem.line
     bids = line.copy()
     for sweeps in range(10_000):
         mapped, usable, residual = problem.defect(bids)[:3]
@@ -104,7 +104,6 @@ def damped_reference(config, grid_size=512, tol=1e-6,
             return problem.finish(bids, residual, "damped", sweeps, tol)
         bids = (1.0 - damping) * bids + damping * np.where(usable, mapped, line)
         bids = np.clip(isotonic(bids), 0.0, grid)
-        bids[anchor] = line[anchor]
     raise AssertionError("damped reference did not converge")
 
 

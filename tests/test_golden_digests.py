@@ -58,7 +58,7 @@ def test_candlestick_stats_digest(candlestick_half):
 
 # a Newton solve, and an argmax solve with one neutral builder
 @pytest.mark.parametrize("law, nb, digest", [
-    ("beta(0.7,3)", "3", "130b8845c8421ff6a2812dfe1f8b2ade627b6c458a6e164dbbc965952bf3fc2b"),
+    ("beta(0.7,3)", "3", "711fa9906bf6919f274d81fd76b1b15e88df43eb3a930a3004b4986dcca7c217"),
     ("beta(2,2)", "1", "c0767cebac81f24672904c6767af132c81bd280897a98c001355adf338b5c5ef"),
 ])
 def test_solve_private_csv_digest(tmp_path, law, nb, digest):
@@ -92,7 +92,7 @@ def test_solve_private_fine_grid_csv_digest(tmp_path):
                  "--grid", "8192", "--method", "fixed-point",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "914c7ae9cc59f8339beeed339461e5d65454d26d6899a726ed4d3ae78a8ed00a")
+        "c95ab677909684f0fb58cedc7207dd2d10e8c353c25303a1d93e75fddf3848ca")
 
 
 def _exact(obj):

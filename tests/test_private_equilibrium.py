@@ -320,26 +320,33 @@ def test_beta_three_by_three_converges_in_30_sweeps(law):
     assert sol.residual <= sol.tol
 
 
-def test_newton_steps_stay_monotone_and_anchored(monkeypatch):
+@pytest.mark.parametrize("config", [LOGNORMAL_2_4,
+                                    HybridAuctionConfig(2, 4, Uniform(0.5, 1.5), UNIT)],
+                         ids=["lognormal 2+4", "uniform(0.5,1.5)/uniform 2+4"])
+def test_newton_steps_stay_monotone_and_keep_the_line_below_the_floor(monkeypatch,
+                                                                      config):
     """On lognormal 2+4 the top cell's diagonal is not negative in early
     steps, so that point takes the Jacobi image. Every schedule the identity
-    sees is strictly increasing, in [0, v] and on the anchor line."""
+    sees is strictly increasing, in [0, v] and, where its G is at or below
+    the floor (no bid below 0.5 beats a reserve from 0.5), on the start
+    line."""
     seen = []
 
     def spy(problem, bids, *partial):
-        seen.append((problem.values, bids.copy(), problem.anchor))
+        seen.append((problem, bids.copy()))
         return defect(problem, bids, *partial)
 
     defect = pe._Problem.defect
     monkeypatch.setattr(pe._Problem, "defect", spy)
-    sol = solve_fixed_point(LOGNORMAL_2_4)
+    sol = solve_fixed_point(config)
     assert sol.residual <= sol.tol
     assert len(seen) == sol.iterations + 1
     line = seen[0][1]
-    for values, bids, anchor in seen:
+    for problem, bids in seen:
         assert np.all(np.diff(bids) > 0.0)
-        assert np.all((bids >= 0.0) & (bids <= values))
-        assert np.array_equal(bids[anchor], line[anchor])
+        assert np.all((bids >= 0.0) & (bids <= problem.values))
+        floor = problem.rival * config.reserve_cdf(bids) <= pe._G_FLOOR
+        assert floor[0] and np.array_equal(bids[floor], line[floor])
 
 
 # ------------------------------- settled points --------------------------------
@@ -393,9 +400,10 @@ def test_partial_defect_is_the_full_defect_bit_for_bit(name, seed, cut):
     ids=["beta(0.7,3)", "beta(2,2)", "lognormal", "uniform(0.5,1.5)/uniform 2+4"])
 def test_every_usable_point_marches_at_zero_tolerance(law, floor):
     """With tol = 0 no point settles: each of five steps marches from the
-    first usable point of its start on. That is the first point off the
-    anchor (15 of 512 points anchor Beta(0.7,3) 3+3), except where G starts
-    below the floor, as below a reserve that starts at 0.5."""
+    first usable point of its start on, every point where G is above the
+    floor at the start line. That is all but the support bottom, except
+    where G starts below the floor, as below a reserve that starts at 0.5
+    (205 of 512 points march there)."""
     config = HybridAuctionConfig(2, 4, law, UNIT) if floor else HybridAuctionConfig(3, 3, law, law)
     problem = pe._Problem(config, 512)
     steps = pe._newton_steps(problem, problem.line, 0.0)
@@ -404,13 +412,14 @@ def test_every_usable_point_marches_at_zero_tolerance(law, floor):
         usable = problem.defect(bids)[1]
         assert marched[-1] == usable.size - np.argmax(usable)
         bids = after
-    free = problem.values.size - np.count_nonzero(problem.anchor)
-    assert len(marched) == 5
-    assert all(m == free for m in marched) is not floor
+    free = np.count_nonzero(problem.defect(problem.line)[1])
+    assert len(marched) == 5 and all(m == free for m in marched)
+    assert (free == problem.values.size - 1) is not floor
 
 
 # the solves of the benchmark's workloads: law, n_integrated, n_neutral, grid,
-# steps and the SHA-256 of the schedule, both before steps kept settled points
+# steps and the SHA-256 of the schedule, both of the solve that keeps no
+# settled points
 BENCHMARK_SOLVES = [
     ("beta(2,2)", 3, 3, 512, 5,
      "f4bed49b4f1295cc0633dd885ea07f5365395e17f3a19bacce665325d75e62c2"),
@@ -425,9 +434,9 @@ BENCHMARK_SOLVES = [
     ("uniform(0,1)", 3, 1, 512, 0,
      "2c959878cf4627182aa1130ea7ef6784229e3f83b9a9608bf3995aae050d83a4"),
     ("beta(0.7,3)", 3, 3, 8192, 3,
-     "23f571af76cacb64695feb418bfe5f76c896ff1e046a10159008a2383caa969c"),
+     "b42040f84c6295c44a42ba8ba573946da27407f63aaafbbefc17b6bff61b0359"),
     ("beta(0.7,3)", 3, 3, 512, 5,
-     "b44d6242932128c8630bc1fc97c9263b5ad96d0ea6368243389603dbdf931080"),
+     "cfefbbd91183a74b83c29ee98e09692e8b461ddfbed0dbe944213befc8f486d8"),
 ]
 
 
@@ -459,6 +468,19 @@ def test_settled_points_keep_benchmark_steps_and_schedules(monkeypatch, law, na,
     assert sol.residual <= sol.tol and report.max_gain <= report.bound
 
 
+@pytest.mark.parametrize("law, na, nb, grid", [row[:4] for row in BENCHMARK_SOLVES if row[2] > 1],
+                         ids=[f"{law} {na}+{nb} g{grid}"
+                              for law, na, nb, grid, *_ in BENCHMARK_SOLVES if nb > 1])
+def test_every_marched_point_has_g_above_the_floor(marched_g, law, na, nb, grid):
+    """G never falls along the grid, so a Newton step, which marches from a
+    usable point, marches usable points only: on each benchmark solve, G at
+    the bids every step starts from is above the floor wherever it marches."""
+    dist = parse_distribution(law)
+    sol = solve_fixed_point(HybridAuctionConfig(na, nb, dist, dist), grid)
+    assert len(marched_g) >= sol.iterations
+    assert all(np.all(g > pe._G_FLOOR) for g in marched_g)
+
+
 # ------------------------------ nested iteration -------------------------------
 
 
@@ -467,13 +489,13 @@ NESTED_LAWS = {"beta(2,2)": Beta(2, 2), "beta(0.7,3)": Beta(0.7, 3),
 
 
 def _line_start_solve(config, grid_size):
-    """The Newton solve on ``grid_size`` started from the anchor line."""
+    """The Newton solve on ``grid_size`` started from the start line."""
     problem = pe._Problem(config, grid_size)
     steps = pe._newton_steps(problem, problem.line, pe._TOL)
     for step, (bids, residual, known) in zip(range(pe._MAX_STEPS + 1), steps):
         if residual <= pe._TOL:
             return problem.finish(bids, residual, "newton", step, pe._TOL, (), *known)
-    pytest.fail(f"no convergence from the anchor line at grid {grid_size}")
+    pytest.fail(f"no convergence from the start line at grid {grid_size}")
 
 
 @pytest.mark.parametrize("grid", [1024, 4096, 8192])
@@ -482,7 +504,7 @@ def _line_start_solve(config, grid_size):
 def test_fine_grid_starts_from_the_coarse_schedule(law, counts, grid):
     """A Newton solve on a grid finer than 512 starts from the grid-512
     schedule and records that solve as its ``start``. It meets ``tol`` and
-    certifies, as the solve from the anchor line does, and the two
+    certifies, as the solve from the start line does, and the two
     schedules lie within 10 * tol times the value range of each other
     (8.1 times at most here, on Beta(0.5,5) 3+3 at grid 1024)."""
     config = HybridAuctionConfig(*counts, NESTED_LAWS[law], NESTED_LAWS[law])
@@ -499,10 +521,9 @@ def test_fine_grid_starts_from_the_coarse_schedule(law, counts, grid):
     assert np.max(np.abs(nested.bids - line.bids)) <= 10 * pe._TOL * value_range
 
 
-def test_fine_start_is_the_coarse_schedule_off_the_anchor(monkeypatch):
-    """The grid-512 solve starts from its anchor line; the grid-8192 solve
-    starts from the grid-512 schedule read at its values, except on its own
-    anchor, which keeps its line."""
+def test_fine_start_is_the_coarse_schedule(monkeypatch):
+    """The grid-512 solve starts from its start line; the grid-8192 solve
+    starts from the grid-512 schedule read at its values, all of them."""
     starts = []
 
     def spy(problem, bids, tol):
@@ -516,22 +537,22 @@ def test_fine_start_is_the_coarse_schedule_off_the_anchor(monkeypatch):
     (coarse_problem, coarse_start), (problem, start) = starts
     assert coarse_problem.values.size == 512 and coarse_start is coarse_problem.line
     assert problem.values.size == sol.values.size == 8192
-    anchor = problem.anchor
-    assert np.array_equal(start[anchor], problem.line[anchor])
-    assert np.array_equal(start[~anchor], coarse.bid_function(problem.values[~anchor]))
+    assert np.array_equal(start, coarse.bid_function(problem.values))
 
 
-def test_fine_grid_falls_back_to_the_line_where_the_coarse_solve_fails(deadline):
-    """lognormal(0,1) 2+2: the grid-512 solve stops at the step cap (ROADMAP
-    item 3), so the grid-4096 solve starts from the anchor line, takes the
-    same steps bit for bit as before and, as before, certifies."""
-    law = Lognormal(0.0, 1.0)
-    config = HybridAuctionConfig(2, 2, law, law)
+def test_fine_grid_falls_back_to_the_line_where_the_coarse_solve_fails(monkeypatch,
+                                                                      deadline):
+    """Census row 212 with a coarse grid of 64: the grid-64 solve stops at
+    the step cap (ROADMAP item 4), so the grid-512 solve starts from the
+    start line, takes the same steps bit for bit as a solve started there
+    and certifies."""
+    config = HybridAuctionConfig(1, 5, Lognormal(0.354, 0.142), Beta(1.169, 5.287))
+    monkeypatch.setattr(pe, "_COARSE_GRID", 64)
     with pytest.raises(SolverError):
-        solve_fixed_point(config, 512)
-    sol = solve_fixed_point(config, 4096)
+        solve_fixed_point(config, 64)
+    sol = solve_fixed_point(config, 512)
     assert sol.start == "anchor line"
-    line = _line_start_solve(config, 4096)
+    line = _line_start_solve(config, 512)
     assert sol.bids.tobytes() == line.bids.tobytes()
     assert sol.iterations == line.iterations
     report = verify_best_response(sol)
@@ -1053,6 +1074,40 @@ def test_bid_lookup_steps_aside_where_its_arithmetic_differs():
         assert bf._table is None
         x = np.tile(bf.values, 2)
         assert _same_bits(bf(x), np.interp(x, bf.values, bf.bids))
+
+
+# ---------------------------- no integrated builders ----------------------------
+
+
+NO_RESERVE_LAWS = {name: parse_distribution(name) for name in (
+    "uniform(0,1)", "uniform(0.5,1.5)", "beta(2,2)", "beta(0.7,3)", "beta(0.5,5)",
+    "beta(5,2)", "lognormal(0,0.5)", "lognormal(0,1)", "lognormal(0,1.4)")}
+NO_RESERVE_LAWS.update(K=KINKED, E=EMPIRICAL_E)
+
+
+@pytest.mark.parametrize("n_neutral", [2, 3, 5])
+@pytest.mark.parametrize("law", list(NO_RESERVE_LAWS))
+def test_no_reserve_matches_the_first_price_closed_form(deadline, law, n_neutral):
+    """With no integrated builders the auction is a symmetric first-price
+    auction, whose schedule is v - int_lo^v F(t)**(n-1) dt / F(v)**(n-1)
+    (Krishna, *Auction Theory*, ch. 2). At grid 4096 the bids at the grid
+    values nearest q = 0.1, 0.5 and 0.9 lie within 2e-5 of it by quadrature
+    (1.0e-5 at most, on lognormal(0,0.5) 0+2 at q = 0.1). G does not depend
+    on the bids, so one Newton step meets ``tol``."""
+    dist = NO_RESERVE_LAWS[law]
+    sol = solve_fixed_point(HybridAuctionConfig(0, n_neutral, dist, dist), 4096)
+    lo, nodes = sol.values[0], getattr(dist, "points", np.empty(0))
+
+    def rival(t):
+        return float(dist.cdf(t)) ** (n_neutral - 1)
+
+    for q in (0.1, 0.5, 0.9):
+        i = int(np.searchsorted(sol.values, dist.quantile(q)))
+        v = float(sol.values[i])
+        kinks = nodes[(nodes > lo) & (nodes < v)].tolist() or None
+        area = quad(rival, lo, v, points=kinks, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        assert abs(sol.bids[i] - (v - area / rival(v))) <= 2e-5
+    assert sol.iterations <= 1
 
 
 # ----------------------------- property-based sweep ----------------------------

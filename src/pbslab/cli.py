@@ -265,16 +265,22 @@ def _hybrid(ns, laws):
     return solve_fixed_point(config, ns.grid, ns.tol)
 
 
+def _companion(out: str, suffix: str) -> Path:
+    """The path written beside ``out``: ``out`` with ``suffix``, which must differ."""
+    path, kind = Path(out), suffix[1:].upper()
+    if path.suffix == suffix:
+        raise ValueError(f"--out {path} is also the path of its companion {kind}")
+    return path.with_suffix(suffix)
+
+
 def cmd_solve_private(ns) -> int:
     """solve the private-value hybrid auction bid schedule"""
-    out = Path(ns.out)
-    if out.suffix == ".json":  # the JSON beside it would overwrite it
-        raise ValueError(f"--out {out} is also the path of its companion JSON")
+    companion = _companion(ns.out, ".json")
     solution = _hybrid(ns, _laws(ns))
     report = verify_best_response(solution) if ns.method == "auto" else None
 
-    _write_atomic(out, _solution_csv(solution))
-    _write_atomic(out.with_suffix(".json"), _json_text({
+    _write_atomic(ns.out, _solution_csv(solution))
+    _write_atomic(companion, _json_text({
         "config": solution.config.describe(),
         "solver": solution.metadata(),
         "residuals": {
@@ -391,9 +397,7 @@ def cmd_sweep(ns) -> int:
 
 def cmd_figure(ns) -> int:
     """emit an SVG bid-schedule chart plus companion CSV"""
-    out = Path(ns.out)
-    if out.suffix == ".csv":  # the CSV beside it would overwrite it
-        raise ValueError(f"--out {out} is also the path of its companion CSV")
+    companion = _companion(ns.out, ".csv")
     solution = _hybrid(ns, _laws(ns))
     v = solution.values
     svg = line_chart_svg(
@@ -401,9 +405,9 @@ def cmd_figure(ns) -> int:
          Series(v, v, "truthful bid (45-degree)", dashed=True)],
         xlabel="value v", ylabel="bid",
         title=f"Neutral-builder bid schedule: na={ns.na}, nb={ns.nb}, fb={ns.fb}")
-    _write_atomic(out, svg)
-    _write_atomic(out.with_suffix(".csv"), _solution_csv(solution))
-    print(f"wrote {out} and {out.with_suffix('.csv')}")
+    _write_atomic(ns.out, svg)
+    _write_atomic(companion, _solution_csv(solution))
+    print(f"wrote {Path(ns.out)} and {companion}")
     return EXIT_OK
 
 
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pbslab",
         description="Equilibria of the hybrid and candlestick block-builder "
                     "auctions: analytic solvers cross-checked by Monte Carlo.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (opts, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__, description=handler.__doc__)
         _add_options(p, opts)
@@ -438,9 +442,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_with_config(parser, argv))
-        if getattr(args, "handler", None) is None:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
         args.argv = argv
         return args.handler(args)
     except SystemExit as exc:  # argparse --help (0) and usage errors (2)

@@ -41,6 +41,8 @@ __all__ = [
     "parse_distribution",
 ]
 
+_MASS_FLOOR = 1e-9  # a CDF value above it is mass at the point it is read at
+
 
 @functools.cache
 def _special():
@@ -118,7 +120,6 @@ class Beta(ValueDistribution):
     beta: float
     kind: str = field(default="beta", init=False, repr=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
@@ -160,7 +161,7 @@ class Beta(ValueDistribution):
         compares two values of one class, so no caller relies on order at
         that scale."""
         q = _check_prob(q)
-        below, above, split = self._halves()
+        below, above, split = self._halves
         flat = q.ravel()
         out = np.empty_like(flat)
         for start in range(0, flat.size, _BLOCK):  # temporaries stay in cache
@@ -172,6 +173,7 @@ class Beta(ValueDistribution):
         out = out.reshape(q.shape)
         return out if out.ndim else out[()]
 
+    @functools.cached_property
     def _halves(self) -> tuple["_BetaHalf", "_BetaHalf", float]:
         """The tables below and above the probability that splits the two
         ways of solving, and that split, built on first use.
@@ -181,16 +183,14 @@ class Beta(ValueDistribution):
         ulp(q)/f and the one through 1 - q by half an ulp of 1, so the split
         moves up to where the density f falls to _SPLIT_DENSITY = 2. It
         stays under 1, so that q = 1 gives 1."""
-        if self._tables is None:
-            a, b = self.alpha, self.beta
-            split = 0.5
-            if _special().betainc(a, b, 0.5) > 0.5:
-                split = float(_special().betainc(a, b, self._where_density_falls()))
-            split = min(max(split, 0.5), 1.0 - 2.0 ** -53)
-            below = _BetaHalf(a, b, self._log_norm, split)
-            above = below if a == b else _BetaHalf(b, a, self._log_norm, 1.0 - split)
-            object.__setattr__(self, "_tables", (below, above, split))
-        return self._tables
+        a, b = self.alpha, self.beta
+        split = 0.5
+        if _special().betainc(a, b, 0.5) > 0.5:
+            split = float(_special().betainc(a, b, self._where_density_falls()))
+        split = min(max(split, 0.5), 1.0 - 2.0 ** -53)
+        below = _BetaHalf(a, b, self._log_norm, split)
+        above = below if a == b else _BetaHalf(b, a, self._log_norm, 1.0 - split)
+        return below, above, split
 
     def _where_density_falls(self) -> float:
         """The x in [mode, 1/2] (from 0 for alpha <= 1) where the density
@@ -541,11 +541,13 @@ def lognormal_put_value(v0: float, b, s: float):
 def lower_tail_exponent(d: ValueDistribution, at: float, probe: float) -> float:
     """Local power-law exponent k with F(at + u) ~ C * u**k for small u > 0.
 
-    Returns 0 when F(at) is already positive. ``probe`` sets the length scale
-    for the numeric estimate used by laws without a closed-form exponent
+    Returns 0 where F(at) is above ``_MASS_FLOOR``. At or below the support
+    bottom it reads the law's own exponent (1 for uniform(0.5, 1.5) at 0: the
+    start line's slope below a reserve's start). ``probe`` sets the length
+    scale for the numeric estimate of laws without a closed-form exponent
     (clamped to [0, 500]; a lognormal lower tail is steeper than any power).
     """
-    if float(d.cdf(at)) > 1e-9:
+    if float(d.cdf(at)) > _MASS_FLOOR:
         return 0.0
     lo = d.support[0]
     if at <= lo + 1e-12 * max(1.0, abs(lo)):

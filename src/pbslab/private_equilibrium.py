@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ValueDistribution, lower_tail_exponent
+from .distributions import _MASS_FLOOR, ValueDistribution, lower_tail_exponent
 
 __all__ = [
     "HybridAuctionConfig",
@@ -64,7 +64,7 @@ _SETTLED = 1e-3
 
 # a Newton solve on a finer grid starts from the schedule solved on this one
 _COARSE_GRID = 512
-_ANCHOR_START = "anchor line"
+_START_LINE = "start line"
 
 # bids the best-response certificate scores each grid value against
 _CERT_BIDS = 4000
@@ -107,8 +107,9 @@ class HybridAuctionConfig:
     """Hybrid auction primitives.
 
     ``n_integrated`` may be 0, which drops the reserve entirely and reduces
-    the model to a standard symmetric first-price auction among the neutral
-    builders.
+    the model to a symmetric first-price auction among the neutral builders.
+    With one neutral builder the reserve may hold no mass at the neutral
+    bottom: the best bid could then lie below it, where the solver never looks.
     """
 
     n_integrated: int
@@ -125,6 +126,9 @@ class HybridAuctionConfig:
         for d in (self.integrated_values, self.neutral_values):
             if d.support[0] < 0.0:
                 raise ValueError("value supports must be nonnegative")
+        if (self.n_neutral == 1 and float(self.integrated_values.cdf(
+                self.neutral_values.support[0])) > _MASS_FLOOR):
+            raise ValueError("integrated values must not start below the neutral values")
 
     def reserve_cdf(self, b, law_cdf=None):
         """CDF of the effective reserve: the highest truthful integrated bid.
@@ -283,7 +287,7 @@ class EquilibriumSolution:
     iterations: int
     tol: float
     residual_history: tuple = field(default=(), repr=False)
-    start: str | dict = _ANCHOR_START
+    start: str | dict = _START_LINE
     marched: tuple | None = field(default=None, repr=False)
 
     @property
@@ -302,7 +306,7 @@ class EquilibriumSolution:
     def metadata(self) -> dict:
         """Solver summary; ``residual_history`` is the residual after each
         step (see :func:`solve_fixed_point`), ``start`` the schedule the
-        steps began from: "anchor line", or the coarse grid's size with the
+        steps began from: "start line", or the coarse grid's size with the
         steps and residual of its solve, and ``marched`` the grid points
         each Newton step marched (None for other methods)."""
         return {
@@ -398,8 +402,6 @@ class _Problem:
         tail_k = sum(n * lower_tail_exponent(law, lo, probe) for n, law in (
             (config.n_neutral - 1, config.neutral_values),
             (config.n_integrated, config.integrated_values)) if n > 0)
-        if tail_k <= 0.0:  # one neutral builder only: a rival CDF's k is > 0
-            raise ValueError("integrated values must not start below the neutral values")
         self.config, self.values = config, grid
         self.lo, self.tail_k = lo, tail_k
         self.slope = tail_k / (tail_k + 1.0)
@@ -441,7 +443,7 @@ class _Problem:
 
     def finish(self, bids, residual, method, iterations, tol,
                history=(), g=None, integral=None, marched=None,
-               start=_ANCHOR_START) -> EquilibriumSolution:
+               start=_START_LINE) -> EquilibriumSolution:
         """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or
         None, ``integral`` its :func:`_power_cumint` integral or None, and
         ``marched`` the points each Newton step marched."""
@@ -576,7 +578,8 @@ def _argmax_steps(problem: _Problem):
     the bids are the midpoints, the residual the widest bracket, G and I
     None. As the payoff can have two local maxima where H is not log-concave,
     a bracket starts on the two grid cells around the grid value that scores
-    best as a bid (:func:`_best_bids`), or on [lo, v] where none wins."""
+    best as a bid (:func:`_best_bids`), or on [lo, v] where none wins, as
+    the config's rule for one neutral builder keeps H(lo) = 0."""
     config, values, line = problem.config, problem.values, problem.line
     residual, g, integral = problem.defect(line)[2:5]
     yield line, residual, (g, integral)
@@ -602,7 +605,7 @@ def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
     "newton" steps (:func:`_newton_steps`), the residual being the
     identity's sup-norm defect where G is above the floor; with one by
     "argmax" (:func:`_argmax_steps`), the residual being the widest bracket
-    around a best bid. Both start from the start line ("anchor line" in
+    around a best bid. Both start from the start line ("start line" in
     ``start``), except a Newton solve on a grid of more than
     ``_COARSE_GRID`` values, which starts from the schedule solved on that
     many (see :func:`_coarse_start`). Raises SolverError if the residual is
@@ -616,7 +619,7 @@ def _solve(config: HybridAuctionConfig, grid_size: int,
     """:func:`solve_fixed_point` past its argument check."""
     problem = _Problem(config, grid_size)
     if config.n_neutral == 1:
-        method, steps, start = "argmax", _argmax_steps(problem), _ANCHOR_START
+        method, steps, start = "argmax", _argmax_steps(problem), _START_LINE
     else:
         bids, start = _coarse_start(problem, tol)
         method, steps = "newton", _newton_steps(problem, bids, tol)
@@ -640,11 +643,11 @@ def _coarse_start(problem: _Problem, tol: float) -> tuple:
     finer; Deuflhard 2004, Kelley 2003); otherwise, or where the coarse
     solve fails, the start line."""
     if problem.values.size <= _COARSE_GRID:
-        return problem.line, _ANCHOR_START
+        return problem.line, _START_LINE
     try:
         coarse = _solve(problem.config, _COARSE_GRID, tol)
     except (SolverError, ValueError):  # ValueError: the coarse grid collapsed
-        return problem.line, _ANCHOR_START
+        return problem.line, _START_LINE
     return coarse.bid_function(problem.values), {
         "grid_size": _COARSE_GRID, "iterations": coarse.iterations,
         "residual": coarse.residual}
@@ -675,11 +678,12 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     from the solved schedule while its rivals play it.
 
     Every grid value is scored, by :func:`_best_bids`, against ``_CERT_BIDS``
-    bids evenly spaced over the value range (a bid below it never wins, a bid
-    above the schedule wins the rival contest outright); values off the grid
-    are not, as between grid points the interpolated schedule is not the
-    solved one and shows false gains. At an equilibrium the gains vanish up
-    to the schedule's error; the bound is the value range times
+    bids evenly spaced over the value range (a bid below it never wins: the
+    rivals bid at least lo, or one neutral builder meets the config's rule;
+    a bid above the schedule wins the rival contest outright); values off
+    the grid are not, as between grid points the interpolated schedule is
+    not the solved one and shows false gains. At an equilibrium the gains
+    vanish up to the schedule's error; the bound is the value range times
     ``_GAIN_BOUND`` or, on a grid of n values, ``_GAIN_CELLS / n**2`` if that
     is larger. The gate stops below the grid's top tail (see ``_GATE_STEPS``):
     the gains there carry the grid's tail bias, which can exceed that of a

@@ -27,6 +27,7 @@ run; a verified sweep of shorter runs splits its points instead.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pickle
@@ -133,17 +134,9 @@ class SimReport:
         return all(c["ok"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "reps": self.reps,
-            "seed": self.seed,
-            "config": self.config,
-            "stats": {k: {"mean": s.mean, "half_width": s.half_width}
-                      for k, s in self.stats.items()},
-            "analytic": self.analytic,
-            "checks": self.checks,
-            "agreement_ok": self.agreement_ok,
-        }
+        out = dataclasses.asdict(self)
+        del out["processes"]
+        return {**out, "agreement_ok": self.agreement_ok}
 
 
 def _replications(seed: int, reps: int, width: int, block_fn, blocks=None):
@@ -265,14 +258,21 @@ def _run_stats(seed: int, reps: int, width: int, series_fn) -> tuple[dict[str, S
     return {name: a.stat() for name, a in acc.items()}, processes
 
 
-def _check(name: str, stat: Stat, target: float) -> dict:
-    return {
-        "name": name,
-        "estimate": stat.mean,
-        "target": target,
-        "half_width": stat.half_width,
-        "ok": bool(abs(stat.mean - target) <= 3.0 * stat.half_width),
-    }
+def _report(model: str, solution, reps: int, seed: int, width: int, block_fn,
+            analytic: dict[str, float]) -> SimReport:
+    """The report of ``reps`` replications of ``block_fn(solution, u)`` on
+    ``width`` uniforms each, each ``analytic`` target checked against its
+    series' mean at 3 half-widths."""
+    stats, processes = _run_stats(seed, reps, width, partial(block_fn, solution))
+    checks = []
+    for name, target in analytic.items():
+        stat = stats[name]
+        checks.append({"name": name, "estimate": stat.mean, "target": target,
+                       "half_width": stat.half_width,
+                       "ok": bool(abs(stat.mean - target) <= 3.0 * stat.half_width)})
+    return SimReport(model=model, reps=reps, seed=seed,
+                     config=solution.config.describe(), stats=stats,
+                     analytic=analytic, checks=checks, processes=processes)
 
 
 # --------------------------------- hybrid -------------------------------------
@@ -345,12 +345,8 @@ def _hybrid_analytic(solution: EquilibriumSolution) -> dict[str, float]:
 def simulate_hybrid(solution: EquilibriumSolution, reps: int, seed: int) -> SimReport:
     """Aggregate ``reps`` independent hybrid auctions into a SimReport and
     compare against the analytic surplus and win rates at 3 half-widths."""
-    stats, processes = _run_stats(seed, reps, 4, partial(_hybrid_block, solution))
-    analytic = _hybrid_analytic(solution)
-    checks = [_check(name, stats[name], analytic[name]) for name in analytic]
-    return SimReport(model="hybrid", reps=reps, seed=seed,
-                     config=solution.config.describe(), stats=stats,
-                     analytic=analytic, checks=checks, processes=processes)
+    return _report("hybrid", solution, reps, seed, 4, _hybrid_block,
+                   _hybrid_analytic(solution))
 
 
 # ------------------------------- candlestick ----------------------------------
@@ -392,13 +388,8 @@ def simulate_candlestick(solution: CandlestickSolution, reps: int, seed: int) ->
     log_top = max(math.log(process.v0), process.log_mean + process.log_sd * ndtri(_BELOW_ONE))
     if reps > 0 and 2.0 * log_top + math.log(reps) > math.log(np.finfo(float).max):
         raise ValueError(f"v0={process.v0:g} overflows the moments of {reps} replications")
-    stats, processes = _run_stats(seed, reps, 3, partial(_candlestick_block, solution))
-    analytic = {
+    return _report("candlestick", solution, reps, seed, 3, _candlestick_block, {
         "slow_profit": 0.0,
         "win_rate_slow": solution.slow_win_prob,
         "fast_profit": solution.fast_expected_profit,
-    }
-    checks = [_check(name, stats[name], analytic[name]) for name in analytic]
-    return SimReport(model="candlestick", reps=reps, seed=seed,
-                     config=solution.config.describe(), stats=stats,
-                     analytic=analytic, checks=checks, processes=processes)
+    })

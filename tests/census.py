@@ -17,7 +17,8 @@ The ranges:
 Every parameter is a multiple of 0.001, so a row's label is its law.
 :func:`verdict` maps a row to the exit code ``solve-private`` ends with,
 and its reason. Run as a script, it prints the population's verdict
-tallies as JSON, with each row's exit code:
+tallies as JSON: by exit code, by neutral law family and exit code, by exit
+code and matched ``REASONS`` entry (``by_reason``), and each row's exit code:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -99,17 +100,26 @@ def verdict(fa, fb, n_integrated: int, n_neutral: int, grid: int) -> tuple[int, 
     return 0, "certified"
 
 
+def documented_reason(code: int, reason: str) -> str:
+    """The ``REASONS`` entry of ``code`` that ``reason`` holds, or
+    "undocumented"."""
+    return next((entry for entry in REASONS.get(code, ()) if entry in reason),
+                "undocumented")
+
+
 def main():
-    codes, by_neutral = [], Counter()
+    codes, by_neutral, by_reason = [], Counter(), Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for row in census():
-            code = verdict(*row)[0]
+            code, reason = verdict(*row)
             codes.append(code)
             by_neutral[f"{row[1].kind} exit {code}"] += 1
+            by_reason[f"exit {code}: {documented_reason(code, reason)}"] += 1
     print(json.dumps({"seed": SEED, "rows": ROWS, "certified": codes.count(0),
                       "by_code": {str(c): codes.count(c) for c in sorted(set(codes))},
                       "by_neutral": dict(sorted(by_neutral.items())),
+                      "by_reason": dict(sorted(by_reason.items())),
                       "codes": codes}))
 
 

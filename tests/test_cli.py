@@ -185,7 +185,7 @@ def test_solve_private_tol_is_in_value_units(tmp_path, capsys, nb):
 
 @pytest.mark.parametrize("grid", ["512", "1024", "4096"])
 def test_solve_private_json_reports_the_start(tmp_path, grid):
-    """``solver.start`` names the schedule the steps began from: the anchor
+    """``solver.start`` names the schedule the steps began from: the start
     line up to grid 512, above it the grid-512 solve with its own steps and
     residual; ``iterations`` and ``residual_history`` stay the fine solve's."""
     out = tmp_path / "beta.csv"
@@ -195,7 +195,7 @@ def test_solve_private_json_reports_the_start(tmp_path, grid):
     assert len(solver["residual_history"]) == solver["iterations"]
     assert solver["grid_size"] == int(grid)
     if grid == "512":
-        assert solver["start"] == "anchor line"
+        assert solver["start"] == "start line"
     else:
         coarse = pe.solve_fixed_point(pe.HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)))
         assert solver["start"] == {"grid_size": 512, "iterations": coarse.iterations,
@@ -304,6 +304,23 @@ def test_solve_private_empirical_single_neutral_is_certified(tmp_path, capsys,
     assert report["solver"]["method"] == "argmax"
     best = report["residuals"]["best_response"]
     assert best["max_gain"] <= best["bound"]
+
+
+# integrated values with mass below the neutral values
+BELOW_NEUTRAL_LAWS = ("--fa", "uniform(0,1)", "--fb", "uniform(0.5,1.5)")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve-private", ()), ("simulate", ("--model", "hybrid")), ("figure", ())])
+def test_single_neutral_rule_is_usage_error(tmp_path, capsys, command, flags):
+    """With one neutral builder, integrated values with mass below the
+    neutral values exit 2 with the model's rule, and no file is written."""
+    out = tmp_path / "out.svg"
+    assert main([command, *flags, "--na", "3", "--nb", "1", *BELOW_NEUTRAL_LAWS,
+                 "--out", str(out)]) == 2
+    assert ("integrated values must not start below the neutral values"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_private_missing_flag_is_usage_error(tmp_path):
@@ -687,6 +704,25 @@ def test_sweep_overflowing_v0_is_an_error_row(tmp_path):
     assert row["status"].startswith("error: ValueError: v0=1e+200 overflows the moments")
 
 
+def test_sweep_single_neutral_rule_is_an_error_row(tmp_path):
+    rows = _sweep_rows(tmp_path, "--axis", "na", "--grid", "0,3", "--nb", "1",
+                       *BELOW_NEUTRAL_LAWS)
+    assert [row["status"] for row in rows] == [
+        "error: ValueError: degenerate auction: a single neutral bidder with no "
+        "integrated competition has no interior bid",
+        "error: ValueError: integrated values must not start below the neutral values"]
+
+
+def test_sweep_failed_verification_is_a_row_status(tmp_path, capsys):
+    """At vol 20 the sample half-width of the fast profit cannot see the
+    value law's tail (0 +- 0 against 0.5): the row's check fails, its status
+    says so, and the sweep still exits 0."""
+    [row] = _sweep_rows(tmp_path, "--axis", "vol", "--grid", "20", "--p", "0.5",
+                        "--verify-reps", "10000")
+    assert row["b0s"] == "0.5" and row["status"] == "verify-failed"
+    assert "1 rows, 1 non-ok" in capsys.readouterr().out
+
+
 def test_sweep_extreme_beta_shape_is_an_error_row(tmp_path):
     [row] = _sweep_rows(tmp_path, "--axis", "na", "--grid", "1", "--fb", "beta(1e-20,3)")
     assert row["status"].startswith("error: ValueError: beta shapes")
@@ -825,6 +861,19 @@ def test_figure_unwritable_path_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_rename_exits_5_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    """A write whose final rename fails removes its temp file: exit 5 and
+    nothing beside --out."""
+    def refuse(src, dst):
+        raise PermissionError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "candle.json"
+    assert main(["solve-candlestick", "--p", "0.5", "--out", str(out)]) == 5
+    assert "i/o failure: cannot rename" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_out_named_like_its_csv_is_usage_error(tmp_path, capsys, monkeypatch):
     """An --out ending in .csv would be overwritten by the CSV written beside
     it: exit 2 before solving, with no file written."""
@@ -945,6 +994,20 @@ def test_retired_solver_knobs_are_usage_errors(tmp_path, capsys, key, value):
     assert main(["solve-private", "--config", str(cfg)]) == 2
     assert f"unknown config keys: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"), ("{\"na\": 3,", "cannot read config file"),
+    ("[3, 1]", "must hold a JSON object")])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, text, message):
+    """A missing file, invalid JSON and a JSON array exit 2 before any flag
+    is read from them."""
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["solve-candlestick", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([] if text is None else [cfg])
 
 
 def test_config_file_bad_choice_rejected(tmp_path):

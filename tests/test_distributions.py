@@ -254,7 +254,7 @@ def test_beta_quantile_of_skewed_laws_keeps_relative_precision(alpha, beta, q):
 @pytest.mark.parametrize("alpha, beta", [(0.7, 3.0), (5.0, 0.5), (50.0, 50.0)])
 def test_beta_quantile_fallback_converges_from_poor_starts(alpha, beta):
     """The bracketed fallback reaches the quantile from any start, NaN too."""
-    below = Beta(alpha, beta)._halves()[0]
+    below = Beta(alpha, beta)._halves[0]
     y = np.tile([1e-100, 1e-12, 0.01, 0.3, 0.5], 5)
     start = np.repeat([1e-300, 1e-6, 0.5, 1.0 - 1e-9, math.nan], 5)
     want = betaincinv(alpha, beta, y)

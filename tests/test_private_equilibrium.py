@@ -245,13 +245,13 @@ def test_solver_matrix_passes_the_certificate(name):
 
 @pytest.mark.parametrize("n_integrated", [1, 2, 3, 5])
 def test_argmax_brackets_the_single_neutral_closed_form(n_integrated):
-    """Uniform values, whose anchor line is already the answer: each halving
+    """Uniform values, whose start line is already the answer: each halving
     keeps n/(n+1) * v inside every value's bracket, and the midpoints are
     the closed form up to half the widest bracket."""
     problem = pe._Problem(HybridAuctionConfig(n_integrated, 1, UNIT, UNIT), 512)
     target = closed_form_single_neutral(n_integrated, problem.values)
     steps = pe._argmax_steps(problem)
-    next(steps)  # the anchor line
+    next(steps)  # the start line
     for _, (bids, width, _) in zip(range(30), steps):
         assert np.max(np.abs(bids - target)) <= 0.5 * width + 1e-15
     assert width < 1e-8
@@ -352,7 +352,7 @@ def test_newton_steps_stay_monotone_and_keep_the_line_below_the_floor(monkeypatc
 # ------------------------------- settled points --------------------------------
 
 
-# a G that starts above the neutral bottom, a wide anchor, a heavy tail and
+# a G that starts above the neutral bottom, a steep lower tail, a heavy tail and
 # no reserve, at grid 256
 PARTIAL_PROBLEMS = {name: pe._Problem(config, 256) for name, config in {
     "uniform(0.5,1.5)/uniform 2+4": HybridAuctionConfig(2, 4, Uniform(0.5, 1.5), UNIT),
@@ -551,7 +551,7 @@ def test_fine_grid_falls_back_to_the_line_where_the_coarse_solve_fails(monkeypat
     with pytest.raises(SolverError):
         solve_fixed_point(config, 64)
     sol = solve_fixed_point(config, 512)
-    assert sol.start == "anchor line"
+    assert sol.start == "start line"
     line = _line_start_solve(config, 512)
     assert sol.bids.tobytes() == line.bids.tobytes()
     assert sol.iterations == line.iterations
@@ -563,7 +563,7 @@ def test_fine_grid_falls_back_to_the_line_where_the_coarse_grid_collapses():
     """A law with 98% of its mass between two adjacent doubles: its grid of
     32768 values keeps 659 distinct ones, but the grid-512 problem keeps
     fewer than 64 and raises ValueError, so the fine solve starts from its
-    anchor line instead of failing."""
+    start line instead of failing."""
     law = EmpiricalGrid(np.array([0.0, 1.0, 1.0 + 4.5e-16, 2.0]),
                         np.array([0.0, 0.01, 0.99, 1.0]))
     config = HybridAuctionConfig(3, 3, law, law)
@@ -572,7 +572,7 @@ def test_fine_grid_falls_back_to_the_line_where_the_coarse_grid_collapses():
     problem = pe._Problem(config, 32768)
     assert problem.values.size > 512
     bids, start = pe._coarse_start(problem, pe._TOL)
-    assert bids is problem.line and start == "anchor line"
+    assert bids is problem.line and start == "start line"
 
 
 def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
@@ -582,7 +582,7 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         meta = exact.metadata()
         assert exact.iterations == 0
         assert meta["method"] == method and meta["residual_history"] == []
-        assert meta["start"] == "anchor line"
+        assert meta["start"] == "start line"
         assert meta["marched"] == ([] if method == "newton" else None)
         assert exact.bids.tobytes() == damped_reference(config).bids.tobytes()
 
@@ -593,7 +593,7 @@ def test_metadata_reports_solver_path(uniform_3_3, uniform_3_1):
         assert meta["method"] == method
         assert len(meta["residual_history"]) == sol.iterations > 0
         assert meta["residual_history"][-1] == sol.residual
-        assert meta["start"] == "anchor line"
+        assert meta["start"] == "start line"
         if method == "newton":
             assert len(meta["marched"]) == sol.iterations
             assert all(0 < m <= sol.values.size for m in meta["marched"])
@@ -651,6 +651,23 @@ def test_config_validation():
         HybridAuctionConfig(1, 0, UNIT, UNIT)
     with pytest.raises(ValueError):  # nobody to compete against
         HybridAuctionConfig(0, 1, UNIT, UNIT)
+
+
+@pytest.mark.parametrize("n_integrated", [1, 3])
+def test_single_neutral_rule_is_the_configs(n_integrated):
+    """With one neutral builder, integrated values whose CDF at the neutral
+    bottom is above 1e-9 are rejected at construction; with two, or within
+    1e-9, they are not. The solver's grid machinery holds no such rule: a
+    config that skips it gets a lower-tail exponent of 0."""
+    neutral = Uniform(0.5, 1.5)
+    with pytest.raises(ValueError, match="must not start below the neutral values"):
+        HybridAuctionConfig(n_integrated, 1, UNIT, neutral)
+    with pytest.raises(ValueError, match="must not start below the neutral values"):
+        HybridAuctionConfig(n_integrated, 1, Uniform(0.5 - 2e-9, 1.5), neutral)
+    HybridAuctionConfig(n_integrated, 1, Uniform(0.5 - 5e-10, 1.5), neutral)
+    config = HybridAuctionConfig(n_integrated, 2, UNIT, neutral)
+    object.__setattr__(config, "n_neutral", 1)
+    assert pe._Problem(config, 512).tail_k == 0.0
 
 
 # ---------------------------------- ODE oracle ---------------------------------

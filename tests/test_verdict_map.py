@@ -7,11 +7,14 @@ asserts that a row fails. Each documented row names the ROADMAP item that
 owns it, or the README for an input the command line rejects.
 """
 
+import numpy as np
 import pytest
 
 from pbslab.distributions import parse_distribution
+from pbslab.private_equilibrium import HybridAuctionConfig, solve_fixed_point
 
 from census import verdict
+from reference_oracle import brute_best_bids, closed_form_single_neutral
 from test_private_equilibrium import _SKEWED, EMPIRICAL_E, KINKED
 
 LAWS = {name: parse_distribution(name) for name in (
@@ -114,3 +117,21 @@ def test_every_row_certifies_or_ends_as_documented(deadline, row):
         assert code == documented_code and documented_reason in reason, (
             f"{owner} documents exit {documented_code} ({documented_reason}); "
             f"got exit {code}: {reason}")
+
+
+@pytest.mark.parametrize("counts, expected", [("1+1", 0.25), ("3+1", 0.375)])
+def test_below_neutral_rows_bid_below_the_neutral_values(counts, expected):
+    """The ``BELOW_NEUTRAL`` rows' bottom value v = lo = 0.5 bids below lo at
+    its best: by brute force over bids from 0, (v - b) * b**n peaks at the
+    closed form n v / (n + 1), 0.25 and 0.375, which no bracket from lo and
+    no certificate bid from lo tries. A verdict that certifies such a row
+    (ROADMAP item 16) must bid that there, within the solver's tolerance."""
+    fa, fb = LAWS["uniform(0,1)"], LAWS["uniform(0.5,1.5)"]
+    n_integrated, lo = int(counts[0]), fb.support[0]
+    bids = np.arange(1537) / 1024  # 0 to 1.5 in steps of 2**-10
+    [best] = bids[brute_best_bids(np.array([lo]), bids, fa.cdf(bids) ** n_integrated)]
+    assert best == closed_form_single_neutral(n_integrated, lo) == expected < lo
+    if _verdict("uniform(0,1)", "uniform(0.5,1.5)", counts, 512)[0] == 0:
+        solution = solve_fixed_point(HybridAuctionConfig(n_integrated, 1, fa, fb), 512)
+        assert solution.values[0] == lo
+        assert abs(solution.bids[0] - best) <= solution.tol

@@ -167,13 +167,20 @@ def _from_file(parser: argparse.ArgumentParser, o: _Opt, value) -> str:
     return f"--{o.name}={text}"
 
 
+@cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The parser that finds ``--config`` among a command's flags, built on
+    the first call and shared after it, as :func:`build_parser` is."""
+    pre = argparse.ArgumentParser(prog="pbslab", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Put the ``--config`` file's values, as flags, right after the command,
     so that argparse checks them like flags and the command line's own flags,
     read later, win. A ``null`` value counts as absent."""
-    pre = argparse.ArgumentParser(prog="pbslab", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
+    path = _config_parser().parse_known_args(argv[1:])[0].config
     if path is None or argv[0] not in _COMMANDS:
         return argv
     try:

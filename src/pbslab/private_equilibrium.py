@@ -13,13 +13,19 @@ which equates pay-your-bid surplus ``(v - bid(v)) * G(v)`` with the surplus
 pinned down by the win-probability envelope ``integral of G``.
 
 On a value grid the identity is lower-triangular, a Volterra equation of
-the second kind (Linz 1985; Brunner 2004). :func:`solve_fixed_point` solves
-it by Newton steps, or, with one neutral builder, where the identity is
-tangent at its root, by bracketing each value's best bid. The identity is
-0/0 at the bottom of the support, where G vanishes: both solves start from
-the local power-law asymptote ``bid ~ lo + c * (v - lo)`` where
-``c = k / (k + 1)`` and ``k`` is the combined lower-tail exponent of G, and
-the identity counts only the points where G is above ``_G_FLOOR``.
+the second kind (Linz 1985; Brunner 2004). The grid's values are the
+neutral law's quantiles at equally spaced levels q_i, so the rival factor
+``F_neutral(v_i)**(n_neutral-1)`` is read off the levels as
+``q_i**(n_neutral-1)``: they differ from the CDF at the values only by the
+rounding of each value to a double (see ``_Problem``).
+
+:func:`solve_fixed_point` solves the identity by Newton steps, or, with one
+neutral builder, where the identity is tangent at its root, by bracketing
+each value's best bid. The identity is 0/0 at the bottom of the support,
+where G vanishes: both solves start from the local power-law asymptote
+``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)`` and ``k`` is the
+combined lower-tail exponent of G, and the identity counts only the points
+where G is above ``_G_FLOOR``.
 
 :func:`verify_best_response` certifies a solved schedule by the equilibrium
 property itself: no neutral builder gains by deviating from it. It checks
@@ -146,7 +152,9 @@ class HybridAuctionConfig:
         return n * law_cdf ** (n - 1) * self.integrated_values.pdf(b)
 
     def rival_cdf(self, v):
-        """Probability that all other neutral builders have value below v."""
+        """Probability that all other neutral builders have value below v.
+        The certificate scores deviations with it; a solve reads it off its
+        grid's levels instead (see ``_Problem``)."""
         if self.n_neutral == 1:
             return np.ones_like(np.asarray(v, dtype=float))
         return self.neutral_values.cdf(v) ** (self.n_neutral - 1)
@@ -389,12 +397,20 @@ class _Problem:
     """What one solve fixes before its first step: the equal-probability
     value grid over the neutral support, the rival CDF on it, the combined
     lower-tail exponent ``tail_k`` of G and the start line
-    ``lo + slope * (v - lo)``, its asymptote at the support bottom."""
+    ``lo + slope * (v - lo)``, its asymptote at the support bottom.
+
+    The rival CDF is read off ``levels``, each value's level (the first of
+    those that round to it), kept nondecreasing by a running max as the
+    quantile is monotone only to its last bits. A level differs from F(v)
+    by about f(v) times an ulp of v: 4.8e-8 where Beta(8,0.3)'s steep tail
+    packs many levels into few doubles (grid 8192), and not at all on
+    uniform(0,1)."""
 
     def __init__(self, config: HybridAuctionConfig, grid_size: int):
         top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
         q = np.linspace(0.0, top_q, grid_size)
-        grid = np.unique(np.asarray(config.neutral_values.quantile(q), dtype=float))
+        grid, first = np.unique(np.asarray(config.neutral_values.quantile(q), dtype=float),
+                                return_index=True)
         if grid.size < 64:
             raise ValueError("value grid collapsed; distribution too concentrated")
         lo = float(grid[0])
@@ -406,7 +422,8 @@ class _Problem:
         self.lo, self.tail_k = lo, tail_k
         self.slope = tail_k / (tail_k + 1.0)
         self.line = lo + self.slope * (grid - lo)
-        self.rival = config.rival_cdf(grid)
+        self.levels = np.maximum.accumulate(q[first])
+        self.rival = self.levels ** (config.n_neutral - 1)
 
     def defect(self, bids: np.ndarray, start: int = 0,
                kept: tuple = _NONE_KEPT) -> tuple:
@@ -478,19 +495,19 @@ def _march(alpha, beta, later, old, values, below) -> np.ndarray:
     (bid_{i-1}, v_i], where the root lies, ``below`` standing for the bid
     before the first; a bid at or below its predecessor goes halfway to the
     old bid, or to v_i where the old bid is no higher."""
-    bids = []
-    change = 0.0
-    for a, b, w, o, v in zip(alpha.tolist(), beta.tolist(), later.tolist(),
-                             old.tolist(), values.tolist()):
-        bid = a + b * change
-        if not bid > below:
-            bid = 0.5 * (below + (o if o > below else v))
-        elif bid > v:
-            bid = v
-        change += w * (bid - o)
-        below = bid
-        bids.append(bid)
-    return np.array(bids)
+    def recurrence(below):
+        change = 0.0
+        for a, b, w, o, v in zip(alpha.tolist(), beta.tolist(), later.tolist(),
+                                 old.tolist(), values.tolist()):
+            bid = a + b * change
+            if not bid > below:
+                bid = 0.5 * (below + (o if o > below else v))
+            elif bid > v:
+                bid = v
+            change += w * (bid - o)
+            below = bid
+            yield bid
+    return np.fromiter(recurrence(below), dtype=float, count=values.size)
 
 
 def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):

@@ -18,11 +18,16 @@ Every parameter is a multiple of 0.001, so a row's label is its law.
 :func:`verdict` maps a row to the exit code ``solve-private`` ends with,
 and its reason. Run as a script, it prints the population's verdict
 tallies as JSON: by exit code, by neutral law family and exit code, by exit
-code and matched ``REASONS`` entry (``by_reason``), and each row's exit code:
+code and matched ``REASONS`` entry (``by_reason``), and each row's exit code.
+With ``--against`` a saved output of an earlier run, it also lists in
+``moved`` every row whose exit code moved, with its ``row_id`` and the
+exit codes before and after:
 
-    PYTHONPATH=src python tests/census.py
+    PYTHONPATH=src python tests/census.py > before.json
+    PYTHONPATH=src python tests/census.py --against before.json
 """
 
+import argparse
 import json
 import warnings
 from collections import Counter
@@ -107,20 +112,44 @@ def documented_reason(code: int, reason: str) -> str:
                 "undocumented")
 
 
-def main():
-    codes, by_neutral, by_reason = [], Counter(), Counter()
+def moved_rows(before: list[int], after: list[int]) -> list[tuple[int, int, int]]:
+    """(row index, exit code before, exit code after) of every row whose
+    exit code differs between two code lists of the same population."""
+    if len(before) != len(after):
+        raise ValueError(f"code lists of {len(before)} and {len(after)} rows "
+                         f"are not of one population")
+    return [(i, b, a) for i, (b, a) in enumerate(zip(before, after)) if b != a]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Tally the census verdicts.")
+    parser.add_argument("--against", metavar="JSON",
+                        help="an earlier run's output; list the rows whose exit code moved")
+    args = parser.parse_args(argv)
+    before = None
+    if args.against:
+        with open(args.against) as fh:
+            before = json.load(fh)
+        if (before["seed"], before["rows"]) != (SEED, ROWS):
+            parser.error(f"{args.against} is a census of seed {before['seed']} and "
+                         f"{before['rows']} rows, not of seed {SEED} and {ROWS} rows")
+    rows, codes, by_neutral, by_reason = census(), [], Counter(), Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for row in census():
+        for row in rows:
             code, reason = verdict(*row)
             codes.append(code)
             by_neutral[f"{row[1].kind} exit {code}"] += 1
             by_reason[f"exit {code}: {documented_reason(code, reason)}"] += 1
-    print(json.dumps({"seed": SEED, "rows": ROWS, "certified": codes.count(0),
-                      "by_code": {str(c): codes.count(c) for c in sorted(set(codes))},
-                      "by_neutral": dict(sorted(by_neutral.items())),
-                      "by_reason": dict(sorted(by_reason.items())),
-                      "codes": codes}))
+    out = {"seed": SEED, "rows": ROWS, "certified": codes.count(0),
+           "by_code": {str(c): codes.count(c) for c in sorted(set(codes))},
+           "by_neutral": dict(sorted(by_neutral.items())),
+           "by_reason": dict(sorted(by_reason.items())),
+           "codes": codes}
+    if before is not None:
+        out["moved"] = [{"row": i, "row_id": row_id(rows[i]), "before": b, "after": a}
+                        for i, b, a in moved_rows(before["codes"], codes)]
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":

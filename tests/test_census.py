@@ -11,7 +11,7 @@ import pytest
 
 from pbslab.private_equilibrium import _G_FLOOR
 
-from census import census, documented_reason, row_id, verdict
+from census import census, documented_reason, moved_rows, row_id, verdict
 
 # the first rows of the tracked population
 ROWS = census(100)
@@ -56,3 +56,19 @@ FLOOR_ONLY_CERTIFIED = [
 def test_fixed_rows_stay_certified(deadline, index):
     row = _population()[index]
     assert verdict(*row) == (0, "certified"), row_id(row)
+
+
+def test_moved_rows_lists_each_changed_exit_code():
+    """The before/after diff names every row whose code moved, in row
+    order, with both codes, and nothing for a row that kept its code."""
+    before = [0, 0, 2, 3, 4, 0, 4]
+    after = [0, 4, 2, 0, 4, 3, 4]
+    assert moved_rows(before, after) == [(1, 0, 4), (3, 3, 0), (5, 0, 3)]
+    assert moved_rows(after, before) == [(1, 4, 0), (3, 0, 3), (5, 3, 0)]
+    assert moved_rows(before, before) == []
+    assert moved_rows([], []) == []
+
+
+def test_moved_rows_rejects_lists_of_two_populations():
+    with pytest.raises(ValueError, match="not of one population"):
+        moved_rows([0, 0, 2], [0, 0])

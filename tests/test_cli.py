@@ -1010,6 +1010,44 @@ def test_unreadable_config_file_is_usage_error(tmp_path, capsys, text, message):
     assert list(tmp_path.iterdir()) == ([] if text is None else [cfg])
 
 
+_USAGE = "usage: pbslab [-h] {solve-private,solve-candlestick,simulate,sweep,figure} ...\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("{\"na\": 3,", "cannot read config file {path}: Expecting property name enclosed "
+                    "in double quotes: line 1 column 10 (char 9)"),
+    ("[3, 1]", "config file {path} must hold a JSON object")])
+def test_shared_config_parser_reads_each_file_afresh(tmp_path, capsys, text, message):
+    """The ``--config`` parser is built once and shared: a missing file,
+    invalid JSON and a JSON array exit 2 with the same usage and message on
+    every call, the one parse leaving nothing behind for the next."""
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    for _ in range(2):
+        assert main(["solve-candlestick", "--config", str(cfg)]) == 2
+        expected = _USAGE + "pbslab: error: " + message.format(path=cfg) + "\n"
+        assert capsys.readouterr().err == expected
+    assert cli._config_parser() is cli._config_parser()
+
+
+def test_abbreviated_config_flag_reads_the_file(tmp_path):
+    """``--conf`` abbreviates ``--config`` for the shared parser as for the
+    command's own: both runs read the file and write the same solution."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 0.5, "vol": 0.8}))
+    docs = []
+    for flag in ("--conf", "--config", "--conf"):
+        out = tmp_path / "candle.json"
+        assert main(["solve-candlestick", flag, str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["meta"]  # the creation time and the arguments
+        docs.append(doc)
+    assert docs[0]["vol"] == 0.8
+    assert docs[0] == docs[1] == docs[2]
+
+
 def test_config_file_bad_choice_rejected(tmp_path):
     cfg = _private_config_file(tmp_path, method="bogus")
     assert main(["solve-private", "--config", str(cfg)]) == 2

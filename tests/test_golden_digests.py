@@ -38,11 +38,11 @@ def lognormal_2_4():
 # reps cover a full-block run and partial last blocks of 3,616, 5,424 and 848 rows
 @pytest.mark.parametrize("case, reps, seed, digest", [
     ("beta_3_3", 20_000, 7,
-     "56d0a463dfded1b17e5ef38603a75a603bcf89643830bc6bfe722c50f3c5d4fb"),
+     "fb0f289a84c959445aa43b9c93fb8c1d884350b21aff5886ede7ef44209bd2f1"),
     ("uniform_3_1", 30_000, 11,
      "9d8daea6fb04aa13f8131dff426d4ec4a46db6c18d8320ff50d3bb6d0da12d61"),
     ("lognormal_2_4", 40_960, 23,
-     "9fba050f58bb7e0081835275052f8c8a92ea794a0480cf996a1896dfa51e56ca"),
+     "c49df2d20453a65c75721bb75b990e057b5d29bf61cdb0fb402481b39cd564d4"),
 ])
 def test_hybrid_stats_digest(request, case, reps, seed, digest):
     _, solution = request.getfixturevalue(case)
@@ -92,7 +92,7 @@ def test_solve_private_fine_grid_csv_digest(tmp_path):
                  "--grid", "8192", "--method", "fixed-point",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c95ab677909684f0fb58cedc7207dd2d10e8c353c25303a1d93e75fddf3848ca")
+        "8d93315ad59dd00bb0d2d88c8900fb823491cf78ddf91e59c748d1aa40b80f03")
 
 
 def _exact(obj):
@@ -107,7 +107,7 @@ def _exact(obj):
 # the certified solve of each solver path: Newton with three neutral
 # builders, argmax with one
 @pytest.mark.parametrize("nb, digest", [
-    ("3", "56223cef92cbdd2fdd63efdcdbce13c63e479bbceeaccde1293af04c0e9bbb4c"),
+    ("3", "2c92991a286bf4197606096fe7baeee916be8bb7aa3cd4549d77d2624800f713"),
     ("1", "762733b24eba403bdc94aeaa1339ae3d9da070cfb4e67df262177e09e96c399d"),
 ])
 def test_solve_private_residuals_digest(tmp_path, nb, digest):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import hashlib
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -114,15 +115,18 @@ class _CountingBeta(Beta):
         return super().cdf(x)
 
 
-def test_fixed_point_evaluates_rival_cdf_once_per_solve():
-    """The rival CDF on the value grid is loop-invariant: a multi-step
-    solve evaluates the neutral law on the whole grid once, not per step."""
+@pytest.mark.parametrize("grid", [512, 8192])
+def test_solve_never_evaluates_the_neutral_cdf_on_the_grid(grid):
+    """The rival CDF on the value grid comes from the grid's own levels: a
+    solve evaluates the neutral law's CDF only at single points, once per
+    grid it solves on (the lower-tail probe; at 8192 the grid-512 solve it
+    starts from adds its own), never on the grid."""
     sizes = []
     config = HybridAuctionConfig(3, 3, Beta(2, 2), _CountingBeta(2, 2, sizes))
-    sol = solve_fixed_point(config)
+    sol = solve_fixed_point(config, grid)
     assert sol.iterations > 1
-    assert sizes.count(sol.values.size) == 1
-    plain = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)))
+    assert sizes == [1] * (1 if grid <= pe._COARSE_GRID else 2)
+    plain = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), grid)
     assert np.array_equal(sol.bids, plain.bids)
     assert np.array_equal(sol.surplus, plain.surplus)
 
@@ -349,6 +353,113 @@ def test_newton_steps_stay_monotone_and_keep_the_line_below_the_floor(monkeypatc
         assert floor[0] and np.array_equal(bids[floor], line[floor])
 
 
+# ------------------------------ the grid's levels ------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two arrays hold the same float bits, or both are None."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _empirical(xs, cdfs) -> EmpiricalGrid:
+    return EmpiricalGrid(np.append(0.0, np.sort(xs) / 1000),
+                         np.concatenate(([0.0], np.sort(cdfs) / 1000, [1.0])))
+
+
+# the four families over the census ranges, an empirical law of 3 to 6 nodes
+LAWS = st.one_of(
+    st.builds(lambda lo, w: Uniform(lo, lo + w), st.floats(0.0, 1.0), st.floats(0.1, 2.0)),
+    st.builds(Beta, st.floats(0.3, 8.0), st.floats(0.3, 8.0)),
+    st.builds(Lognormal, st.floats(-1.0, 1.0), st.floats(0.1, 1.5)),
+    st.integers(3, 6).flatmap(lambda nodes: st.builds(
+        _empirical,
+        st.lists(st.integers(50, 2000), min_size=nodes - 1, max_size=nodes - 1, unique=True),
+        st.lists(st.integers(1, 999), min_size=nodes - 2, max_size=nodes - 2, unique=True))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=LAWS, grid=st.integers(64, 8192), n_neutral=st.integers(1, 5))
+@example(law=Beta(0.7, 3), grid=8192, n_neutral=3)
+@example(law=Beta(8, 0.3), grid=8192, n_neutral=3)  # 4.8e-8 from F(v)
+@example(law=Beta(0.3, 0.3), grid=8192, n_neutral=5)
+@example(law=LOGNORMAL, grid=8192, n_neutral=3)  # the grid stops at level _TOP_Q
+@example(law=Lognormal(-27.7, 0.5), grid=8192, n_neutral=4)  # values near 1e-12
+@example(law=Uniform(1.0, 1.0 + 1e-13), grid=8192, n_neutral=3)  # 451 distinct values
+@example(law=_empirical([1020, 1156, 1255, 1821], [119, 211, 753]), grid=4096, n_neutral=2)
+def test_rival_cdf_is_the_grids_levels(law, grid, n_neutral):
+    """The grid's levels never fall along it and match the neutral CDF at
+    its values within 32 * (f(v) * ulp(v) + ulp(q)), the rounding of the
+    value, so the rival factor read off them is ``rival_cdf`` at the
+    values up to that rounding, and with one neutral builder exactly 1."""
+    config = HybridAuctionConfig(2, n_neutral, law, law)
+    problem = pe._Problem(config, grid)
+    values, levels = problem.values, problem.levels
+    assert levels.size == values.size <= grid
+    assert levels[0] == 0.0 and np.all(np.diff(levels) >= 0.0)
+    top_q = 1.0 if np.isfinite(law.support[1]) else pe._TOP_Q
+    assert values[-1] == law.quantile(top_q) and levels[-1] <= top_q
+    cdf, pdf = law.cdf(values), law.pdf(values)
+    rounding = 32.0 * (pdf * np.spacing(values) + np.spacing(levels))
+    assert np.all(np.abs(levels - cdf) <= rounding)
+    rival = config.rival_cdf(values)
+    assert np.all(np.abs(problem.rival - rival) <= (n_neutral - 1) * rounding)
+    if n_neutral == 1:
+        assert _same_bits(problem.rival, rival)
+
+
+def _list_march(alpha, beta, later, old, values, below) -> tuple:
+    """:func:`pe._march` as a list filled in a loop, the form it replaced,
+    and how many bids each clamp set: (at or below the predecessor, above
+    the value)."""
+    bids, change, clamps = [], 0.0, [0, 0]
+    for a, b, w, o, v in zip(alpha.tolist(), beta.tolist(), later.tolist(),
+                             old.tolist(), values.tolist()):
+        bid = a + b * change
+        if not bid > below:
+            bid = 0.5 * (below + (o if o > below else v))
+            clamps[0] += 1
+        elif bid > v:
+            bid = v
+            clamps[1] += 1
+        change += w * (bid - o)
+        below = bid
+        bids.append(bid)
+    return np.array(bids), tuple(clamps)
+
+
+def _march_args(seed: int, n: int, below: float) -> tuple:
+    """Random march inputs whose steps are wide enough to reach both clamps."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.uniform(0.1, 1.0, n))
+    old = values * np.sort(rng.uniform(0.2, 1.0, n))
+    alpha = old + rng.normal(0.0, 0.3, n)
+    return alpha, rng.normal(0.0, 2.0, n), rng.normal(0.0, 0.5, n), old, values, below
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 300),
+       below=st.sampled_from([-math.inf, 0.0, 0.05]))
+def test_march_matches_the_list_recurrence_bit_for_bit(seed, n, below):
+    """The generator march returns the bits of the list recurrence."""
+    args = _march_args(seed, n, below)
+    got = pe._march(*args)
+    assert got.dtype == np.float64 and _same_bits(got, _list_march(*args)[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_march_inputs_reach_both_clamps(seed):
+    """The random inputs of the bit-for-bit test reach both clamps, a bid at
+    or below its predecessor and a bid above its value, and the two marches
+    agree there too."""
+    args = _march_args(seed, 300, -math.inf)
+    want, (low, high) = _list_march(*args)
+    assert low > 0 and high > 0
+    assert _same_bits(pe._march(*args), want)
+
+
 # ------------------------------- settled points --------------------------------
 
 
@@ -360,12 +471,6 @@ PARTIAL_PROBLEMS = {name: pe._Problem(config, 256) for name, config in {
     "lognormal 2+4": LOGNORMAL_2_4,
     "beta(2,2) 0+4": HybridAuctionConfig(0, 4, Beta(2, 2), Beta(2, 2)),
 }.items()}
-
-
-def _same_bits(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,21 +527,21 @@ def test_every_usable_point_marches_at_zero_tolerance(law, floor):
 # settled points
 BENCHMARK_SOLVES = [
     ("beta(2,2)", 3, 3, 512, 5,
-     "f4bed49b4f1295cc0633dd885ea07f5365395e17f3a19bacce665325d75e62c2"),
+     "aa976acb6fc9e224e8e259e132d0a63560cfa7908d4c57ab430fee44848fcdb9"),
     ("beta(2,2)", 8, 8, 512, 4,
-     "d16d31cc2540aaecfa6a580a61ed67163df54d3ae10a1ae842122f6871b96a81"),
+     "09f981bc4d27cbe5d927da19dbec8d158bab4a9d443adecd1f85e2728e7810cf"),
     ("beta(2,2)", 3, 3, 4096, 2,
-     "acee380347a69531ba92a574034243aeaaf1ca9ef51b6a1145d0bb4a1c07a6dd"),
+     "43f40aedae9479b450c72ad9b1506a46a2f1a2482cc9030855fa0d66990516b4"),
     ("lognormal(0,0.5)", 2, 4, 512, 7,
-     "2ac1d7a796d86f390a34c6fec417ac9ef15440967cc478cf700c5f1327db8192"),
+     "c742ff8aa2a60937c1d2d7c9f4c26b43cd5a395f2b8cfa9277252d15631fc9b0"),
     ("uniform(0,1)", 3, 3, 512, 0,
      "1f1c3ebd7818f40042808097ca8cab2e08654dd4e1084d91fb71ee5a952bb34f"),
     ("uniform(0,1)", 3, 1, 512, 0,
      "2c959878cf4627182aa1130ea7ef6784229e3f83b9a9608bf3995aae050d83a4"),
     ("beta(0.7,3)", 3, 3, 8192, 3,
-     "b42040f84c6295c44a42ba8ba573946da27407f63aaafbbefc17b6bff61b0359"),
+     "991769bc2a93730cb4fa0e0d7c4c082e15e1b56a8d1e2cc97a869e7884b19693"),
     ("beta(0.7,3)", 3, 3, 512, 5,
-     "cfefbbd91183a74b83c29ee98e09692e8b461ddfbed0dbe944213befc8f486d8"),
+     "4ae38d7ee38d0d58a452fce4560838e8631b61f28ea64bc6c2a17c08246c48ce"),
 ]
 
 
@@ -452,8 +557,10 @@ def test_settled_points_keep_benchmark_steps_and_schedules(monkeypatch, law, na,
     """Keeping settled points changes no benchmark solve's step count and
     moves its schedule by less than 1e-8 (4.2e-9 at most, on Beta(0.7,3)
     3+3 at grid 8192), and the schedule still certifies. The schedule before
-    is the solve with nothing settled, ``_SETTLED`` = 0, whose digest is the
-    one recorded then; argmax and 0-step solves do not move a bit."""
+    is the solve with nothing settled, ``_SETTLED`` = 0, whose digest is
+    recorded above; argmax and 0-step solves do not move a bit. Reading the
+    rival CDF off the grid's levels moved the recorded Newton schedules by
+    at most 3.6e-15, and no step count."""
     dist = parse_distribution(law)
     config = HybridAuctionConfig(na, nb, dist, dist)
     sol = solve_fixed_point(config, grid)
@@ -982,12 +1089,6 @@ def test_bid_function_validation():
 
 
 # ----------------------------- bid-schedule lookup -----------------------------
-
-
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    return got.shape == want.shape and np.array_equal(got.view(np.int64),
-                                                      want.view(np.int64))
 
 
 _SKEWED = EmpiricalGrid(np.array([0.0, 0.1, 0.15, 0.6, 1.0]),

@@ -37,11 +37,8 @@ __all__ = [
     "ndtr",
     "ndtri",
     "lognormal_put_value",
-    "lower_tail_exponent",
     "parse_distribution",
 ]
-
-_MASS_FLOOR = 1e-9  # a CDF value above it is mass at the point it is read at
 
 
 @functools.cache
@@ -536,33 +533,6 @@ def lognormal_put_value(v0: float, b, s: float):
     d2 = d1 - s
     put = np.where(pos, b * ndtr(-d2) - v0 * ndtr(-d1), 0.0)
     return put if put.ndim else float(put)
-
-
-def lower_tail_exponent(d: ValueDistribution, at: float, probe: float) -> float:
-    """Local power-law exponent k with F(at + u) ~ C * u**k for small u > 0.
-
-    Returns 0 where F(at) is above ``_MASS_FLOOR``. At or below the support
-    bottom it reads the law's own exponent (1 for uniform(0.5, 1.5) at 0: the
-    start line's slope below a reserve's start). ``probe`` sets the length
-    scale for the numeric estimate of laws without a closed-form exponent
-    (clamped to [0, 500]; a lognormal lower tail is steeper than any power).
-    """
-    if float(d.cdf(at)) > _MASS_FLOOR:
-        return 0.0
-    lo = d.support[0]
-    if at <= lo + 1e-12 * max(1.0, abs(lo)):
-        if isinstance(d, Uniform):
-            return 1.0
-        if isinstance(d, Beta):
-            return d.alpha
-        if isinstance(d, EmpiricalGrid):
-            return 1.0
-    u = max(probe, 1e-300)
-    f = float(d.pdf(at + u))
-    big_f = float(d.cdf(at + u))
-    if big_f <= 0.0:
-        return 500.0
-    return float(np.clip(u * f / big_f, 0.0, 500.0))
 
 
 # ------------------------------- specification -------------------------------

@@ -24,8 +24,9 @@ neutral builder, where the identity is tangent at its root, by bracketing
 each value's best bid. The identity is 0/0 at the bottom of the support,
 where G vanishes: both solves start from the local power-law asymptote
 ``bid ~ lo + c * (v - lo)`` where ``c = k / (k + 1)`` and ``k`` is the
-combined lower-tail exponent of G, and the identity counts only the points
-where G is above ``_G_FLOOR``.
+combined lower-tail exponent of G, read as the power law through each law's
+CDF at the grid's first three offsets (see ``_Problem``), and the identity
+counts only the points where G is above ``_G_FLOOR``.
 
 :func:`verify_best_response` certifies a solved schedule by the equilibrium
 property itself: no neutral builder gains by deviating from it. It checks
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _MASS_FLOOR, ValueDistribution, lower_tail_exponent
+from .distributions import ValueDistribution
 
 __all__ = [
     "HybridAuctionConfig",
@@ -55,6 +56,9 @@ __all__ = [
 
 # division guard for the vanishing win probability at the support bottom
 _G_FLOOR = 1e-300
+
+# a CDF value above it is mass at the point it is read at
+_MASS_FLOOR = 1e-9
 
 # quantile cap for laws with unbounded upper support
 _TOP_Q = 1.0 - 1e-6
@@ -393,6 +397,18 @@ def _strictly_increasing(b: np.ndarray) -> np.ndarray:
 _NONE_KEPT = (np.empty(0), np.zeros(1), -math.inf)
 
 
+def _tail_exponent(cdf: np.ndarray, steps: np.ndarray) -> float:
+    """Exponent k of the power law F ~ C * u**k through a CDF read at the
+    offsets ``steps`` = (0, u1, u2): 0 where it holds mass at 0, inf where it
+    is still 0 at u1 (the start line is then the diagonal, and the first
+    cell's integral 0), else log(F2/F1) / log(u2/u1)."""
+    if cdf[0] > _MASS_FLOOR:
+        return 0.0
+    if not cdf[1] > 0.0:
+        return math.inf
+    return math.log(cdf[2] / cdf[1]) / math.log(steps[2] / steps[1])
+
+
 class _Problem:
     """What one solve fixes before its first step: the equal-probability
     value grid over the neutral support, the rival CDF on it, the combined
@@ -404,7 +420,14 @@ class _Problem:
     quantile is monotone only to its last bits. A level differs from F(v)
     by about f(v) times an ulp of v: 4.8e-8 where Beta(8,0.3)'s steep tail
     packs many levels into few doubles (grid 8192), and not at all on
-    uniform(0,1)."""
+    uniform(0,1).
+
+    ``tail_k`` sums each builder's :func:`_tail_exponent` at the grid's first
+    two steps: the neutral law's off the levels, the integrated law's off its
+    CDF above lo, or above its own start where that is higher. That is 1 per
+    law on uniform laws from 0, alpha plus the first cell's curvature on
+    Beta laws, and on lognormal, which has no power tail, the local exponent
+    at the first cell's scale, the scale its integral needs."""
 
     def __init__(self, config: HybridAuctionConfig, grid_size: int):
         top_q = 1.0 if math.isfinite(config.neutral_values.support[1]) else _TOP_Q
@@ -414,16 +437,17 @@ class _Problem:
         if grid.size < 64:
             raise ValueError("value grid collapsed; distribution too concentrated")
         lo = float(grid[0])
-        probe = max(float(grid[-1] - lo) / grid_size, float(grid[1] - lo)) / 2.0
-        tail_k = sum(n * lower_tail_exponent(law, lo, probe) for n, law in (
-            (config.n_neutral - 1, config.neutral_values),
-            (config.n_integrated, config.integrated_values)) if n > 0)
+        levels = np.maximum.accumulate(q[first])
+        steps, law = grid[:3] - lo, config.integrated_values
+        reads = [(config.n_neutral - 1, levels[:3])]
+        if config.n_integrated:
+            reads.append((config.n_integrated, law.cdf(max(lo, law.support[0]) + steps)))
+        tail_k = sum(n * _tail_exponent(cdf, steps) for n, cdf in reads if n > 0)
         self.config, self.values = config, grid
         self.lo, self.tail_k = lo, tail_k
-        self.slope = tail_k / (tail_k + 1.0)
-        self.line = lo + self.slope * (grid - lo)
-        self.levels = np.maximum.accumulate(q[first])
-        self.rival = self.levels ** (config.n_neutral - 1)
+        slope = tail_k / (tail_k + 1.0) if tail_k < math.inf else 1.0
+        self.line = lo + slope * (grid - lo)
+        self.levels, self.rival = levels, levels ** (config.n_neutral - 1)
 
     def defect(self, bids: np.ndarray, start: int = 0,
                kept: tuple = _NONE_KEPT) -> tuple:

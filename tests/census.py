@@ -18,7 +18,8 @@ Every parameter is a multiple of 0.001, so a row's label is its law.
 :func:`verdict` maps a row to the exit code ``solve-private`` ends with,
 and its reason. Run as a script, it prints the population's verdict
 tallies as JSON: by exit code, by neutral law family and exit code, by exit
-code and matched ``REASONS`` entry (``by_reason``), and each row's exit code.
+code and matched ``REASONS`` entry (``by_reason``), by class of row and exit
+code (``by_class``, see :func:`row_class`), and each row's exit code.
 With ``--against`` a saved output of an earlier run, it also lists in
 ``moved`` every row whose exit code moved, with its ``row_id`` and the
 exit codes before and after:
@@ -35,7 +36,7 @@ from collections import Counter
 import numpy as np
 
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
-from pbslab.private_equilibrium import (HybridAuctionConfig, SolverError,
+from pbslab.private_equilibrium import (_MASS_FLOOR, HybridAuctionConfig, SolverError,
                                         solve_fixed_point, verify_best_response)
 
 SEED, ROWS = 1, 1500
@@ -90,6 +91,24 @@ def row_id(row) -> str:
     return f"{label(fa)}/{label(fb)} {n_integrated}+{n_neutral} g{grid}"
 
 
+def row_class(fa, fb, n_integrated: int, n_neutral: int, grid: int) -> str:
+    """The first class the row falls in: "degenerate 0+1"; "single-neutral
+    rule", one neutral builder against integrated values with mass at the
+    neutral bottom; "reserve gap", integrated values that start above the
+    neutral values; "empirical law", an empirical law in play (the
+    integrated one only with integrated builders); else "other"."""
+    if n_integrated == 0 and n_neutral == 1:
+        return "degenerate 0+1"
+    reserve = n_integrated > 0
+    if n_neutral == 1 and reserve and float(fa.cdf(fb.support[0])) > _MASS_FLOOR:
+        return "single-neutral rule"
+    if reserve and fa.support[0] > fb.support[0]:
+        return "reserve gap"
+    if isinstance(fb, EmpiricalGrid) or (reserve and isinstance(fa, EmpiricalGrid)):
+        return "empirical law"
+    return "other"
+
+
 def verdict(fa, fb, n_integrated: int, n_neutral: int, grid: int) -> tuple[int, str]:
     """The exit code ``solve-private`` would end with, and its reason."""
     try:
@@ -133,7 +152,8 @@ def main(argv=None):
         if (before["seed"], before["rows"]) != (SEED, ROWS):
             parser.error(f"{args.against} is a census of seed {before['seed']} and "
                          f"{before['rows']} rows, not of seed {SEED} and {ROWS} rows")
-    rows, codes, by_neutral, by_reason = census(), [], Counter(), Counter()
+    rows, codes = census(), []
+    by_neutral, by_reason, by_class = Counter(), Counter(), Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for row in rows:
@@ -141,10 +161,12 @@ def main(argv=None):
             codes.append(code)
             by_neutral[f"{row[1].kind} exit {code}"] += 1
             by_reason[f"exit {code}: {documented_reason(code, reason)}"] += 1
+            by_class[f"{row_class(*row)} exit {code}"] += 1
     out = {"seed": SEED, "rows": ROWS, "certified": codes.count(0),
            "by_code": {str(c): codes.count(c) for c in sorted(set(codes))},
            "by_neutral": dict(sorted(by_neutral.items())),
            "by_reason": dict(sorted(by_reason.items())),
+           "by_class": dict(sorted(by_class.items())),
            "codes": codes}
     if before is not None:
         out["moved"] = [{"row": i, "row_id": row_id(rows[i]), "before": b, "after": a}

@@ -2,7 +2,8 @@
 
 Differentiating the shading identity of :mod:`pbslab.private_equilibrium`
 gives an ODE for the bid schedule, which this module integrates with
-adaptive RK45 on the solver's value grid from its start line. The tests
+adaptive RK45 on the solver's value grid from a start line of its own
+(:func:`_start_exponent`). The tests
 hold the solved schedule to it. The ODE is not total on the documented
 families: it leaves its admissible region on Beta(0.7,3) 3+3 and with
 lognormal integrated values, and reaches its evaluation cap on Beta(0.5,5)
@@ -16,12 +17,35 @@ from itertools import count
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from pbslab.private_equilibrium import (_G_FLOOR, EquilibriumSolution,
+from pbslab.distributions import Beta, EmpiricalGrid, Uniform
+from pbslab.private_equilibrium import (_G_FLOOR, _MASS_FLOOR, EquilibriumSolution,
                                         HybridAuctionConfig, SolverError,
                                         _Problem)
 
 # rhs calls before solve_ode gives up; the most a tested input used is 30,817
 _MAX_NFEV = 40_000
+
+
+def _start_exponent(law, lo: float, u: float) -> float:
+    """The ODE's own lower-tail exponent k of ``law`` at ``lo``, with
+    F(lo + u) ~ C * u**k: 0 where F(lo) is above ``_MASS_FLOOR``; at or below
+    the law's bottom 1 for uniform and empirical laws and alpha for Beta;
+    else u * f / F at ``lo + u``, clamped to [0, 500]. RK45 needs a start
+    inside the ODE's admissible region, which this rule gives on the tested
+    lognormal inputs (the solver's own exponent does not)."""
+    if float(law.cdf(lo)) > _MASS_FLOOR:
+        return 0.0
+    bottom = law.support[0]
+    if lo <= bottom + 1e-12 * max(1.0, abs(bottom)):
+        if isinstance(law, (Uniform, EmpiricalGrid)):
+            return 1.0
+        if isinstance(law, Beta):
+            return law.alpha
+    u = max(u, 1e-300)
+    big_f = float(law.cdf(lo + u))
+    if big_f <= 0.0:
+        return 500.0
+    return float(np.clip(u * float(law.pdf(lo + u)) / big_f, 0.0, 500.0))
 
 
 class OdeSingularityError(SolverError):
@@ -77,7 +101,11 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
         return reserve_terms(v, min(float(y[0]), v))[1]
 
     domain_edge.terminal = True
-    start = [lo + problem.slope * eps_v]
+    u = max(eps_v, float(grid[1] - lo)) / 2.0
+    k = sum(n * _start_exponent(law, lo, u) for n, law in (
+        (n_neu - 1, config.neutral_values), (n_int, config.integrated_values)) if n > 0)
+    slope = k / (k + 1.0)
+    start = [lo + slope * eps_v]
     if n_int and domain_edge(v_start, start) <= 0.0:
         raise OdeSingularityError(v_start)
 
@@ -93,7 +121,7 @@ def solve_ode(config: HybridAuctionConfig, grid_size: int = 512,
     if not sol.success:
         raise SolverError(f"ODE integration failed: {sol.message}")
 
-    bids = problem.line.copy()
+    bids = lo + slope * (grid - lo)
     bids[solved] = sol.y[0]
     bids = np.minimum(bids, grid)
     return problem.finish(bids, problem.defect(bids)[2], "ode", int(sol.nfev), tol)

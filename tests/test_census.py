@@ -9,9 +9,10 @@ import functools
 import numpy as np
 import pytest
 
+from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import _G_FLOOR
 
-from census import census, documented_reason, moved_rows, row_id, verdict
+from census import census, documented_reason, moved_rows, row_class, row_id, verdict
 
 # the first rows of the tracked population
 ROWS = census(100)
@@ -72,3 +73,27 @@ def test_moved_rows_lists_each_changed_exit_code():
 def test_moved_rows_rejects_lists_of_two_populations():
     with pytest.raises(ValueError, match="not of one population"):
         moved_rows([0, 0, 2], [0, 0])
+
+
+_UNIT, _EMPIRICAL = Uniform(0.0, 1.0), EmpiricalGrid(np.array([0.0, 0.5, 1.0]),
+                                                     np.array([0.0, 0.2, 1.0]))
+
+
+@pytest.mark.parametrize("row, expected", [
+    ((_UNIT, _UNIT, 0, 1, 64), "degenerate 0+1"),
+    ((_EMPIRICAL, Uniform(0.5, 1.5), 0, 1, 64), "degenerate 0+1"),
+    ((_UNIT, Uniform(0.5, 1.5), 2, 1, 64), "single-neutral rule"),
+    ((Uniform(0.5 - 5e-10, 1.5), Uniform(0.5, 1.5), 2, 1, 64), "other"),
+    ((Uniform(0.5, 1.5), _UNIT, 3, 1, 512), "reserve gap"),
+    ((Uniform(0.5, 1.5), _EMPIRICAL, 3, 3, 512), "reserve gap"),
+    ((Uniform(0.5, 1.5), _UNIT, 0, 3, 512), "other"),
+    ((_EMPIRICAL, Beta(2, 2), 1, 2, 512), "empirical law"),
+    ((_EMPIRICAL, Beta(2, 2), 0, 2, 512), "other"),
+    ((Lognormal(0.0, 0.5), _EMPIRICAL, 0, 2, 4096), "empirical law"),
+    ((Beta(2, 2), Lognormal(0.0, 0.5), 3, 3, 4096), "other"),
+])
+def test_row_class_is_the_first_that_applies(row, expected):
+    """Each synthetic row gets the first class whose condition it meets: the
+    single-neutral rule only with mass above 1e-9 at the neutral bottom, a
+    gap or an empirical law only in the laws the auction uses."""
+    assert row_class(*row) == expected

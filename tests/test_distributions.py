@@ -15,8 +15,8 @@ from scipy.special import ndtr as special_ndtr
 from scipy.special import ndtri as special_ndtri
 
 from pbslab.distributions import (Beta, EmpiricalGrid, Lognormal, Uniform,
-                                  lognormal_put_value, lower_tail_exponent, ndtr,
-                                  ndtri, parse_distribution)
+                                  lognormal_put_value, ndtr, ndtri,
+                                  parse_distribution)
 
 from reference_oracle import (NegligibleMassError, lognormal_moments,
                               lognormal_truncated_mean)
@@ -559,16 +559,6 @@ def test_lognormal_rejects_non_finite_log_sd(log_sd):
         Lognormal(0.0, log_sd)
     with pytest.raises(ValueError, match="log_sd"):
         parse_distribution(f"lognormal(0,{log_sd})")
-
-
-def test_lower_tail_exponents():
-    assert lower_tail_exponent(Uniform(0, 1), 0.0, 1e-3) == 1.0
-    assert lower_tail_exponent(Beta(2, 2), 0.0, 1e-3) == 2.0
-    assert lower_tail_exponent(_empirical_example(), 0.0, 1e-3) == 1.0
-    # positive CDF mass means no power-law correction
-    assert lower_tail_exponent(Uniform(0, 1), 0.5, 1e-3) == 0.0
-    # lognormal lower tail is steeper than any polynomial
-    assert lower_tail_exponent(Lognormal(0.0, 0.3), 0.0, 1e-3) > 10.0
 
 
 def test_parse_distribution_forms(tmp_path):

@@ -38,11 +38,11 @@ def lognormal_2_4():
 # reps cover a full-block run and partial last blocks of 3,616, 5,424 and 848 rows
 @pytest.mark.parametrize("case, reps, seed, digest", [
     ("beta_3_3", 20_000, 7,
-     "fb0f289a84c959445aa43b9c93fb8c1d884350b21aff5886ede7ef44209bd2f1"),
+     "36e00e8cedb5ddbc0bf0403395067f7c218ea4bd469dfe2fcdf77024766517a3"),
     ("uniform_3_1", 30_000, 11,
      "9d8daea6fb04aa13f8131dff426d4ec4a46db6c18d8320ff50d3bb6d0da12d61"),
     ("lognormal_2_4", 40_960, 23,
-     "c49df2d20453a65c75721bb75b990e057b5d29bf61cdb0fb402481b39cd564d4"),
+     "ebdcbdb0439b77375449ba0d14417ff77d6f3d39325cf0cd16f615a208576796"),
 ])
 def test_hybrid_stats_digest(request, case, reps, seed, digest):
     _, solution = request.getfixturevalue(case)
@@ -58,8 +58,8 @@ def test_candlestick_stats_digest(candlestick_half):
 
 # a Newton solve, and an argmax solve with one neutral builder
 @pytest.mark.parametrize("law, nb, digest", [
-    ("beta(0.7,3)", "3", "711fa9906bf6919f274d81fd76b1b15e88df43eb3a930a3004b4986dcca7c217"),
-    ("beta(2,2)", "1", "c0767cebac81f24672904c6767af132c81bd280897a98c001355adf338b5c5ef"),
+    ("beta(0.7,3)", "3", "41157fa5a63ed8df562e549faf02deca9a6dc53a1f28b0265559f3b47ef33a65"),
+    ("beta(2,2)", "1", "ae1532c74c92d7ca5626ecbd067037e886c8696330066a9cb0bc9b9a2fc00f2e"),
 ])
 def test_solve_private_csv_digest(tmp_path, law, nb, digest):
     out = tmp_path / "schedule.csv"
@@ -92,7 +92,7 @@ def test_solve_private_fine_grid_csv_digest(tmp_path):
                  "--grid", "8192", "--method", "fixed-point",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "8d93315ad59dd00bb0d2d88c8900fb823491cf78ddf91e59c748d1aa40b80f03")
+        "b856ff8c4ad23c4deea1aa49640a926887e77215156f2d290966c934e8287a9c")
 
 
 def _exact(obj):
@@ -107,7 +107,7 @@ def _exact(obj):
 # the certified solve of each solver path: Newton with three neutral
 # builders, argmax with one
 @pytest.mark.parametrize("nb, digest", [
-    ("3", "2c92991a286bf4197606096fe7baeee916be8bb7aa3cd4549d77d2624800f713"),
+    ("3", "3f12a2ac8c6979ad52db40f09804485420cec536c5340453d68718c4724bb675"),
     ("1", "762733b24eba403bdc94aeaa1339ae3d9da070cfb4e67df262177e09e96c399d"),
 ])
 def test_solve_private_residuals_digest(tmp_path, nb, digest):
@@ -151,4 +151,4 @@ def test_figure_svg_digest(tmp_path):
     assert main(["figure", "--fa", "beta(2,2)", "--fb", "beta(2,2)",
                  "--na", "3", "--nb", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f31a24cdd3876dc6c0cbde8f67efa8f95598eb8d958228bd219c8381f8105226")
+        "3935693761c29aa02d36b9292ad6f21e20c77d1c2e6ce0e3845961aebb00c52e")

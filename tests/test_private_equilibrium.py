@@ -116,16 +116,16 @@ class _CountingBeta(Beta):
 
 
 @pytest.mark.parametrize("grid", [512, 8192])
-def test_solve_never_evaluates_the_neutral_cdf_on_the_grid(grid):
-    """The rival CDF on the value grid comes from the grid's own levels: a
-    solve evaluates the neutral law's CDF only at single points, once per
-    grid it solves on (the lower-tail probe; at 8192 the grid-512 solve it
-    starts from adds its own), never on the grid."""
+def test_solve_never_evaluates_the_neutral_cdf(grid):
+    """The rival CDF on the value grid comes from the grid's own levels, and
+    the neutral law's lower-tail exponent from its first three: a solve
+    never evaluates the neutral law's CDF, nor, at 8192, does the grid-512
+    solve it starts from."""
     sizes = []
     config = HybridAuctionConfig(3, 3, Beta(2, 2), _CountingBeta(2, 2, sizes))
     sol = solve_fixed_point(config, grid)
     assert sol.iterations > 1
-    assert sizes == [1] * (1 if grid <= pe._COARSE_GRID else 2)
+    assert sizes == []
     plain = solve_fixed_point(HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2)), grid)
     assert np.array_equal(sol.bids, plain.bids)
     assert np.array_equal(sol.surplus, plain.surplus)
@@ -145,7 +145,7 @@ def test_solve_evaluates_integrated_cdf_once_per_step(n_neutral, method, more):
     sol = solve_fixed_point(config, 512)
     assert sol.method == method and sol.iterations > 1
     n = sol.values.size
-    calls = sizes[sizes.index(n):]  # from the start line on, past the tail probe
+    calls = sizes[sizes.index(n):]  # from the start line on, past the exponent's read
     assert len(calls) == sol.iterations + more
     steps = list(sol.marched) if method == "newton" else [n] * (len(calls) - 1)
     assert calls == [n, *steps]
@@ -527,21 +527,21 @@ def test_every_usable_point_marches_at_zero_tolerance(law, floor):
 # settled points
 BENCHMARK_SOLVES = [
     ("beta(2,2)", 3, 3, 512, 5,
-     "aa976acb6fc9e224e8e259e132d0a63560cfa7908d4c57ab430fee44848fcdb9"),
+     "850c2aebfb49bdf9a36c6531de467725fbda5c5c475f7615d0d56d50b440c380"),
     ("beta(2,2)", 8, 8, 512, 4,
-     "09f981bc4d27cbe5d927da19dbec8d158bab4a9d443adecd1f85e2728e7810cf"),
+     "86a5276088d628cccb457da7d1b600f397d35eaf0444ee5587eb356aac07d635"),
     ("beta(2,2)", 3, 3, 4096, 2,
-     "43f40aedae9479b450c72ad9b1506a46a2f1a2482cc9030855fa0d66990516b4"),
+     "f9741b80bae13b10e0d2e7cf4a8678934d52a5fc33712166b0b73a396b639740"),
     ("lognormal(0,0.5)", 2, 4, 512, 7,
-     "c742ff8aa2a60937c1d2d7c9f4c26b43cd5a395f2b8cfa9277252d15631fc9b0"),
+     "809298bbfaa927c01978889aafd58d6f432d37be7f5ead37db5f09224109e1fa"),
     ("uniform(0,1)", 3, 3, 512, 0,
      "1f1c3ebd7818f40042808097ca8cab2e08654dd4e1084d91fb71ee5a952bb34f"),
     ("uniform(0,1)", 3, 1, 512, 0,
      "2c959878cf4627182aa1130ea7ef6784229e3f83b9a9608bf3995aae050d83a4"),
     ("beta(0.7,3)", 3, 3, 8192, 3,
-     "991769bc2a93730cb4fa0e0d7c4c082e15e1b56a8d1e2cc97a869e7884b19693"),
+     "bd6c587ab39e11b0665863d537fb10372a5f44a9b5e3598eafca66ebd2b33146"),
     ("beta(0.7,3)", 3, 3, 512, 5,
-     "4ae38d7ee38d0d58a452fce4560838e8631b61f28ea64bc6c2a17c08246c48ce"),
+     "b06a667ffff441f278691dc745a2e650816b6990151888cfbc9933256a9e92da"),
 ]
 
 
@@ -560,7 +560,10 @@ def test_settled_points_keep_benchmark_steps_and_schedules(monkeypatch, law, na,
     is the solve with nothing settled, ``_SETTLED`` = 0, whose digest is
     recorded above; argmax and 0-step solves do not move a bit. Reading the
     rival CDF off the grid's levels moved the recorded Newton schedules by
-    at most 3.6e-15, and no step count."""
+    at most 3.6e-15, and no step count. Reading the lower-tail exponent off
+    the grid's first two cells moved them by at most 2.3e-3, at the first
+    grid value of lognormal(0,0.5) 2+4, and by at most 5.3e-7 beyond the
+    10th, and no step count."""
     dist = parse_distribution(law)
     config = HybridAuctionConfig(na, nb, dist, dist)
     sol = solve_fixed_point(config, grid)
@@ -775,6 +778,43 @@ def test_single_neutral_rule_is_the_configs(n_integrated):
     config = HybridAuctionConfig(n_integrated, 2, UNIT, neutral)
     object.__setattr__(config, "n_neutral", 1)
     assert pe._Problem(config, 512).tail_k == 0.0
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (0, 2), (3, 1), (4, 5)])
+def test_uniform_laws_read_exponent_one_per_law(counts):
+    """G ~ u**(n_integrated + n_neutral - 1) at the bottom of uniform(0,1)
+    laws, and the first two cells read exactly that."""
+    n_integrated, n_neutral = counts
+    problem = pe._Problem(HybridAuctionConfig(n_integrated, n_neutral, UNIT, UNIT), 512)
+    assert problem.tail_k == n_integrated + n_neutral - 1
+
+
+def test_beta_exponent_tends_to_its_own_as_the_grid_refines():
+    """G ~ u**10 at the bottom of Beta(2,2) 3+3; the first two cells read it
+    with their curvature, which shrinks with them: 0.105 low at grid 512,
+    0.036 at 4096 and 0.013 at 32,768."""
+    config = HybridAuctionConfig(3, 3, Beta(2, 2), Beta(2, 2))
+    errors = [10.0 - pe._Problem(config, grid).tail_k for grid in (512, 4096, 32768)]
+    assert 0.0 < errors[2] < errors[1] < errors[0] < 0.11
+    assert errors[2] < 0.015
+
+
+def test_an_underflowing_cdf_reads_an_infinite_exponent():
+    """Lognormal(0,0.1) integrated values have a CDF of 0 in doubles at the
+    first grid step above 0: the exponent is infinite, the start line the
+    diagonal, the first cell's integral 0, and the solve still certifies."""
+    config = HybridAuctionConfig(2, 3, Lognormal(0.0, 0.1), UNIT)
+    problem = pe._Problem(config, 512)
+    assert config.integrated_values.cdf(problem.values[1]) == 0.0
+    assert problem.tail_k == math.inf
+    assert np.array_equal(problem.line, problem.values)
+    integral, d_left, d_right = pe._power_cumint(
+        problem.values, np.ones_like(problem.values), problem.lo, problem.tail_k)
+    assert integral[1] == d_left[0] == d_right[0] == 0.0
+    assert np.all(np.isfinite(integral)) and np.all(np.isfinite(d_right))
+    sol = solve_fixed_point(config, 512)
+    report = verify_best_response(sol)
+    assert sol.residual <= sol.tol and report.max_gain <= report.bound
 
 
 # ---------------------------------- ODE oracle ---------------------------------
@@ -1202,6 +1242,19 @@ NO_RESERVE_LAWS = {name: parse_distribution(name) for name in (
     "beta(5,2)", "lognormal(0,0.5)", "lognormal(0,1)", "lognormal(0,1.4)")}
 NO_RESERVE_LAWS.update(K=KINKED, E=EMPIRICAL_E)
 
+# bound on the bids at the first 40 grid values, at grid 512 and at 4096: their
+# largest distance from the first-price closed form, as a share of the value
+# range, times n_neutral - 1 (the distance falls about as fast as that rises).
+# On Beta(2,2), Beta(5,2) and the lognormal laws, a start line whose exponent
+# is the ODE oracle's (alpha for Beta laws, u*f/F at half a cell for
+# lognormal) is 1.5 to 37 times further off and fails each bound
+BOTTOM_BOUNDS = {
+    "uniform(0,1)": (1e-14, 1e-14), "uniform(0.5,1.5)": (1e-14, 1e-14),
+    "beta(2,2)": (3.2e-5, 3.9e-6), "beta(0.7,3)": (5e-8, 1e-8),
+    "beta(0.5,5)": (5e-9, 1e-9), "beta(5,2)": (6e-4, 2.2e-4),
+    "lognormal(0,0.5)": (4e-4, 2.2e-4), "lognormal(0,1)": (1.5e-5, 3.9e-6),
+    "lognormal(0,1.4)": (1.8e-6, 4.2e-7), "K": (1e-14, 1e-14), "E": (2e-4, 1e-14)}
+
 
 @pytest.mark.parametrize("n_neutral", [2, 3, 5])
 @pytest.mark.parametrize("law", list(NO_RESERVE_LAWS))
@@ -1210,22 +1263,32 @@ def test_no_reserve_matches_the_first_price_closed_form(deadline, law, n_neutral
     auction, whose schedule is v - int_lo^v F(t)**(n-1) dt / F(v)**(n-1)
     (Krishna, *Auction Theory*, ch. 2). At grid 4096 the bids at the grid
     values nearest q = 0.1, 0.5 and 0.9 lie within 2e-5 of it by quadrature
-    (1.0e-5 at most, on lognormal(0,0.5) 0+2 at q = 0.1). G does not depend
-    on the bids, so one Newton step meets ``tol``."""
+    (2.9e-6 at most, on lognormal(0,0.5) 0+2 at q = 0.1). At grids 512 and
+    4096 the bids at the first 40 grid values, where the start line's
+    exponent sets the first cell's integral, meet ``BOTTOM_BOUNDS``. G does
+    not depend on the bids, so one Newton step meets ``tol``."""
     dist = NO_RESERVE_LAWS[law]
-    sol = solve_fixed_point(HybridAuctionConfig(0, n_neutral, dist, dist), 4096)
-    lo, nodes = sol.values[0], getattr(dist, "points", np.empty(0))
+    nodes = getattr(dist, "points", np.empty(0))
 
     def rival(t):
         return float(dist.cdf(t)) ** (n_neutral - 1)
 
+    def closed_form(v, lo, **tol):
+        kinks = nodes[(nodes > lo) & (nodes < v)].tolist() or None
+        return v - quad(rival, lo, v, points=kinks, limit=200, **tol)[0] / rival(v)
+
+    for grid, bound in zip((512, 4096), BOTTOM_BOUNDS[law]):
+        sol = solve_fixed_point(HybridAuctionConfig(0, n_neutral, dist, dist), grid)
+        values, span = sol.values[:40], sol.values[-1] - sol.values[0]
+        assert sol.bids[0] == values[0]
+        exact = [closed_form(v, values[0], epsabs=0.0, epsrel=1e-12) for v in values[1:]]
+        assert np.max(np.abs(sol.bids[1:40] - exact)) / span * (n_neutral - 1) <= bound
+        assert sol.iterations <= 1
     for q in (0.1, 0.5, 0.9):
         i = int(np.searchsorted(sol.values, dist.quantile(q)))
         v = float(sol.values[i])
-        kinks = nodes[(nodes > lo) & (nodes < v)].tolist() or None
-        area = quad(rival, lo, v, points=kinks, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-        assert abs(sol.bids[i] - (v - area / rival(v))) <= 2e-5
-    assert sol.iterations <= 1
+        assert abs(sol.bids[i] - closed_form(v, sol.values[0], epsabs=1e-13,
+                                              epsrel=1e-12)) <= 2e-5
 
 
 # ----------------------------- property-based sweep ----------------------------

@@ -513,14 +513,14 @@ def lognormal_put_value(v0: float, b, s: float):
     tail, where the truncated-mean route degenerates to 0/0. Elementwise in
     ``b``: an array of strikes gives an array, a scalar strike a float. A
     float strike in (0, inf), as the candlestick bisection passes, skips the
-    array path (about 3 against 14 us) with the same ufuncs in the same
-    order, so the same bits; subnormal strikes warn on neither path.
+    array path (about 1.2 against 19 us) for the same bits, in Python floats,
+    whose overflow and underflow do not warn: d1 = -inf where v0/b is 0.
     """
     if not v0 > 0.0:
         raise ValueError(f"v0 must be positive, got {v0}")
     if isinstance(b, float) and 0.0 < b < math.inf and s > 0.0:  # numpy's float64 too
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d1 = (np.log(v0 / b) + 0.5 * s * s) / s
+        ratio = float(v0) / float(b)
+        d1 = (float(np.log(ratio)) + 0.5 * s * s) / s if ratio else -math.inf
         return float(b * ndtr(-(d1 - s)) - v0 * ndtr(-d1))
     b = np.asarray(b, dtype=float)
     if np.any(b < 0.0):

@@ -293,7 +293,6 @@ class EquilibriumSolution:
     config: HybridAuctionConfig
     bid_function: BidFunction
     win_prob: np.ndarray
-    surplus: np.ndarray
     residual: float
     method: str
     iterations: int
@@ -309,6 +308,11 @@ class EquilibriumSolution:
     @property
     def bids(self) -> np.ndarray:
         return self.bid_function.bids
+
+    @property
+    def surplus(self) -> np.ndarray:
+        """The payoff (v - sigma) * G of the written schedule, the CSV's S."""
+        return (self.values - self.bids) * self.win_prob
 
     def table(self) -> dict[str, np.ndarray]:
         """Column view used by the CSV writer (header ``v,sigma,x,S``)."""
@@ -483,19 +487,15 @@ class _Problem:
                 right, left, law_cdf)
 
     def finish(self, bids, residual, method, iterations, tol,
-               history=(), g=None, integral=None, marched=None,
+               history=(), g=None, marched=None,
                start=_START_LINE) -> EquilibriumSolution:
         """The solution at ``bids`` made feasible; ``g`` is G at ``bids`` or
-        None, ``integral`` its :func:`_power_cumint` integral or None, and
-        ``marched`` the points each Newton step marched."""
+        None, and ``marched`` the points each Newton step marched."""
         kept = _strictly_increasing(np.clip(bids, 0.0, self.values))
         if g is None or not np.array_equal(kept.view(np.int64), bids.view(np.int64)):
-            g, integral = self.rival * self.config.reserve_cdf(kept), None
-        if integral is None:
-            integral = _power_cumint(self.values, g, self.lo, self.tail_k)[0]
+            g = self.rival * self.config.reserve_cdf(kept)
         return EquilibriumSolution(
-            config=self.config, bid_function=BidFunction(self.values, kept),
-            win_prob=g, surplus=integral,
+            config=self.config, bid_function=BidFunction(self.values, kept), win_prob=g,
             residual=residual, method=method, iterations=iterations, tol=tol,
             residual_history=tuple(history), start=start, marched=marched)
 
@@ -537,7 +537,7 @@ def _march(alpha, beta, later, old, values, below) -> np.ndarray:
 def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):
     """The start schedule ``bids``, then Newton steps on
     phi_i = (v_i - sigma_i) G_i - I_i, each schedule with its defect and
-    (G, I, the number of grid points each step so far marched).
+    (G, the number of grid points each step so far marched).
     As I_i depends on sigma_0..sigma_i only,
     the Jacobian is D_i on the diagonal and -w_j = -dI/dsigma_j below it, so
     delta_i = (S_i - phi_i) / D_i with S_i the sum of w_j delta_j over j < i
@@ -558,7 +558,7 @@ def _newton_steps(problem: _Problem, bids: np.ndarray, tol: float):
     while True:
         (mapped, usable, residual, g, integral,
          right, left, law_cdf) = problem.defect(bids, start, kept)
-        yield bids, residual, (g, integral, tuple(marched))
+        yield bids, residual, (g, tuple(marched))
         gap = np.abs(bids[start:] - mapped)
         settled = ~usable | (gap < tol * _SETTLED)
         skip = int(np.argmin(np.append(settled, False)))  # the first unsettled
@@ -613,17 +613,17 @@ def _best_bids(values: np.ndarray, bids: np.ndarray, win: np.ndarray) -> np.ndar
 
 
 def _argmax_steps(problem: _Problem):
-    """The start line with its defect and (G, I), then halvings of each
+    """The start line with its defect and (G,), then halvings of each
     value's bracket around its argmax of (v - b) * H(b), H the
     reserve CDF, by the sign of (v - b) * H'(b) - H(b), rising where H = 0;
-    the bids are the midpoints, the residual the widest bracket, G and I
-    None. As the payoff can have two local maxima where H is not log-concave,
+    the bids are the midpoints, the residual the widest bracket, G None. As
+    the payoff can have two local maxima where H is not log-concave,
     a bracket starts on the two grid cells around the grid value that scores
     best as a bid (:func:`_best_bids`), or on [lo, v] where none wins, as
     the config's rule for one neutral builder keeps H(lo) = 0."""
     config, values, line = problem.config, problem.values, problem.line
-    residual, g, integral = problem.defect(line)[2:5]
-    yield line, residual, (g, integral)
+    residual, g = problem.defect(line)[2:4]
+    yield line, residual, (g,)
     low, high = np.full_like(values, problem.lo), values.copy()
     reserve = config.reserve_cdf(values)
     best = _best_bids(values, values, reserve)
@@ -636,7 +636,7 @@ def _argmax_steps(problem: _Problem):
         reserve = config.reserve_cdf(mid, cdf)
         rising = (reserve <= 0.0) | ((values - mid) * config.reserve_pdf(mid, cdf) > reserve)
         low, high = np.where(rising, mid, low), np.where(rising, high, mid)
-        yield 0.5 * (low + high), float(np.max(high - low)), (None, None)
+        yield 0.5 * (low + high), float(np.max(high - low)), (None,)
 
 
 def solve_fixed_point(config: HybridAuctionConfig, grid_size: int = 512,
@@ -736,7 +736,7 @@ def verify_best_response(solution: EquilibriumSolution) -> BestResponseReport:
     rival = config.rival_cdf(solution.bid_function.inverse(bid_grid))
     win = np.where(bid_grid > bids[-1], 1.0, rival) * config.reserve_cdf(bid_grid)
     best = _best_bids(values, bid_grid, win)
-    gains = (values - bid_grid[best]) * win[best] - (values - bids) * solution.win_prob
+    gains = (values - bid_grid[best]) * win[best] - solution.surplus
     step = -(-(n - 1) // _GATE_STEPS)
     gated = step * ((n - 2) // step) + 1
     i = int(np.argmax(gains[:gated]))

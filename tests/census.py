@@ -26,6 +26,16 @@ exit codes before and after:
 
     PYTHONPATH=src python tests/census.py > before.json
     PYTHONPATH=src python tests/census.py --against before.json
+
+With ``--mc`` it runs the Monte Carlo census instead: each row of the frozen
+sample ``MC_ROWS`` is solved and simulated as ``simulate`` does, at
+``MC_REPS`` replications from ``MC_SEED``, and the output tallies the rows
+whose checks fail by class (:func:`mc_class`) and by failing series, and
+lists each row's failing series. ``--against`` a saved ``--mc`` output lists
+in ``moved`` every row whose failing series moved:
+
+    PYTHONPATH=src python tests/census.py --mc > mc_before.json
+    PYTHONPATH=src python tests/census.py --mc --against mc_before.json
 """
 
 import argparse
@@ -38,9 +48,27 @@ import numpy as np
 from pbslab.distributions import Beta, EmpiricalGrid, Lognormal, Uniform
 from pbslab.private_equilibrium import (_MASS_FLOOR, HybridAuctionConfig, SolverError,
                                         solve_fixed_point, verify_best_response)
+from pbslab.simulator import simulate_hybrid
 
 SEED, ROWS = 1, 1500
 GRIDS = (64, 512, 4096)
+
+# the Monte Carlo census's sample: every 8th row of those that certified when
+# it was drawn, 154 rows; it stays as it is, so that a change reports its
+# effect as the rows that moved, and is neither re-picked, re-seeded nor resized
+MC_ROWS = (
+    0, 9, 20, 30, 40, 48, 57, 65, 74, 84, 92, 101, 112, 123, 138, 148, 156, 170, 181,
+    189, 199, 207, 220, 229, 238, 247, 255, 265, 275, 284, 297, 310, 321, 331, 342,
+    351, 359, 367, 376, 384, 394, 402, 412, 423, 435, 446, 455, 463, 474, 483, 491,
+    501, 512, 523, 532, 541, 553, 563, 572, 581, 591, 603, 617, 628, 637, 645, 654,
+    663, 672, 683, 692, 701, 710, 720, 731, 740, 749, 761, 774, 782, 792, 802, 814,
+    826, 835, 845, 854, 862, 872, 882, 890, 901, 912, 921, 934, 944, 952, 962, 973,
+    981, 989, 997, 1009, 1018, 1026, 1036, 1047, 1059, 1068, 1077, 1085, 1093, 1103,
+    1114, 1125, 1137, 1145, 1155, 1166, 1174, 1184, 1193, 1202, 1210, 1221, 1231,
+    1241, 1250, 1260, 1268, 1279, 1287, 1295, 1305, 1314, 1325, 1334, 1345, 1356,
+    1367, 1378, 1386, 1394, 1403, 1413, 1422, 1432, 1441, 1451, 1460, 1469, 1477,
+    1488, 1498)
+MC_REPS, MC_SEED = 200_000, 1
 
 # the reasons each exit code is documented with
 REASONS = {
@@ -131,19 +159,66 @@ def documented_reason(code: int, reason: str) -> str:
                 "undocumented")
 
 
-def moved_rows(before: list[int], after: list[int]) -> list[tuple[int, int, int]]:
-    """(row index, exit code before, exit code after) of every row whose
-    exit code differs between two code lists of the same population."""
+def mc_class(n_integrated: int, n_neutral: int) -> str:
+    """The Monte Carlo census's class of a row: "n_a = 0", else "n_b = 1",
+    else "other"."""
+    if n_integrated == 0:
+        return "n_a = 0"
+    return "n_b = 1" if n_neutral == 1 else "other"
+
+
+def mc_failures(fa, fb, n_integrated: int, n_neutral: int, grid: int) -> list[str]:
+    """The series whose Monte Carlo check fails on the row's schedule, solved
+    and simulated as ``simulate`` does at ``MC_REPS`` replications from
+    ``MC_SEED`` (none where all pass), or the exit code of a solve that fails."""
+    try:
+        solution = solve_fixed_point(HybridAuctionConfig(n_integrated, n_neutral, fa, fb), grid)
+    except SolverError:
+        return ["exit 3"]
+    except ValueError:
+        return ["exit 2"]
+    report = simulate_hybrid(solution, MC_REPS, MC_SEED)
+    return [check["name"] for check in report.checks if not check["ok"]]
+
+
+def moved_rows(before: list, after: list) -> list[tuple]:
+    """(row index, outcome before, outcome after) of every row whose outcome,
+    an exit code or a list of failing series, differs between two outcome
+    lists of the same population."""
     if len(before) != len(after):
         raise ValueError(f"code lists of {len(before)} and {len(after)} rows "
                          f"are not of one population")
     return [(i, b, a) for i, (b, a) in enumerate(zip(before, after)) if b != a]
 
 
+def mc_census(rows: list[tuple], before: dict | None) -> dict:
+    """The Monte Carlo census of the ``MC_ROWS`` of ``rows``, with the rows
+    that moved since ``before`` where that is given."""
+    failures, by_class, by_series = [], Counter(), Counter()
+    for index in MC_ROWS:
+        failed = mc_failures(*rows[index])
+        failures.append(failed)
+        if failed:
+            by_class[mc_class(*rows[index][2:4])] += 1
+            by_series.update(failed)
+    out = {"seed": SEED, "rows": ROWS, "mc_rows": list(MC_ROWS), "mc_reps": MC_REPS,
+           "mc_seed": MC_SEED, "failed": sum(map(bool, failures)),
+           "by_class": dict(sorted(by_class.items())),
+           "by_series": dict(sorted(by_series.items())),
+           "failures": failures}
+    if before is not None:
+        out["moved"] = [{"row": MC_ROWS[i], "row_id": row_id(rows[MC_ROWS[i]]),
+                         "before": b, "after": a}
+                        for i, b, a in moved_rows(before["failures"], failures)]
+    return out
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Tally the census verdicts.")
     parser.add_argument("--against", metavar="JSON",
-                        help="an earlier run's output; list the rows whose exit code moved")
+                        help="an earlier run's output; list the rows whose outcome moved")
+    parser.add_argument("--mc", action="store_true",
+                        help="run the Monte Carlo census of the MC_ROWS sample")
     args = parser.parse_args(argv)
     before = None
     if args.against:
@@ -152,6 +227,14 @@ def main(argv=None):
         if (before["seed"], before["rows"]) != (SEED, ROWS):
             parser.error(f"{args.against} is a census of seed {before['seed']} and "
                          f"{before['rows']} rows, not of seed {SEED} and {ROWS} rows")
+        if ("failures" in before) != args.mc:
+            parser.error(f"{args.against} is not the output of a run "
+                         f"{'with' if args.mc else 'without'} --mc")
+    if args.mc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            print(json.dumps(mc_census(census(), before)))
+        return
     rows, codes = census(), []
     by_neutral, by_reason, by_class = Counter(), Counter(), Counter()
     with warnings.catch_warnings():

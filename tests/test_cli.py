@@ -306,6 +306,21 @@ def test_solve_private_empirical_single_neutral_is_certified(tmp_path, capsys,
     assert best["max_gain"] <= best["bound"]
 
 
+# census row 65: one neutral builder against three integrated, its first
+# grid value at 0.47
+ROW_65 = ("--na", "3", "--nb", "1", "--fa", "beta(0.519,3.94)", "--fb", "beta(6.46,0.46)")
+
+
+def test_solve_private_surplus_column_is_the_schedules_payoff(tmp_path):
+    """The CSV's S column is (v - sigma) * x of its own rows, up to the 12
+    significant digits each column is written with."""
+    out = tmp_path / "row65.csv"
+    assert main(["solve-private", *ROW_65, "--out", str(out)]) == 0
+    _, data = _read_csv_columns(out)
+    v, sigma, x, surplus = data.T
+    assert np.max(np.abs(surplus - (v - sigma) * x)) < 1e-11
+
+
 # integrated values with mass below the neutral values
 BELOW_NEUTRAL_LAWS = ("--fa", "uniform(0,1)", "--fb", "uniform(0.5,1.5)")
 
@@ -460,6 +475,14 @@ def test_simulate_hybrid_pass_line(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["agreement_ok"] is True
     assert payload["reps"] == 50000
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+def test_simulate_single_neutral_surplus_passes(tmp_path, seed):
+    """Census row 65's neutral surplus meets its Monte Carlo check at 2e5
+    replications: its target integrates the payoff the kernel averages."""
+    assert main(["simulate", "--model", "hybrid", *ROW_65, "--reps", "200000",
+                 "--seed", seed, "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_simulate_disagreement_exits_4(tmp_path, monkeypatch):

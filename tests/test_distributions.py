@@ -531,6 +531,26 @@ def test_put_value_extreme_strikes_warn_nothing(b, put):
     assert [v.hex() for v in values] == [put.hex()] * 3
 
 
+# strikes from the smallest subnormal to the largest double, where v0 / b
+# overflows to inf and underflows to 0 at the ends
+_SWEEP_STRIKES = np.concatenate((
+    [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308],
+    np.geomspace(1e-307, 1.7e308, 241), [np.finfo(float).max]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0", np.geomspace(1e-300, 1e300, 31).tolist())
+def test_put_scalar_strike_sweep_equals_array_path(v0):
+    """Over log-sds from 1e-8 to 40 and strikes across the doubles, a float
+    strike (numpy's float64 too) gives the bits of the array path and warns
+    nothing."""
+    for s in np.geomspace(1e-8, 40.0, 13).tolist():
+        array = lognormal_put_value(v0, _SWEEP_STRIKES, s).tolist()
+        for b, element in zip(_SWEEP_STRIKES.tolist(), array):
+            assert lognormal_put_value(v0, b, s).hex() == element.hex(), (v0, b, s)
+            assert lognormal_put_value(v0, np.float64(b), s).hex() == element.hex()
+
+
 # ------------------------------ validation et al. -----------------------------
 
 

@@ -58,8 +58,8 @@ def test_candlestick_stats_digest(candlestick_half):
 
 # a Newton solve, and an argmax solve with one neutral builder
 @pytest.mark.parametrize("law, nb, digest", [
-    ("beta(0.7,3)", "3", "41157fa5a63ed8df562e549faf02deca9a6dc53a1f28b0265559f3b47ef33a65"),
-    ("beta(2,2)", "1", "ae1532c74c92d7ca5626ecbd067037e886c8696330066a9cb0bc9b9a2fc00f2e"),
+    ("beta(0.7,3)", "3", "386b986df813c68e27d5f170be73ec898cf1670c5fb3bd09bfcb4bcd6cebf339"),
+    ("beta(2,2)", "1", "24d2f3ff62cc2aa710bdc72dd7b343db6f112ba58b97bbaa1c877cc0e0ffa9b5"),
 ])
 def test_solve_private_csv_digest(tmp_path, law, nb, digest):
     out = tmp_path / "schedule.csv"
@@ -92,7 +92,7 @@ def test_solve_private_fine_grid_csv_digest(tmp_path):
                  "--grid", "8192", "--method", "fixed-point",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b856ff8c4ad23c4deea1aa49640a926887e77215156f2d290966c934e8287a9c")
+        "eff6bec2ef86d35d74c2ca3899f04d79b6e1721c8e6deeee5fde9ec95987890b")
 
 
 def _exact(obj):

@@ -513,7 +513,7 @@ def test_every_usable_point_marches_at_zero_tolerance(law, floor):
     problem = pe._Problem(config, 512)
     steps = pe._newton_steps(problem, problem.line, 0.0)
     bids = next(steps)[0]
-    for _, (after, _, (_, _, marched)) in zip(range(5), steps):
+    for _, (after, _, (_, marched)) in zip(range(5), steps):
         usable = problem.defect(bids)[1]
         assert marched[-1] == usable.size - np.argmax(usable)
         bids = after
@@ -916,10 +916,34 @@ def test_envelope_detects_perturbed_schedule(uniform_3_1):
     from pbslab.private_equilibrium import _strictly_increasing
     bf = BidFunction(sol.values, _strictly_increasing(bumped))
     x = config.rival_cdf(sol.values) * config.reserve_cdf(bf.bids)
-    fake = EquilibriumSolution(config=config, bid_function=bf, win_prob=x,
-                               surplus=sol.surplus, residual=0.0,
+    fake = EquilibriumSolution(config=config, bid_function=bf, win_prob=x, residual=0.0,
                                method="perturbed", iterations=0, tol=sol.tol)
     assert envelope_defect(fake) > 1e-2
+
+
+# census row 65: one neutral builder whose first grid value lies at 0.47 of a
+# unit range, where the envelope integral's power-law first cell read 0.061
+# above the schedule's payoff
+ROW_65 = HybridAuctionConfig(3, 1, Beta(0.519, 3.94), Beta(6.46, 0.46))
+
+
+@pytest.mark.parametrize("case", ["beta_3_3", "uniform_3_1", "row_65"])
+def test_surplus_is_the_schedules_own_payoff(request, case):
+    """On either solver path the surplus is (v - sigma) * x of the schedule
+    the solution holds, bit for bit."""
+    sol = (solve_fixed_point(ROW_65) if case == "row_65"
+           else request.getfixturevalue(case)[1])
+    assert sol.method == ("newton" if case == "beta_3_3" else "argmax")
+    assert _same_bits(sol.surplus, (sol.values - sol.bids) * sol.win_prob)
+
+
+def test_surplus_follows_a_replaced_schedule(beta_3_3, mis_shade):
+    """A solution whose bids and win probabilities are replaced reports the
+    surplus of the new schedule, not of the solved one."""
+    _, sol = beta_3_3
+    shaded = mis_shade(sol)
+    assert _same_bits(shaded.surplus, (shaded.values - shaded.bids) * shaded.win_prob)
+    assert not np.allclose(shaded.surplus, sol.surplus)
 
 
 def _strictly_increasing_loop(b):
